@@ -6,19 +6,21 @@ CSV), ``deform`` (RK4 trajectory of a deformed system as CSV), ``verify``
 (full property suite).
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 degenerate
-structure requested where nondegeneracy is needed.
+structure requested where nondegeneracy is needed, 4 integration produced
+a non-finite state.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 import numpy as np
 
 from . import canonical, deformation, dynamics, poisson, verify
-from .dynamics import PhaseState
+from .dynamics import IntegrationError, PhaseState
 from .poisson import DegeneracyError, GammaWeights
 from .spectrum import (FrequencySpectrum, complete_homog, elementary_sigma,
                        reduced_sigma, rho, verify_identities)
@@ -27,30 +29,33 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_DEGENERATE = 3
+EXIT_INTEGRATION = 4
+
+#: Rows formatted per write; bounds the text held in memory at once.
+CSV_BLOCK_ROWS = 1024
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip float formatting; deterministic."""
-    return repr(float(v))
-
-
-def _write(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out_path):
+    """The file at out_path, or stdout (left open) when no path is given."""
+    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_json(obj, out_path):
-    _write(json.dumps(obj, indent=2) + "\n", out_path)
+    with _output(out_path) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_csv(header, rows, out_path):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write("\n".join(lines) + "\n", out_path)
+def _emit_csv(header, table: np.ndarray, out_path):
+    """Write a float table as CSV, one block of rows at a time.
+
+    Floats are written in shortest round-trip form (``repr``), so the
+    output is deterministic.
+    """
+    with _output(out_path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
 def _merged_config(args) -> dict:
@@ -97,6 +102,8 @@ def _state_from(cfg, spec) -> PhaseState:
 def _grid_from(cfg) -> np.ndarray:
     t_end = float(_require(cfg, "t_end"))
     dt = float(_require(cfg, "dt"))
+    if not (np.isfinite(t_end) and np.isfinite(dt)):
+        raise ValueError("t_end and dt must be finite")
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
     steps = int(np.floor(t_end / dt + 1e-9))
@@ -156,9 +163,8 @@ def cmd_simulate(cfg, out_path) -> int:
     flow = dynamics.modal_flow(spec, state)
     table = dynamics.trajectory(flow, state, grid, observables)
     header = _state_header(spec.n) + list(table.observable_names)
-    rows = [np.concatenate(([t], u, v)) for t, u, v in
-            zip(table.times, table.states, table.observable_values)]
-    _emit_csv(header, rows, out_path)
+    _emit_csv(header, np.column_stack((table.times, table.states,
+                                       table.observable_values)), out_path)
     return EXIT_OK
 
 
@@ -176,28 +182,24 @@ def cmd_deform(cfg, out_path) -> int:
     if pot_cfg is not None:
         potential = deformation.PotentialSpec.from_json_dict(pot_cfg)
         field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
-        total = deformation.deformed_energy(spec, gamma, potential, v1, v2)
-
-        def u_value(u):
-            return potential.value(float(v1 @ u), float(v2 @ u))
     else:
         omega_a = poisson.alt_structure(spec, gamma).omega
 
         def field(_t, u):
             return omega_a @ (hcal.A @ u)
-
-        def total(u):
-            return hcal.value(u)
-
-        def u_value(_u):
-            return 0.0
     flow = dynamics.rk4_flow(field, dt)
-    table = dynamics.trajectory(flow, state, grid, [])
+    table = dynamics.trajectory(flow, state, grid, [("Hcal", hcal)])
+    hcal_col = table.observable_values[:, 0]
+    u_col = np.zeros_like(hcal_col)
+    if pot_cfg is not None:
+        # w_a = v_a . u as a row-by-column product per state, which rounds
+        # as the dot product in deformed_energy does
+        rows = table.states[:, None, :]
+        w1, w2 = (rows @ v1[:, None])[:, 0, 0], (rows @ v2[:, None])[:, 0, 0]
+        u_col[:] = [potential.value(a, b) for a, b in zip(w1.tolist(), w2.tolist())]
     header = _state_header(spec.n) + ["Hcal", "U", "Htot"]
-    rows = []
-    for t, u in zip(table.times, table.states):
-        rows.append(np.concatenate(([t], u, [hcal.value(u), u_value(u), total(u)])))
-    _emit_csv(header, rows, out_path)
+    _emit_csv(header, np.column_stack((table.times, table.states, hcal_col, u_col,
+                                       hcal_col + u_col)), out_path)
     return EXIT_OK
 
 
@@ -260,6 +262,9 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print("error: degenerate structure: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE
+    except IntegrationError as exc:
+        print("error: integration produced a non-finite state: %s" % exc, file=sys.stderr)
+        return EXIT_INTEGRATION
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -194,12 +194,22 @@ class PotentialSpec:
         return {"degree": self.degree,
                 "coeffs": [{"i": i, "j": j, "value": v} for i, j, v in self.terms]}
 
+    # Python's float ** raises OverflowError where float * gives inf; both
+    # methods return inf instead, so that a blown-up state reaches the
+    # integrator's finiteness check.
+
     def value(self, w1: float, w2: float) -> float:
-        return float(sum(v * w1 ** i * w2 ** j for i, j, v in self.terms))
+        try:
+            return float(sum(v * w1 ** i * w2 ** j for i, j, v in self.terms))
+        except OverflowError:
+            return np.inf
 
     def grad(self, w1: float, w2: float):
-        d1 = sum(v * i * w1 ** (i - 1) * w2 ** j for i, j, v in self.terms if i > 0)
-        d2 = sum(v * j * w1 ** i * w2 ** (j - 1) for i, j, v in self.terms if j > 0)
+        try:
+            d1 = sum(v * i * w1 ** (i - 1) * w2 ** j for i, j, v in self.terms if i > 0)
+            d2 = sum(v * j * w1 ** i * w2 ** (j - 1) for i, j, v in self.terms if j > 0)
+        except OverflowError:
+            return np.inf, np.inf
         return float(d1), float(d2)
 
 

@@ -70,20 +70,24 @@ def companion_matrix(spec: FrequencySpectrum) -> np.ndarray:
     return M
 
 
-def _basis_derivatives(spec: FrequencySpectrum, tau: float, smax: int) -> np.ndarray:
-    """B[s, j] = s-th time derivative, at tau, of the j-th basis function
-    of the solution space {1, cos(w_k t), sin(w_k t)}."""
-    d = 2 * spec.n + 1
-    B = np.zeros((smax + 1, d))
-    B[0, 0] = 1.0
+def _basis_derivatives(spec: FrequencySpectrum, taus, smax: int) -> np.ndarray:
+    """B[r, s, j] = s-th time derivative, at taus[r], of the j-th basis
+    function of the solution space {1, cos(w_k t), sin(w_k t)}.
+
+    The factors w ** s stay Python powers: numpy's vectorized power rounds
+    differently, which would change the last digits of the states.
+    """
+    taus = np.asarray(taus, dtype=float)
+    B = np.zeros((taus.size, smax + 1, 2 * spec.n + 1))
+    B[:, 0, 0] = 1.0
     for k, w in enumerate(spec.omegas):
-        c, s = np.cos(w * tau), np.sin(w * tau)
+        c, s = np.cos(w * taus), np.sin(w * taus)
         cos_cycle = (c, -s, -c, s)
         sin_cycle = (s, c, -s, -c)
         for sder in range(smax + 1):
             f = w ** sder
-            B[sder, 2 * k + 1] = f * cos_cycle[sder % 4]
-            B[sder, 2 * k + 2] = f * sin_cycle[sder % 4]
+            B[:, sder, 2 * k + 1] = f * cos_cycle[sder % 4]
+            B[:, sder, 2 * k + 2] = f * sin_cycle[sder % 4]
     return B
 
 
@@ -92,6 +96,8 @@ class ModalSolution:
 
     The 2n+1 amplitudes per spatial component are fitted once against the
     initial derivative stack; evaluation at any time is then exact per mode.
+    A ModalSolution is also a flow callable, ``flow(state, t)``, whose
+    state argument is ignored.
     """
 
     def __init__(self, spec: FrequencySpectrum, state: PhaseState):
@@ -100,21 +106,29 @@ class ModalSolution:
         self.spec = spec
         self.t0 = state.t
         d = 2 * spec.n + 1
-        B0 = _basis_derivatives(spec, 0.0, d - 1)
+        B0 = _basis_derivatives(spec, [0.0], d - 1)[0]
         rhs = np.column_stack([state.component(1), state.component(2)])
         self.amps = np.linalg.solve(B0, rhs)
 
-    def derivatives(self, t: float, smax: int) -> np.ndarray:
-        """Derivative stacks up to order smax at absolute time t; (smax+1, 2)."""
-        Bt = _basis_derivatives(self.spec, t - self.t0, smax)
-        return Bt @ self.amps
+    def derivatives(self, t, smax: int) -> np.ndarray:
+        """Derivative stacks up to order smax at absolute time t; (smax+1, 2)
+        for a scalar t, (T, smax+1, 2) for an array of T times."""
+        t = np.asarray(t, dtype=float)
+        # one small product per time: a single 2-D product over all
+        # times would round differently
+        stacks = _basis_derivatives(self.spec, t.ravel() - self.t0, smax) @ self.amps
+        return stacks.reshape(t.shape + stacks.shape[1:])
+
+    def states(self, times) -> np.ndarray:
+        """Jet vectors at each absolute time; (T, 4n+2), layout ``jet_index``."""
+        stacks = self.derivatives(np.ravel(times), 2 * self.spec.n)
+        return stacks.reshape(len(stacks), self.spec.jet_dim)
 
     def eval(self, t: float) -> PhaseState:
-        stacks = self.derivatives(t, 2 * self.spec.n)
-        u = np.empty(self.spec.jet_dim)
-        u[0::2] = stacks[:, 0]
-        u[1::2] = stacks[:, 1]
-        return PhaseState(u, t)
+        return PhaseState(self.states([t])[0], t)
+
+    def __call__(self, _state, t) -> PhaseState:
+        return self.eval(t)
 
 
 def exact_propagate(spec: FrequencySpectrum, state: PhaseState, t: float) -> PhaseState:
@@ -130,28 +144,30 @@ def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
     if h <= 0.0:
         raise ValueError("step size must be positive")
     t, u = state.t, state.u
-    k1 = field(t, u)
-    k2 = field(t + h / 2, u + (h / 2) * k1)
-    k3 = field(t + h / 2, u + (h / 2) * k2)
-    k4 = field(t + h, u + h * k3)
-    for k in (k1, k2, k3, k4):
-        if not np.all(np.isfinite(k)):
-            raise IntegrationError("non-finite vector field near t=%g" % t, t=t)
-    return PhaseState(u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4), t + h)
+    # overflow is reported below as IntegrationError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = field(t, u)
+        k2 = field(t + h / 2, u + (h / 2) * k1)
+        k3 = field(t + h / 2, u + (h / 2) * k2)
+        k4 = field(t + h, u + h * k3)
+        u_next = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # a non-finite slope always makes the update non-finite, so one check
+    # covers both on the common path
+    if not np.all(np.isfinite(u_next)):
+        slopes_finite = all(np.all(np.isfinite(k)) for k in (k1, k2, k3, k4))
+        what = "state after the step" if slopes_finite else "vector field"
+        raise IntegrationError("non-finite %s near t=%g" % (what, t), t=t)
+    return PhaseState(u_next, t + h)
 
 
-def modal_flow(spec: FrequencySpectrum, state: PhaseState):
+def modal_flow(spec: FrequencySpectrum, state: PhaseState) -> ModalSolution:
     """Flow callable backed by a single modal fit through ``state``.
 
     Fitting once and evaluating per grid time avoids accumulating
-    round-off over long trajectories.
+    round-off over long trajectories; ``trajectory`` evaluates the whole
+    grid in one call.
     """
-    sol = ModalSolution(spec, state)
-
-    def flow(_state, t):
-        return sol.eval(t)
-
-    return flow
+    return ModalSolution(spec, state)
 
 
 def rk4_flow(field, h: float):
@@ -189,7 +205,9 @@ def trajectory(flow, state: PhaseState, grid, observables=()) -> TrajectoryTable
     """Tabulate a flow on a strictly increasing grid starting at state.t.
 
     ``observables`` is a sequence of (name, QuadraticObservable) pairs,
-    evaluated from the same state row they annotate.
+    evaluated from the same state row they annotate, one call per column.
+    A modal flow gives every grid state in one evaluation; other flows
+    are called once per grid time.
     """
     grid = np.asarray(grid, dtype=float)
     names = tuple(name for name, _ in observables)
@@ -198,13 +216,19 @@ def trajectory(flow, state: PhaseState, grid, observables=()) -> TrajectoryTable
         return TrajectoryTable(grid, np.empty((0, dim)), names, np.empty((0, len(names))))
     if abs(grid[0] - state.t) > 1e-12:
         raise ValueError("grid must start at the state's time")
-    rows = [state.u.copy()]
-    current = state
-    for t in grid[1:]:
-        current = flow(current, t)
-        rows.append(current.u.copy())
-    states = np.array(rows)
+    if isinstance(flow, ModalSolution):
+        later = flow.states(grid[1:])
+        if not np.all(np.isfinite(later)):
+            raise ValueError("jet vector entries must be finite")
+        states = np.vstack((state.u, later))
+    else:
+        rows = [state.u.copy()]
+        current = state
+        for t in grid[1:]:
+            current = flow(current, t)
+            rows.append(current.u.copy())
+        states = np.array(rows)
     values = np.empty((grid.size, len(names)))
     for col, (_, obs) in enumerate(observables):
-        values[:, col] = [obs.value(u) for u in states]
+        values[:, col] = obs.value(states)
     return TrajectoryTable(grid, states, names, values)

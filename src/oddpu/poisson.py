@@ -225,9 +225,16 @@ class QuadraticObservable:
         b[2 * s + i - 1] = 1.0
         return cls(np.zeros((dim, dim)), b)
 
-    def value(self, u) -> float:
+    def value(self, u):
+        """u.A.u/2 + b.u + c at one state (a float), or at each row of a
+        (rows, dim) stack (an array of rows values)."""
         u = np.asarray(u, dtype=float)
-        return float(0.5 * u @ self.A @ u + self.b @ u + self.c)
+        # Each state as a 1 x dim row times a dim x 1 column: matmul then
+        # runs the same vector-matrix and dot kernels for every row of a
+        # stack as for a single state, so both agree to the last bit.
+        row, col = u[..., None, :], u[..., :, None]
+        v = (0.5 * row @ self.A @ col + row @ self.b[:, None])[..., 0, 0] + self.c
+        return float(v) if u.ndim == 1 else v
 
     def grad(self, u) -> np.ndarray:
         return self.A @ np.asarray(u, dtype=float) + self.b

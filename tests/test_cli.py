@@ -3,18 +3,31 @@
 import csv
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from oddpu import FrequencySpectrum, dirac_structure
+from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, dirac_structure,
+                   invariant_directions)
+from oddpu.canonical import (alt_hamiltonian_observable, energy_observable,
+                             mode_integrals)
 from oddpu.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(err, *fragments):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in lines[0]
 
 
 class TestSpectrumCommand:
@@ -138,6 +151,25 @@ class TestSimulateCommand:
         code, _, _ = run(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--t-end", "--dt"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_grid(self, capsys, flag, value):
+        argv = list(self.ARGS)
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "must be finite")
+
+    def test_nonfinite_modal_state(self, capsys):
+        # w t overflows at the last grid time: the state cannot be formed
+        argv = ["simulate", "--omegas", "2", "--state", "0", "0", "1", "0", "0", "0",
+                "--t-end", "1.7e308", "--dt", "1e307"]
+        with np.errstate(all="ignore"):
+            code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "must be finite")
 
 class TestDeformCommand:
     POT = json.dumps({"degree": 4, "coeffs": [
@@ -183,6 +215,86 @@ class TestDeformCommand:
         code, _, _ = run(self.ARGS + ["--potential",
                                       '{"degree": 0, "coeffs": []}'], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("state, potential", [
+        # a force of 1e308 overflows in the first RK4 update
+        (["0.4", "0.2", "-0.12", "0.32", "0.08", "-0.24"],
+         {"degree": 1, "coeffs": [{"i": 1, "j": 0, "value": 1e308}]}),
+        # a degree-8 potential at a large amplitude overflows float **
+        (["4000", "2000", "-1200", "3200", "800", "-2400"],
+         {"degree": 8, "coeffs": [{"i": 8, "j": 0, "value": 1}, {"i": 0, "j": 8, "value": 1}]}),
+    ])
+    def test_blow_up_exit_code(self, capsys, state, potential):
+        argv = ["deform", "--omegas", "1", "--gamma", "1", "-1", "--state", *state,
+                "--t-end", "10", "--dt", "0.01", "--potential", json.dumps(potential)]
+        code, out, err = run(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert_one_error_line(err, "non-finite", "t=")
+
+
+class TestOutputIdentity:
+    """Outputs against CSV fixtures written by the per-sample implementation.
+
+    The t and state columns must match byte for byte.  Each observable
+    column must match within the forward-error bound of its formula.
+    """
+
+    SIMULATE_N2 = ["simulate", "--omegas", "1", "2",
+                   "--state", "0.3", "-0.2", "0.5", "0.1", "-0.4", "0.25",
+                   "0.7", "-0.1", "0.2", "0.6",
+                   "--t-end", "20", "--dt", "0.1", "--gamma", "1", "-1", "-1", "1"]
+
+    @staticmethod
+    def compare(out, fixture, dim):
+        new = list(csv.reader(io.StringIO(out)))
+        old = list(csv.reader(io.StringIO((DATA / fixture).read_text())))
+        assert new[0] == old[0]
+        assert len(new) == len(old)
+        assert [r[:1 + dim] for r in new] == [r[:1 + dim] for r in old]
+        states = np.array([r[1:1 + dim] for r in old[1:]], dtype=float)
+        values = {name: (np.array([r[c] for r in new[1:]], dtype=float),
+                         np.array([r[c] for r in old[1:]], dtype=float))
+                  for c, name in enumerate(old[0]) if c > dim}
+        return states, values
+
+    @pytest.mark.parametrize("argv, fixture, omegas, gamma", [
+        (TestSimulateCommand.ARGS + ["--gamma", "1", "-1"], "simulate_n1_gamma.csv",
+         (1.0,), (1.0, -1.0)),
+        (SIMULATE_N2, "simulate_n2_gamma.csv", (1.0, 2.0), (1.0, -1.0, -1.0, 1.0)),
+    ])
+    def test_simulate(self, capsys, value_bound, argv, fixture, omegas, gamma):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        spec = FrequencySpectrum(omegas)
+        observables = {"H": energy_observable(spec),
+                       "Hcal": alt_hamiltonian_observable(spec, GammaWeights.from_flat(gamma))}
+        observables.update(("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec))
+        states, values = self.compare(out, fixture, spec.jet_dim)
+        assert set(values) == set(observables)
+        for name, (new, old) in values.items():
+            assert np.all(np.abs(new - old) <= value_bound(observables[name], states)), name
+
+    def test_deform(self, capsys, value_bound):
+        code, out, _ = run(TestDeformCommand.ARGS
+                           + ["--potential", TestDeformCommand.POT], capsys)
+        assert code == 0
+        spec, gamma = FrequencySpectrum((1.0,)), GammaWeights(((1.0, -1.0),))
+        states, values = self.compare(out, "deform_quartic.csv", spec.jet_dim)
+        eps = np.finfo(float).eps
+        hcal_bound = value_bound(alt_hamiltonian_observable(spec, gamma), states)
+        # U = sum c w1^i w2^j with w_a = v_a . u: each w_a is good to
+        # dim eps |v_a|.|u|, so U to degree-weighted products of those
+        pot = PotentialSpec.from_json_dict(json.loads(TestDeformCommand.POT))
+        W1, W2 = (np.abs(states) @ np.abs(v) for v in invariant_directions(spec, gamma))
+        u_scale = sum(abs(c) * W1 ** i * W2 ** j for i, j, c in pot.terms)
+        u_bound = 4 * (spec.jet_dim + 2 + pot.degree) * eps * u_scale
+        new, old = values["Hcal"]
+        assert np.all(np.abs(new - old) <= hcal_bound)
+        new, old = values["U"]
+        assert np.all(np.abs(new - old) <= u_bound)
+        new, old = values["Htot"]
+        assert np.all(np.abs(new - old) <= hcal_bound + u_bound + eps * np.abs(old))
 
 
 class TestConfigHandling:

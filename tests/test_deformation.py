@@ -144,6 +144,11 @@ class TestPotentialSpec:
         assert d1 == pytest.approx(2 * 3.0 + 2 * 4.0)
         assert d2 == pytest.approx(2 * 3.0)
 
+    def test_overflow_gives_inf(self):
+        # float ** overflows with an exception where float * gives inf
+        pot = PotentialSpec(((8, 0, 1.0), (0, 8, 1.0)))
+        assert pot.value(1e50, 1.0) == np.inf
+        assert pot.grad(1e50, 1.0) == (np.inf, np.inf)
 
 class TestDeformedFlow:
     QUARTIC = PotentialSpec(((4, 0, 0.05), (2, 2, 0.1), (0, 4, 0.05)))

@@ -117,6 +117,44 @@ class TestExactPropagate:
                          for k in range(n + 1)]
                 assert abs(sum(terms)) <= 1e-8 * max(abs(v) for v in terms)
 
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_states_equal_stacked_eval(self, n):
+        rng = np.random.default_rng(90 + n)
+        spec = random_spectrum(rng, n)
+        sol = ModalSolution(spec, random_state(rng, spec))
+        grid = np.arange(300) * 0.37
+        states = sol.states(grid)
+        assert states.shape == (300, spec.jet_dim)
+        assert np.array_equal(states, np.array([sol.eval(t).u for t in grid]))
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_states_match_per_time_reference(self, n):
+        # the basis built one time at a time, with scalar cos/sin and one
+        # (2n+1) x (2n+1) product per time, as evaluation worked before it
+        # was batched; the arithmetic is unchanged, so equality is exact
+        rng = np.random.default_rng(95 + n)
+        spec = random_spectrum(rng, n)
+        sol = ModalSolution(spec, random_state(rng, spec))
+        grid = np.arange(200) * 0.61
+        smax = 2 * n
+        for t, u in zip(grid, sol.states(grid)):
+            B = np.zeros((smax + 1, 2 * n + 1))
+            B[0, 0] = 1.0
+            for k, w in enumerate(spec.omegas):
+                c, s = np.cos(w * (t - sol.t0)), np.sin(w * (t - sol.t0))
+                for d in range(smax + 1):
+                    B[d, 2 * k + 1] = w ** d * (c, -s, -c, s)[d % 4]
+                    B[d, 2 * k + 2] = w ** d * (s, c, -s, -c)[d % 4]
+            assert np.array_equal(u, (B @ sol.amps).reshape(-1))
+
+    def test_derivatives_shapes(self):
+        spec = FrequencySpectrum((1.0, 2.0))
+        sol = ModalSolution(spec, PhaseState(np.linspace(-0.5, 0.5, 10)))
+        assert sol.derivatives(1.5, 5).shape == (6, 2)
+        assert sol.derivatives(np.array([0.5, 1.5]), 5).shape == (2, 6, 2)
+        assert np.array_equal(sol.derivatives(np.array([0.5, 1.5]), 5)[1],
+                              sol.derivatives(1.5, 5))
+
     def test_dimension_mismatch(self):
         spec = FrequencySpectrum((1.0, 2.0))
         with pytest.raises(ValueError):
@@ -160,6 +198,13 @@ class TestRK4:
             rk4_step(bad, PhaseState(np.zeros(6)), 0.1)
         assert err.value.t is not None
 
+    def test_nonfinite_update_raises_with_time(self):
+        # finite slopes whose weighted sum overflows in the update
+        with pytest.raises(IntegrationError) as err:
+            rk4_step(lambda t, u: np.full(6, 1e308), PhaseState(np.zeros(6), 2.0), 1.0)
+        assert err.value.t == 2.0
+        assert "state" in str(err.value)
+
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
             rk4_step(lambda t, u: u, PhaseState(np.zeros(6)), 0.0)
@@ -194,6 +239,17 @@ class TestTrajectory:
         table = trajectory(modal_flow(spec, st), st, grid, [("H", H)])
         col = table.observable_values[:, 0]
         assert np.abs(col - col[0]).max() <= 1e-9 * (1 + abs(col[0]))
+
+    def test_modal_flow_matches_stepwise_calls(self):
+        rng = np.random.default_rng(11)
+        spec = random_spectrum(rng, 3)
+        st = random_state(rng, spec)
+        flow = modal_flow(spec, st)
+        grid = np.linspace(0, 20, 101)
+        table = trajectory(flow, st, grid)
+        assert np.array_equal(table.states[0], st.u)
+        for t, u in zip(grid[1:], table.states[1:]):
+            assert np.array_equal(u, flow(st, t).u)
 
     def test_decreasing_grid_rejected(self):
         spec = FrequencySpectrum((1.0,))

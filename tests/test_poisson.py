@@ -125,6 +125,32 @@ class TestDegeneracy:
         assert alt_structure(spec, flat).rank() == 4 * n
 
 
+class TestObservableValue:
+    def test_single_state_gives_float(self):
+        H = energy_observable(FrequencySpectrum((1.0, 2.0)))
+        assert isinstance(H.value(np.linspace(-1, 1, 10)), float)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_stack_matches_rows(self, n, value_bound):
+        rng = np.random.default_rng(300 + n)
+        spec = random_spectrum(rng, n)
+        dim = spec.jet_dim
+        A = rng.normal(size=(dim, dim))
+        observables = [energy_observable(spec),
+                       alt_hamiltonian_observable(spec, random_gamma(rng, spec)),
+                       QuadraticObservable(A + A.T, rng.normal(size=dim), 0.7)]
+        states = rng.uniform(-1, 1, size=(50, dim))
+        for obs in observables:
+            stacked = obs.value(states)
+            rows = np.array([obs.value(u) for u in states])
+            assert stacked.shape == (50,)
+            assert np.all(np.abs(stacked - rows) <= value_bound(obs, states))
+
+    def test_empty_stack(self):
+        H = energy_observable(S1)
+        assert H.value(np.empty((0, 6))).shape == (0,)
+
+
 class TestBracket:
     def test_antisymmetry_in_arguments(self):
         rng = np.random.default_rng(1)
