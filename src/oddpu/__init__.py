@@ -3,7 +3,7 @@
 from .spectrum import (FrequencySpectrum, IdentityReport, complete_homog,
                        complete_homogeneous, elementary_sigma, reduced_sigma,
                        rho, verify_identities)
-from .dynamics import (IntegrationError, ModalSolution, PhaseState,
+from .dynamics import (IntegrationError, ModalSolution, PhaseState, RK4Flow,
                        TrajectoryTable, companion_matrix, exact_propagate,
                        jet_index, modal_flow, rk4_flow, rk4_step, trajectory)
 from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
@@ -14,7 +14,7 @@ from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
 from .canonical import (LinearMap, UniquenessReport, alt_hamiltonian_observable,
                         canonical_map, energy_observable, mode_integrals,
                         oscillator_map, scaled_canonical_map, uniqueness_check)
-from .deformation import (DeformationSystem, PotentialSpec,
+from .deformation import (DeformationSystem, PotentialObservable, PotentialSpec,
                           closed_form_direction_n1, deformation_system,
                           deformed_energy, deformed_field, invariant_directions,
                           null_space_complete_pivot)

@@ -6,8 +6,9 @@ CSV), ``deform`` (RK4 trajectory of a deformed system as CSV), ``verify``
 (full property suite).
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 degenerate
-structure requested where nondegeneracy is needed, 4 integration produced
-a non-finite state.
+structure requested where nondegeneracy is needed, 4 a trajectory turned
+non-finite: an RK4 state or slope, or an observable column of ``simulate``
+or ``deform`` (the error line gives t).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -33,6 +35,11 @@ EXIT_INTEGRATION = 4
 
 #: Rows formatted per write; bounds the text held in memory at once.
 CSV_BLOCK_ROWS = 1024
+#: Most time-grid rows a ``simulate`` or ``deform`` request may ask for.
+MAX_GRID_ROWS = 10 ** 6
+#: Negative numbers argparse takes as option values, not flags; its own
+#: pattern leaves out exponent notation such as -1e-05.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _output(out_path):
@@ -106,8 +113,12 @@ def _grid_from(cfg) -> np.ndarray:
         raise ValueError("t_end and dt must be finite")
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
-    steps = int(np.floor(t_end / dt + 1e-9))
-    return np.arange(steps + 1) * dt
+    with np.errstate(over="ignore"):
+        rows = np.floor(np.float64(t_end) / dt + 1e-9) + 1
+    if not rows <= MAX_GRID_ROWS:
+        raise ValueError("t_end/dt asks for %.10g grid rows; at most %d are allowed"
+                         % (rows, MAX_GRID_ROWS))
+    return np.arange(int(rows)) * dt
 
 
 def cmd_spectrum(cfg, out_path) -> int:
@@ -176,27 +187,18 @@ def cmd_deform(cfg, out_path) -> int:
         raise DegeneracyError("degenerate structure: deformation needs |s| > 0")
     state = _state_from(cfg, spec)
     grid = _grid_from(cfg)
-    dt = float(cfg["dt"])
-    pot_cfg = cfg.get("potential")
-    hcal = canonical.alt_hamiltonian_observable(spec, gamma)
-    if pot_cfg is not None:
-        potential = deformation.PotentialSpec.from_json_dict(pot_cfg)
-        field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
-    else:
-        omega_a = poisson.alt_structure(spec, gamma).omega
-
-        def field(_t, u):
-            return omega_a @ (hcal.A @ u)
-    flow = dynamics.rk4_flow(field, dt)
-    table = dynamics.trajectory(flow, state, grid, [("Hcal", hcal)])
+    potential = None
+    if cfg.get("potential") is not None:
+        potential = deformation.PotentialSpec.from_json_dict(cfg["potential"])
+    field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
+    observables = [("Hcal", canonical.alt_hamiltonian_observable(spec, gamma))]
+    if potential is not None:
+        observables.append(("U", deformation.PotentialObservable(potential, v1, v2)))
+    flow = dynamics.rk4_flow(field, float(cfg["dt"]))
+    table = dynamics.trajectory(flow, state, grid, observables)
     hcal_col = table.observable_values[:, 0]
-    u_col = np.zeros_like(hcal_col)
-    if pot_cfg is not None:
-        # w_a = v_a . u as a row-by-column product per state, which rounds
-        # as the dot product in deformed_energy does
-        rows = table.states[:, None, :]
-        w1, w2 = (rows @ v1[:, None])[:, 0, 0], (rows @ v2[:, None])[:, 0, 0]
-        u_col[:] = [potential.value(a, b) for a, b in zip(w1.tolist(), w2.tolist())]
+    u_col = (table.observable_values[:, 1] if potential is not None
+             else np.zeros_like(hcal_col))
     header = _state_header(spec.n) + ["Hcal", "U", "Htot"]
     _emit_csv(header, np.column_stack((table.times, table.states, hcal_col, u_col,
                                        hcal_col + u_col)), out_path)
@@ -227,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("deform", "RK4 trajectory of a deformed system (CSV)"),
             ("verify", "run the full property suite (JSON summary)")):
         p = sub.add_parser(name, help=helptext)
+        p._negative_number_matcher = NEGATIVE_NUMBER
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--omegas", type=float, nargs="+", help="frequencies")
         p.add_argument("--gamma", type=float, nargs="+",
@@ -263,7 +266,7 @@ def main(argv=None) -> int:
         print("error: degenerate structure: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE
     except IntegrationError as exc:
-        print("error: integration produced a non-finite state: %s" % exc, file=sys.stderr)
+        print("error: integration produced a non-finite value: %s" % exc, file=sys.stderr)
         return EXIT_INTEGRATION
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -213,31 +213,60 @@ class PotentialSpec:
         return float(d1), float(d2)
 
 
-def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: PotentialSpec):
+def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: PotentialSpec = None):
     """State-derivative function of the deformed flow
     du/dt = Omega_alt (A_H u + grad U(u)).
 
     grad U lies in the constraint null space, so the lower chain equations
     du_{(s,i)}/dt = u_{(s+1,i)} (s < 2n) survive exactly; only the top
-    derivative acquires the force term.  Returns (field, v1, v2).
+    derivative acquires the force term.  Returns (field, v1, v2).  With no
+    potential the field is the linear one, Omega_alt A_H u, and v1, v2
+    are None: the null space is not needed.
     """
     omega = alt_structure(spec, g).omega
     A = alt_hamiltonian_observable(spec, g).A
+    if potential is None:
+        def field(_t, u):
+            return omega.dot(A.dot(u))
+
+        return field, None, None
     v1, v2 = invariant_directions(spec, g)
 
     def field(_t, u):
-        g1, g2 = potential.grad(float(v1 @ u), float(v2 @ u))
-        return omega @ (A @ u + g1 * v1 + g2 * v2)
+        g1, g2 = potential.grad(float(v1.dot(u)), float(v2.dot(u)))
+        return omega.dot(A.dot(u) + g1 * v1 + g2 * v2)
 
     return field, v1, v2
 
 
+@dataclass(frozen=True)
+class PotentialObservable:
+    """U(u) = potential(v1 . u, v2 . u); ``value`` takes one state (a
+    float) or a (rows, dim) stack (an array of rows values)."""
+
+    potential: PotentialSpec
+    v1: np.ndarray
+    v2: np.ndarray
+
+    def value(self, u):
+        u = np.asarray(u, dtype=float)
+        # w_a = v_a . u as one row-by-column product per state, which
+        # rounds as the dot product of a single state does
+        rows = np.atleast_2d(u)[:, None, :]
+        w1 = (rows @ self.v1[:, None])[:, 0, 0].tolist()
+        w2 = (rows @ self.v2[:, None])[:, 0, 0].tolist()
+        values = np.array([self.potential.value(a, b) for a, b in zip(w1, w2)])
+        return values if u.ndim == 2 else float(values[0])
+
+
 def deformed_energy(spec: FrequencySpectrum, g: GammaWeights, potential: PotentialSpec,
                     v1: np.ndarray, v2: np.ndarray):
-    """Callable u -> H_gamma(u) + U(u), conserved along the deformed flow."""
+    """Callable u -> H_gamma(u) + U(u), conserved along the deformed flow;
+    u is one state or a (rows, dim) stack."""
     H = alt_hamiltonian_observable(spec, g)
+    U = PotentialObservable(potential, v1, v2)
 
     def total(u):
-        return H.value(u) + potential.value(float(v1 @ u), float(v2 @ u))
+        return H.value(u) + U.value(u)
 
     return total

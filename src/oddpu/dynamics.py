@@ -8,6 +8,7 @@ Linear flows are propagated exactly by fitting modal amplitudes; nonlinear
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,15 +115,25 @@ class ModalSolution:
         """Derivative stacks up to order smax at absolute time t; (smax+1, 2)
         for a scalar t, (T, smax+1, 2) for an array of T times."""
         t = np.asarray(t, dtype=float)
-        # one small product per time: a single 2-D product over all
-        # times would round differently
-        stacks = _basis_derivatives(self.spec, t.ravel() - self.t0, smax) @ self.amps
+        # overflow in w t shows as non-finite entries, which callers check
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one small product per time: a single 2-D product over all
+            # times would round differently
+            stacks = _basis_derivatives(self.spec, t.ravel() - self.t0, smax) @ self.amps
         return stacks.reshape(t.shape + stacks.shape[1:])
 
     def states(self, times) -> np.ndarray:
         """Jet vectors at each absolute time; (T, 4n+2), layout ``jet_index``."""
         stacks = self.derivatives(np.ravel(times), 2 * self.spec.n)
         return stacks.reshape(len(stacks), self.spec.jet_dim)
+
+    def grid_states(self, state: PhaseState, grid) -> np.ndarray:
+        """Jet vectors at each time of a grid starting at state.t, from one
+        evaluation; (T, 4n+2), row 0 = state.u."""
+        later = self.states(np.asarray(grid, dtype=float)[1:])
+        if not np.isfinite(later).all():
+            raise ValueError("jet vector entries must be finite")
+        return np.vstack((state.u, later))
 
     def eval(self, t: float) -> PhaseState:
         return PhaseState(self.states([t])[0], t)
@@ -136,6 +147,24 @@ def exact_propagate(spec: FrequencySpectrum, state: PhaseState, t: float) -> Pha
     return ModalSolution(spec, state).eval(state.t + t)
 
 
+def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
+    """The classical RK4 update of u over [t, t + h]; the one copy of the
+    formula.  Callers run it under ``np.errstate(over="ignore",
+    invalid="ignore")``: overflow is reported here as IntegrationError."""
+    k1 = field(t, u)
+    k2 = field(t + h / 2, u + (h / 2) * k1)
+    k3 = field(t + h / 2, u + (h / 2) * k2)
+    k4 = field(t + h, u + h * k3)
+    u_next = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # a non-finite slope always makes the update non-finite, so one check
+    # covers both on the common path
+    if not np.isfinite(u_next).all():
+        slopes_finite = all(np.isfinite(k).all() for k in (k1, k2, k3, k4))
+        what = "state after the step" if slopes_finite else "vector field"
+        raise IntegrationError("non-finite %s near t=%g" % (what, t), t=t)
+    return u_next
+
+
 def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
     """One classical fourth-order Runge-Kutta step; local error O(h^5).
 
@@ -143,21 +172,9 @@ def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    t, u = state.t, state.u
-    # overflow is reported below as IntegrationError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = field(t, u)
-        k2 = field(t + h / 2, u + (h / 2) * k1)
-        k3 = field(t + h / 2, u + (h / 2) * k2)
-        k4 = field(t + h, u + h * k3)
-        u_next = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    # a non-finite slope always makes the update non-finite, so one check
-    # covers both on the common path
-    if not np.all(np.isfinite(u_next)):
-        slopes_finite = all(np.all(np.isfinite(k)) for k in (k1, k2, k3, k4))
-        what = "state after the step" if slopes_finite else "vector field"
-        raise IntegrationError("non-finite %s near t=%g" % (what, t), t=t)
-    return PhaseState(u_next, t + h)
+        u_next = _rk4_update(field, state.t, state.u, h)
+    return PhaseState(u_next, state.t + h)
 
 
 def modal_flow(spec: FrequencySpectrum, state: PhaseState) -> ModalSolution:
@@ -170,20 +187,57 @@ def modal_flow(spec: FrequencySpectrum, state: PhaseState) -> ModalSolution:
     return ModalSolution(spec, state)
 
 
-def rk4_flow(field, h: float):
-    """Flow callable advancing by fixed RK4 steps of size <= h."""
+class RK4Flow:
+    """Fixed-step RK4 flow of ``field(t, u)``: each interval [a, b] is
+    split into max(1, ceil((b - a)/h)) equal steps, so no step exceeds h.
 
-    def flow(state, t):
-        span = t - state.t
-        if span == 0.0:
+    ``flow(state, t)`` advances one state; ``grid_states`` advances along
+    a whole grid on raw arrays, building no PhaseState per step.
+    """
+
+    def __init__(self, field, h: float):
+        if not h > 0.0:
+            raise ValueError("step size must be positive")
+        self.field = field
+        self.h = h
+
+    def grid_states(self, state: PhaseState, grid) -> np.ndarray:
+        """Jet vectors at each time of a strictly increasing grid that
+        starts at state.t; (T, 4n+2), row 0 = state.u.
+
+        Each interval starts from the exact grid time, so step round-off
+        does not accumulate in t.
+        """
+        times = np.asarray(grid, dtype=float).tolist()
+        out = np.empty((len(times), state.u.size))
+        u = state.u
+        out[0] = u
+        field, h = self.field, self.h
+        start = state.t
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(1, len(times)):
+                span = times[r] - start
+                steps = max(1, math.ceil(span / h - 1e-12))
+                dt = span / steps
+                t = start
+                for _ in range(steps):
+                    u = _rk4_update(field, t, u, dt)
+                    t = t + dt
+                out[r] = u
+                start = times[r]
+        return out
+
+    def __call__(self, state: PhaseState, t: float) -> PhaseState:
+        if t == state.t:
             return state
-        steps = max(1, int(np.ceil(span / h - 1e-12)))
-        dt = span / steps
-        for _ in range(steps):
-            state = rk4_step(field, state, dt)
-        return PhaseState(state.u, t)  # pin t against step round-off
+        if t < state.t:
+            raise ValueError("cannot integrate backwards in time")
+        return PhaseState(self.grid_states(state, [state.t, t])[-1], t)
 
-    return flow
+
+def rk4_flow(field, h: float) -> RK4Flow:
+    """Flow advancing by fixed RK4 steps of size <= h."""
+    return RK4Flow(field, h)
 
 
 @dataclass(frozen=True)
@@ -195,19 +249,16 @@ class TrajectoryTable:
     observable_names: tuple
     observable_values: np.ndarray  # (len(times), len(names))
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("time grid must be strictly increasing")
-
 
 def trajectory(flow, state: PhaseState, grid, observables=()) -> TrajectoryTable:
     """Tabulate a flow on a strictly increasing grid starting at state.t.
 
-    ``observables`` is a sequence of (name, QuadraticObservable) pairs,
-    evaluated from the same state row they annotate, one call per column.
-    A modal flow gives every grid state in one evaluation; other flows
-    are called once per grid time.
+    ``flow`` is a ModalSolution or an RK4Flow; either gives every grid
+    state in one ``grid_states`` call.  ``observables`` is a sequence of
+    (name, observable) pairs whose ``value`` takes a (rows, dim) stack, such
+    as QuadraticObservable; each is evaluated from the same state rows it
+    annotates, one call per column.  A non-finite observable value raises
+    IntegrationError at the first grid time that has one.
     """
     grid = np.asarray(grid, dtype=float)
     names = tuple(name for name, _ in observables)
@@ -216,19 +267,15 @@ def trajectory(flow, state: PhaseState, grid, observables=()) -> TrajectoryTable
         return TrajectoryTable(grid, np.empty((0, dim)), names, np.empty((0, len(names))))
     if abs(grid[0] - state.t) > 1e-12:
         raise ValueError("grid must start at the state's time")
-    if isinstance(flow, ModalSolution):
-        later = flow.states(grid[1:])
-        if not np.all(np.isfinite(later)):
-            raise ValueError("jet vector entries must be finite")
-        states = np.vstack((state.u, later))
-    else:
-        rows = [state.u.copy()]
-        current = state
-        for t in grid[1:]:
-            current = flow(current, t)
-            rows.append(current.u.copy())
-        states = np.array(rows)
+    if not (np.diff(grid) > 0).all():
+        raise ValueError("time grid must be strictly increasing")
+    states = flow.grid_states(state, grid)
     values = np.empty((grid.size, len(names)))
-    for col, (_, obs) in enumerate(observables):
-        values[:, col] = obs.value(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, (_, obs) in enumerate(observables):
+            values[:, col] = obs.value(states)
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise IntegrationError("non-finite observable %s at t=%g" % (names[col], grid[row]),
+                               t=float(grid[row]))
     return TrajectoryTable(grid, states, names, values)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, dirac_structu
                    invariant_directions)
 from oddpu.canonical import (alt_hamiltonian_observable, energy_observable,
                              mode_integrals)
-from oddpu.cli import main
+from oddpu.cli import MAX_GRID_ROWS, build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -21,6 +22,13 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_strict(argv, capsys):
+    """``run`` with numpy warnings raised as errors, so none can reach stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(argv, capsys)
 
 
 def assert_one_error_line(err, *fragments):
@@ -171,6 +179,54 @@ class TestSimulateCommand:
         assert out == ""
         assert_one_error_line(err, "must be finite")
 
+    @pytest.mark.parametrize("t_end, dt", [
+        ("1e300", "1e-300"),                    # t_end/dt overflows
+        (str(MAX_GRID_ROWS), "1"),              # one row over the cap
+    ])
+    def test_grid_row_cap(self, capsys, t_end, dt):
+        argv = list(self.ARGS)
+        argv[argv.index("--t-end") + 1] = t_end
+        argv[argv.index("--dt") + 1] = dt
+        code, out, err = run_strict(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "grid rows", str(MAX_GRID_ROWS))
+
+    def test_overflowing_observable_exit_code(self, capsys):
+        # finite states whose mode integrals overflow
+        argv = ["simulate", "--omegas", "1", "--state", "0", "0", "1e160", "0", "0", "0",
+                "--t-end", "1", "--dt", "0.5"]
+        code, out, err = run_strict(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert_one_error_line(err, "non-finite observable J_0_1", "t=0")
+
+    def test_overflowing_basis_prints_no_warning(self, capsys):
+        argv = ["simulate", "--omegas", "2", "--state", "0", "0", "1", "0", "0", "0",
+                "--t-end", "1.7e308", "--dt", "1e307"]
+        code, out, err = run_strict(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "must be finite")
+
+
+class TestFloatOptions:
+    @pytest.mark.parametrize("flag", ["--omegas", "--gamma", "--state", "--t-end", "--dt"])
+    @pytest.mark.parametrize("text", ["-1e-05", "-2.5E+3", "-.5e1", "-3"])
+    def test_negative_values_in_any_notation(self, flag, text):
+        args = build_parser().parse_args(["simulate", flag, text])
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert value == float(text) or value == [float(text)]
+
+    def test_negative_exponent_state(self, capsys):
+        argv = ["simulate", "--omegas", "1", "--state", "0", "-1e-05", "1", "0", "0", "0",
+                "--t-end", "1", "--dt", "0.5"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][2] == "-1e-05"
+
+
 class TestDeformCommand:
     POT = json.dumps({"degree": 4, "coeffs": [
         {"i": 4, "j": 0, "value": 0.05},
@@ -234,7 +290,8 @@ class TestDeformCommand:
 
 
 class TestOutputIdentity:
-    """Outputs against CSV fixtures written by the per-sample implementation.
+    """Outputs against CSV fixtures written by earlier implementations: the
+    per-sample modal evaluation and the per-step RK4 loop.
 
     The t and state columns must match byte for byte.  Each observable
     column must match within the forward-error bound of its formula.
@@ -274,6 +331,26 @@ class TestOutputIdentity:
         assert set(values) == set(observables)
         for name, (new, old) in values.items():
             assert np.all(np.abs(new - old) <= value_bound(observables[name], states)), name
+
+    @pytest.mark.parametrize("argv, fixture, omegas, gamma", [
+        (TestDeformCommand.ARGS, "deform_linear_n1.csv", (1.0,), (1.0, -1.0)),
+        (["deform", "--omegas", "1", "2", "--gamma", "1", "-1", "-1", "1",
+          "--state", "0.3", "-0.2", "0.5", "0.1", "-0.4", "0.25", "0.7", "-0.1", "0.2", "0.6",
+          "--t-end", "2", "--dt", "0.01"], "deform_linear_n2.csv", (1.0, 2.0),
+         (1.0, -1.0, -1.0, 1.0)),
+    ])
+    def test_deform_without_potential(self, capsys, value_bound, argv, fixture, omegas,
+                                      gamma):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        spec = FrequencySpectrum(omegas)
+        hcal = alt_hamiltonian_observable(spec, GammaWeights.from_flat(gamma))
+        states, values = self.compare(out, fixture, spec.jet_dim)
+        new, old = values["Hcal"]
+        assert np.all(np.abs(new - old) <= value_bound(hcal, states))
+        assert np.all(values["U"][0] == 0.0)
+        new, old = values["Htot"]
+        assert np.all(np.abs(new - old) <= value_bound(hcal, states))
 
     def test_deform(self, capsys, value_bound):
         code, out, _ = run(TestDeformCommand.ARGS

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oddpu import (FrequencySpectrum, GammaWeights, PhaseState,
-                   PotentialSpec, closed_form_direction_n1, deformation_system,
+                   PotentialObservable, PotentialSpec, alt_hamiltonian_observable,
+                   alt_structure, closed_form_direction_n1, deformation_system,
                    deformed_energy, deformed_field, invariant_directions,
                    null_space_complete_pivot, rk4_flow)
 from oddpu.verify import random_gamma, random_spectrum
@@ -177,6 +178,34 @@ class TestDeformedFlow:
         e0 = total(st.u)
         out = rk4_flow(field, 1e-3)(st, 5.0)
         assert abs(total(out.u) - e0) <= 1e-8 * (1 + abs(e0))
+
+    def test_no_potential_is_linear_field(self, monkeypatch):
+        # the null space is not built: it may be misjudged at large n
+        import oddpu.deformation as deformation
+
+        def refuse(*_):
+            raise AssertionError("invariant_directions called")
+
+        monkeypatch.setattr(deformation, "invariant_directions", refuse)
+        rng = np.random.default_rng(3)
+        spec = random_spectrum(rng, 2)
+        g = random_gamma(rng, spec)
+        field, v1, v2 = deformed_field(spec, g, None)
+        assert v1 is None and v2 is None
+        omega, A = alt_structure(spec, g).omega, alt_hamiltonian_observable(spec, g).A
+        u = rng.uniform(-1, 1, size=spec.jet_dim)
+        u[0] = -0.0
+        assert field(0.0, u).tobytes() == (omega @ (A @ u)).tobytes()
+
+    def test_potential_observable_rows_match_single_states(self):
+        v1, v2 = invariant_directions(S1, DIRAC1)
+        U = PotentialObservable(self.QUARTIC, v1, v2)
+        states = np.random.default_rng(4).uniform(-1, 1, size=(20, 6))
+        values = U.value(states)
+        assert values.shape == (20,)
+        for u, value in zip(states, values):
+            assert value == U.value(u)
+            assert value == self.QUARTIC.value(float(v1 @ u), float(v2 @ u))
 
     def test_zero_potential_limit(self):
         # tiny coefficients: flow matches the linear one to first order

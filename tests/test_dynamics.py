@@ -5,9 +5,11 @@ import pytest
 
 from oddpu import (FrequencySpectrum, IntegrationError, ModalSolution,
                    PhaseState, companion_matrix, elementary_sigma,
-                   exact_propagate, jet_index, modal_flow, rk4_flow, rk4_step,
-                   trajectory)
-from oddpu.canonical import energy_observable
+                   PotentialSpec, exact_propagate, jet_index, modal_flow, rk4_flow,
+                   rk4_step, trajectory)
+from oddpu.canonical import energy_observable, mode_integrals
+from oddpu.deformation import deformed_field
+from oddpu.poisson import GammaWeights
 from oddpu.verify import random_spectrum
 
 
@@ -208,6 +210,76 @@ class TestRK4:
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
             rk4_step(lambda t, u: u, PhaseState(np.zeros(6)), 0.0)
+        with pytest.raises(ValueError):
+            rk4_flow(lambda t, u: u, 0.0)
+
+
+class TestRK4Flow:
+    QUARTIC = PotentialSpec(((4, 0, 0.05), (2, 2, 0.1), (0, 4, 0.05)))
+    # intervals of 3, 1, 4, 1 and 3 steps at h = 0.1
+    GRID = np.array([0.0, 0.25, 0.3, 0.7, 0.75, 1.0])
+
+    def field(self):
+        field, _, _ = deformed_field(FrequencySpectrum((1.0,)), GammaWeights(((1.0, -1.0),)),
+                                     self.QUARTIC)
+        return field
+
+    def test_grid_matches_step_loop(self):
+        deformed = self.field()
+
+        def field(t, u):
+            # a time-dependent forcing, so the stage times count too
+            return deformed(t, u) + 0.1 * np.sin(t)
+
+        st = PhaseState(2.0 * np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
+        table = trajectory(rk4_flow(field, 0.1), st, self.GRID)
+        rows = [st.u]
+        current = st
+        for t in self.GRID[1:]:
+            span = t - current.t
+            steps = max(1, int(np.ceil(span / 0.1 - 1e-12)))
+            for _ in range(steps):
+                current = rk4_step(field, current, span / steps)
+            current = PhaseState(current.u, t)
+            rows.append(current.u)
+        assert table.states.tobytes() == np.array(rows).tobytes()
+
+    def test_call_matches_grid(self):
+        field = self.field()
+        st = PhaseState(np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
+        flow = rk4_flow(field, 0.1)
+        out = flow(st, 0.25)
+        assert out.t == 0.25
+        assert np.array_equal(out.u, trajectory(flow, st, [0.0, 0.25]).states[1])
+        assert flow(out, 0.25) is out
+        with pytest.raises(ValueError):
+            flow(out, 0.2)
+
+    @pytest.mark.parametrize("field, what", [
+        # the slopes turn infinite once t passes 0.5
+        (lambda t, u: np.full(6, np.inf if t > 0.5 else 1.0), "vector field"),
+        # finite slopes whose update overflows once t passes 0.5
+        (lambda t, u: np.full(6, 1e308 if t > 0.5 else 1.0), "state after the step"),
+    ])
+    def test_nonfinite_inside_grid(self, field, what):
+        with pytest.raises(IntegrationError) as err:
+            trajectory(rk4_flow(field, 0.1), PhaseState(np.zeros(6)), self.GRID)
+        assert what in str(err.value)
+        assert "t=" in str(err.value)
+        # the step that starts near t = 0.5, inside the fourth interval
+        assert 0.45 < err.value.t < 0.75
+
+    @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    def test_non_increasing_grid_rejected_before_stepping(self, grid):
+        calls = []
+
+        def field(t, u):
+            calls.append(t)
+            return np.zeros(6)
+
+        with pytest.raises(ValueError):
+            trajectory(rk4_flow(field, 0.1), PhaseState(np.zeros(6)), grid)
+        assert calls == []
 
 
 class TestTrajectory:
@@ -256,3 +328,13 @@ class TestTrajectory:
         st = PhaseState(np.zeros(6))
         with pytest.raises(ValueError):
             trajectory(modal_flow(spec, st), st, [0.0, 2.0, 1.0])
+
+    def test_nonfinite_observable_names_column_and_time(self):
+        # finite states whose quadratic forms overflow from t = 0
+        spec = FrequencySpectrum((1.0,))
+        st = PhaseState(np.array([0, 0, 1e160, 0, 0, 0]))
+        observables = [("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec)]
+        with pytest.raises(IntegrationError) as err:
+            trajectory(modal_flow(spec, st), st, [0.0, 0.5], observables)
+        assert "observable J_0_1 at t=0" in str(err.value)
+        assert err.value.t == 0.0
