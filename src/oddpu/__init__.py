@@ -8,7 +8,7 @@ from .dynamics import (IntegrationError, ModalSolution, PhaseState, RK4Flow,
                        jet_index, modal_flow, rk4_flow, rk4_step, trajectory)
 from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
                       StructureMatrix, alt_structure, bracket,
-                      degeneracy_scalar, dirac_equivalent_gamma,
+                      degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                       dirac_structure, gamma_is_degenerate,
                       hamiltonian_vector_field)
 from .canonical import (LinearMap, UniquenessReport, alt_hamiltonian_observable,

@@ -15,20 +15,25 @@ import numpy as np
 from .dynamics import ModalSolution, PhaseState, companion_matrix, jet_index
 from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
                       degeneracy_scalar, gamma_is_degenerate)
-from .spectrum import FrequencySpectrum, elementary_sigma, reduced_sigma, rho
+from .spectrum import FrequencySpectrum
 
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Linear map from jet coordinates to labeled target coordinates."""
+    """Linear map from jet coordinates to labeled target coordinates.
+
+    The matrix is a read-only copy, so a map can be shared: the
+    per-spectrum maps are built once and handed to every caller.
+    """
 
     matrix: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.shape[0] != len(self.labels):
             raise ValueError("one label per output row required")
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def apply(self, u) -> np.ndarray:
@@ -45,13 +50,19 @@ def oscillator_map(spec: FrequencySpectrum) -> LinearMap:
     """Map u -> (x_{k,i}, dx_{k,i}, ddx_{k,i}), k = 0..n-1, i = 1,2.
 
     x_{k,i} = sqrt(rho_k) sum_m reduced_sigma(m, k) x_i^{(2m)}; the dx/ddx
-    rows shift the derivative stack by one and two orders.
+    rows shift the derivative stack by one and two orders.  Built once
+    per spectrum instance.
     """
+    return spec.memo("oscillator_map", lambda: _oscillator_map(spec))
+
+
+def _oscillator_map(spec: FrequencySpectrum) -> LinearMap:
     n = spec.n
+    table = spec.table
     rows, labels = [], []
     for k in range(n):
-        rk = np.sqrt(rho(spec, k))
-        coeffs = [rk * reduced_sigma(spec, m, k) for m in range(n)]
+        rk = np.sqrt(table.rho[k])
+        coeffs = [rk * table.reduced[k][m] for m in range(n)]
         for order, tag in ((0, "x"), (1, "dx"), (2, "ddx")):
             for i in (1, 2):
                 row = np.zeros(spec.jet_dim)
@@ -59,7 +70,7 @@ def oscillator_map(spec: FrequencySpectrum) -> LinearMap:
                     row[jet_index(2 * m + order, i)] = coeffs[m]
                 rows.append(row)
                 labels.append("%s[%d][%d]" % (tag, k, i))
-    return LinearMap(np.array(rows), tuple(labels))
+    return LinearMap(rows, tuple(labels))
 
 
 def canonical_map(spec: FrequencySpectrum) -> LinearMap:
@@ -71,8 +82,14 @@ def canonical_map(spec: FrequencySpectrum) -> LinearMap:
     z_i     = (-1)^i / (w_0...w_{n-1}) sum_k sigma_k x_i^{(2k)}
 
     Row order: (q[k][1], p[k][1], q[k][2], p[k][2]) per mode, then z[1], z[2].
+    Built once per spectrum instance.
     """
+    return spec.memo("canonical_map", lambda: _canonical_map(spec))
+
+
+def _canonical_map(spec: FrequencySpectrum) -> LinearMap:
     n = spec.n
+    sigma = spec.table.sigma
     osc = oscillator_map(spec)
     rows, labels = [], []
     for k in range(n):
@@ -88,10 +105,10 @@ def canonical_map(spec: FrequencySpectrum) -> LinearMap:
     for i in (1, 2):
         z = np.zeros(spec.jet_dim)
         for k in range(n + 1):
-            z[jet_index(2 * k, i)] = (-1.0) ** i / wprod * elementary_sigma(spec, k)
+            z[jet_index(2 * k, i)] = (-1.0) ** i / wprod * sigma[k]
         rows.append(z)
         labels.append("z[%d]" % i)
-    return LinearMap(np.array(rows), tuple(labels))
+    return LinearMap(rows, tuple(labels))
 
 
 def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> LinearMap:
@@ -119,7 +136,7 @@ def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> LinearMap:
     labels.append("pi[1]")
     rows.append(np.sign(s) * scale * base.row("z[2]"))
     labels.append("pi[2]")
-    return LinearMap(np.array(rows), tuple(labels))
+    return LinearMap(rows, tuple(labels))
 
 
 def _weighted_oscillator_sum(spec: FrequencySpectrum, weights) -> QuadraticObservable:

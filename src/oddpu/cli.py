@@ -24,8 +24,7 @@ import numpy as np
 from . import canonical, deformation, dynamics, poisson, verify
 from .dynamics import IntegrationError, PhaseState
 from .poisson import DegeneracyError, GammaWeights
-from .spectrum import (FrequencySpectrum, complete_homog, elementary_sigma,
-                       reduced_sigma, rho, verify_identities)
+from .spectrum import FrequencySpectrum, complete_homog, verify_identities
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,15 +123,15 @@ def _grid_from(cfg) -> np.ndarray:
 def cmd_spectrum(cfg, out_path) -> int:
     spec = _spectrum_from(cfg)
     n = spec.n
+    table = spec.table
     report = verify_identities(spec)
     payload = {
         "n": n,
         "omegas": list(spec.omegas),
         "sorted_on_input": not spec.was_sorted,
-        "sigma": [elementary_sigma(spec, k) for k in range(n + 1)],
-        "sigma_reduced": [[reduced_sigma(spec, m, k) for k in range(n)]
-                          for m in range(n)],
-        "rho": [rho(spec, k) for k in range(n)],
+        "sigma": list(table.sigma),
+        "sigma_reduced": [[table.reduced[k][m] for k in range(n)] for m in range(n)],
+        "rho": list(table.rho),
         "P": {str(k): complete_homog(spec, k) for k in range(-n + 1, 7)},
         "identities": report.to_json_dict(),
     }

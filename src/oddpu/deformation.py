@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import alt_hamiltonian_observable
-from .poisson import DegeneracyError, GammaWeights, alt_structure
-from .spectrum import FrequencySpectrum, rho
+from .poisson import DegeneracyError, GammaWeights, alt_structure, moment_sums
+from .spectrum import FrequencySpectrum
 
 MAX_POTENTIAL_DEGREE = 8
 
@@ -93,9 +93,7 @@ def deformation_system(spec: FrequencySpectrum, g: GammaWeights) -> DeformationS
     n = spec.n
     if g.n != n:
         raise ValueError("gamma weights sized for n=%d, spectrum has n=%d" % (g.n, n))
-    rhos = np.array([rho(spec, k) for k in range(n)])
-    w = np.array(spec.omegas)
-    ap, am = g.alpha_plus, g.alpha_minus
+    sums = moment_sums(spec, g, -2, 4 * n - 3)
     dim = spec.jet_dim
     other = {1: 2, 2: 1}
     eps_sign = {1: 1.0, 2: -1.0}  # eps_{ij} with j the other index
@@ -104,20 +102,18 @@ def deformation_system(spec: FrequencySpectrum, g: GammaWeights) -> DeformationS
         for i in (1, 2):
             row = np.zeros(dim)
             for m in range(n):
-                row[2 * (2 * m + 1) + i - 1] += (-1.0) ** m * float(
-                    (rhos * w ** (2 * p + 2 * m - 1)) @ ap)
+                row[2 * (2 * m + 1) + i - 1] += (-1.0) ** m * sums[2 * p + 2 * m - 1][0]
             for m in range(1 if p == 0 else 0, n + 1):
-                coef = (-1.0) ** m * float((rhos * w ** (2 * p + 2 * m - 2)) @ am)
+                coef = (-1.0) ** m * sums[2 * p + 2 * m - 2][1]
                 row[2 * (2 * m) + other[i] - 1] += eps_sign[i] * coef
             rows.append(row)
     for p in range(n):
         for i in (1, 2):
             row = np.zeros(dim)
             for m in range(n + 1):
-                row[2 * (2 * m) + i - 1] += (-1.0) ** m * float(
-                    (rhos * w ** (2 * p + 2 * m - 1)) @ ap)
+                row[2 * (2 * m) + i - 1] += (-1.0) ** m * sums[2 * p + 2 * m - 1][0]
             for m in range(n):
-                coef = (-1.0) ** m * float((rhos * w ** (2 * p + 2 * m)) @ am)
+                coef = (-1.0) ** m * sums[2 * p + 2 * m][1]
                 row[2 * (2 * m + 1) + other[i] - 1] -= eps_sign[i] * coef
             rows.append(row)
     return DeformationSystem(np.array(rows), spec, g)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FrequencySpectrum, elementary_sigma
+from .spectrum import FrequencySpectrum
 
 
 class IntegrationError(RuntimeError):
@@ -62,12 +62,13 @@ def companion_matrix(spec: FrequencySpectrum) -> np.ndarray:
     """
     n = spec.n
     dim = spec.jet_dim
+    sigma = spec.table.sigma
     M = np.zeros((dim, dim))
     for i in (1, 2):
         for s in range(2 * n):
             M[jet_index(s, i), jet_index(s + 1, i)] = 1.0
         for k in range(n):
-            M[jet_index(2 * n, i), jet_index(2 * k + 1, i)] = -elementary_sigma(spec, k)
+            M[jet_index(2 * n, i), jet_index(2 * k + 1, i)] = -sigma[k]
     return M
 
 

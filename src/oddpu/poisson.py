@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectrum import FrequencySpectrum, complete_homog, rho
+from .spectrum import FrequencySpectrum
 
 #: Levi-Civita sign, eps[i-1][j-1] with eps_{12} = +1.
 EPS = ((0.0, 1.0), (-1.0, 0.0))
@@ -68,6 +68,11 @@ class GammaWeights:
 
     def flat(self) -> list:
         return [v for pair in self.gamma for v in pair]
+
+
+def _require_sizes_match(spec: FrequencySpectrum, g: GammaWeights):
+    if g.n != spec.n:
+        raise ValueError("gamma weights sized for n=%d, spectrum has n=%d" % (g.n, spec.n))
 
 
 def dirac_equivalent_gamma(n: int) -> GammaWeights:
@@ -123,12 +128,14 @@ def dirac_structure(spec: FrequencySpectrum) -> StructureMatrix:
     (-1)^{(s-m)/2 + n + 1} P_{s+m-2n} eps_{ij} for s+m even."""
     n = spec.n
     dim = spec.jet_dim
+    P = spec.table.P
     omega = np.zeros((dim, dim))
     for s in range(2 * n + 1):
         for m in range(2 * n + 1):
             if (s + m) % 2 != 0:
                 continue
-            coef = (-1.0) ** ((s - m) // 2 + n + 1) * complete_homog(spec, (s + m - 2 * n) // 2)
+            k = (s + m - 2 * n) // 2
+            coef = (-1.0) ** ((s - m) // 2 + n + 1) * (P[k] if k >= 0 else 0.0)
             for i in (1, 2):
                 for j in (1, 2):
                     omega[2 * s + i - 1, 2 * m + j - 1] = coef * EPS[i - 1][j - 1]
@@ -146,47 +153,62 @@ def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> StructureMatrix:
     The matrix is constructed even when the family is degenerate; only
     flows that need invertibility reject degenerate weights.
     """
+    _require_sizes_match(spec, g)
     n = spec.n
-    if g.n != n:
-        raise ValueError("gamma weights sized for n=%d, spectrum has n=%d" % (g.n, n))
     dim = spec.jet_dim
-    rhos = np.array([rho(spec, k) for k in range(n)])
-    w = np.array(spec.omegas)
-    ap, am = g.alpha_plus, g.alpha_minus
+    # an entry depends on (s, m) through its sign and the moment sums at s+m-2
+    sums = moment_sums(spec, g, -1, 4 * n - 2)
     omega = np.zeros((dim, dim))
     for s in range(2 * n + 1):
         for m in range(2 * n + 1):
             if s == 0 and m == 0:
                 continue
-            moments = rhos * w ** (s + m - 2)
+            plus, minus = sums[s + m - 2]
             if (s + m) % 2 == 1:
-                coef = (-1.0) ** ((s - m + 1) // 2) * float(moments @ ap)
+                coef = (-1.0) ** ((s - m + 1) // 2) * plus
                 for i in (1, 2):
                     omega[2 * s + i - 1, 2 * m + i - 1] = coef
             else:
-                coef = (-1.0) ** ((s - m) // 2) * float(moments @ am)
+                coef = (-1.0) ** ((s - m) // 2) * minus
                 for i in (1, 2):
                     for j in (1, 2):
                         omega[2 * s + i - 1, 2 * m + j - 1] = coef * EPS[i - 1][j - 1]
     return StructureMatrix(omega, spec, "alternative", g)
 
 
+def moment_sums(spec: FrequencySpectrum, g: GammaWeights, lo: int, hi: int) -> dict:
+    """{e: (sum_k rho_k w_k^e alpha_k^+, sum_k rho_k w_k^e alpha_k^-)} for
+    lo <= e <= hi: the weighted moments every alternative-family entry
+    (and every deformation constraint) is made of."""
+    rhos = np.array(spec.table.rho)
+    w = np.array(spec.omegas)
+    ap, am = g.alpha_plus, g.alpha_minus
+    sums = {}
+    for e in range(lo, hi + 1):
+        moments = rhos * w ** e
+        sums[e] = (float(moments @ ap), float(moments @ am))
+    return sums
+
+
 def degeneracy_scalar(spec: FrequencySpectrum, g: GammaWeights) -> float:
     """s = sum_k rho_k alpha_k^- / w_k^2; the alternative structure drops
     rank (by 2, in the z-sector) exactly where this vanishes."""
-    if g.n != spec.n:
-        raise ValueError("gamma weights sized for n=%d, spectrum has n=%d" % (g.n, spec.n))
-    rhos = np.array([rho(spec, k) for k in range(spec.n)])
-    w2 = np.array(spec.omega_sq)
-    return float(np.sum(rhos * g.alpha_minus / w2))
+    _require_sizes_match(spec, g)
+    t = spec.table
+    return float(np.sum(np.array(t.rho) * g.alpha_minus / np.array(t.omega_sq)))
+
+
+def degeneracy_scale(spec: FrequencySpectrum, g: GammaWeights) -> float:
+    """sum_k |rho_k alpha_k^-| / w_k^2: the size the degeneracy scalar is
+    judged against."""
+    _require_sizes_match(spec, g)
+    t = spec.table
+    return float(np.sum(np.abs(np.array(t.rho) * g.alpha_minus) / np.array(t.omega_sq)))
 
 
 def gamma_is_degenerate(spec: FrequencySpectrum, g: GammaWeights) -> bool:
-    """Scale-relative degeneracy test: |s| <= 1e-10 * sum |rho_k a_k^-| / w_k^2."""
-    rhos = np.array([rho(spec, k) for k in range(spec.n)])
-    w2 = np.array(spec.omega_sq)
-    scale = float(np.sum(np.abs(rhos * g.alpha_minus) / w2))
-    return abs(degeneracy_scalar(spec, g)) <= 1e-10 * scale
+    """Scale-relative degeneracy test: |s| <= 1e-10 * degeneracy_scale."""
+    return abs(degeneracy_scalar(spec, g)) <= 1e-10 * degeneracy_scale(spec, g)
 
 
 @dataclass(frozen=True)

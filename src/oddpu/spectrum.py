@@ -8,6 +8,12 @@ maps) is built from symmetric polynomials in the squared frequencies:
 * ``rho``               -- residue factors (-1)^k / prod_{m!=k} (w_m^2 - w_k^2),
 * ``complete_homog``    -- complete homogeneous symmetric polynomials P_{2k}.
 
+Each ``FrequencySpectrum`` computes these once, on first use, into its
+``table`` (a ``SpectrumTable``); the functions above and every builder
+read that table.  The table, and the coordinate maps that
+:mod:`oddpu.canonical` keeps through ``FrequencySpectrum.memo``, live as
+long as the spectrum instance: two equal spectra share nothing.
+
 ``verify_identities`` numerically checks the interlocking identities these
 quantities satisfy and reports worst-case residuals.
 """
@@ -15,6 +21,7 @@ quantities satisfy and reports worst-case residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,10 +30,47 @@ import numpy as np
 #: rejected at construction.
 GAP_FLOOR = 1e-6
 
+#: The table holds P_{2k} for k up to max(n, P_TABLE_DEGREE): the
+#: ``spectrum`` report and ``verify_identities`` read P up to 6,
+#: ``dirac_structure`` up to n.
+P_TABLE_DEGREE = 6
+
 
 def passes_tolerance(residual: float, scale: float) -> bool:
     """Global tolerance policy: |r| <= 1e-12 + 1e-9 * |scale|."""
     return abs(residual) <= 1e-12 + 1e-9 * abs(scale)
+
+
+@dataclass(frozen=True)
+class SpectrumTable:
+    """Every symmetric polynomial of one spectrum, as tuples of floats.
+
+    ``sigma[k]`` is ``elementary_sigma(k)`` (k = 0..n), ``reduced[k][m]`` is
+    ``reduced_sigma(m, k)`` (one row per omitted w_k^2), ``rho[k]`` is
+    ``rho(k)`` and ``P[k]`` is P_{2k} for k = 0..max(n, 6).
+    """
+
+    omega_sq: tuple
+    sigma: tuple
+    reduced: tuple
+    rho: tuple
+    P: tuple
+
+    @classmethod
+    def build(cls, w2: tuple) -> "SpectrumTable":
+        n = len(w2)
+        sigma = tuple(_elementary_coeffs(w2)[::-1].tolist())
+        reduced, rhos = [], []
+        for k in range(n):
+            rest = [v for idx, v in enumerate(w2) if idx != k]
+            reduced.append(tuple(_elementary_coeffs(rest)[::-1].tolist()))
+            prod = 1.0
+            for m in range(n):
+                if m != k:
+                    prod *= w2[m] - w2[k]
+            rhos.append((-1.0) ** k / prod)
+        P = tuple(_complete_homogeneous_pass(w2, max(n, P_TABLE_DEGREE)))
+        return cls(w2, sigma, tuple(reduced), tuple(rhos), P)
 
 
 @dataclass(frozen=True)
@@ -63,7 +107,7 @@ class FrequencySpectrum:
     def n(self) -> int:
         return len(self.omegas)
 
-    @property
+    @cached_property
     def omega_sq(self) -> tuple:
         return tuple(w * w for w in self.omegas)
 
@@ -71,6 +115,19 @@ class FrequencySpectrum:
     def jet_dim(self) -> int:
         """Dimension of the jet phase space: 4n + 2."""
         return 4 * self.n + 2
+
+    @cached_property
+    def table(self) -> SpectrumTable:
+        """The symmetric polynomials of this spectrum, built on first use."""
+        return SpectrumTable.build(self.omega_sq)
+
+    def memo(self, key: str, build):
+        """``build()`` on the first request for ``key``, the same object on
+        every later one; held by this instance only."""
+        store = self.__dict__.setdefault("_memo", {})
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
 
 def _elementary_coeffs(w2) -> np.ndarray:
@@ -87,7 +144,7 @@ def elementary_sigma(spec: FrequencySpectrum, k: int) -> float:
     equation of motion).  sigma_n = 1, sigma_0 = prod w_k^2."""
     if not 0 <= k <= spec.n:
         raise ValueError("k=%d out of range 0..%d" % (k, spec.n))
-    return float(_elementary_coeffs(spec.omega_sq)[spec.n - k])
+    return spec.table.sigma[k]
 
 
 def reduced_sigma(spec: FrequencySpectrum, m: int, k: int) -> float:
@@ -98,8 +155,7 @@ def reduced_sigma(spec: FrequencySpectrum, m: int, k: int) -> float:
         raise ValueError("m=%d out of range 0..%d" % (m, n - 1))
     if not 0 <= k <= n - 1:
         raise ValueError("k=%d out of range 0..%d" % (k, n - 1))
-    w2 = [v for idx, v in enumerate(spec.omega_sq) if idx != k]
-    return float(_elementary_coeffs(w2)[(n - 1) - m])
+    return spec.table.reduced[k][m]
 
 
 def rho(spec: FrequencySpectrum, k: int) -> float:
@@ -112,34 +168,40 @@ def rho(spec: FrequencySpectrum, k: int) -> float:
     n = spec.n
     if not 0 <= k <= n - 1:
         raise ValueError("k=%d out of range 0..%d" % (k, n - 1))
-    w2 = spec.omega_sq
-    prod = 1.0
-    for m in range(n):
-        if m != k:
-            prod *= w2[m] - w2[k]
-    return (-1.0) ** k / prod
+    return spec.table.rho[k]
+
+
+def _complete_homogeneous_pass(values, k: int) -> list:
+    """[h_0, ..., h_k] over ``values`` (k >= 0), by the one-variable-at-a-
+    time recursion h_d(..., v) = h_d(...) + v * h_{d-1}(..., v).  Each h_d
+    is the same whatever k the pass runs to."""
+    h = [1.0] + [0.0] * k
+    for v in values:
+        v = float(v)
+        for d in range(1, k + 1):
+            h[d] += v * h[d - 1]
+    return h
 
 
 def complete_homogeneous(values, k: int) -> float:
     """Complete homogeneous symmetric polynomial of degree k over ``values``.
 
-    Zero for k < 0, one for k = 0.  Computed by the stable one-variable-
-    at-a-time recursion h_d(..., v) = h_d(...) + v * h_{d-1}(..., v); the
-    multi-index enumeration stays in the tests as the oracle.
+    Zero for k < 0, one for k = 0.  Computed by the stable recursion of
+    ``_complete_homogeneous_pass``; the multi-index enumeration stays in
+    the tests as the oracle.
     """
     if k < 0:
         return 0.0
-    h = np.zeros(k + 1)
-    h[0] = 1.0
-    for v in values:
-        for d in range(1, k + 1):
-            h[d] += v * h[d - 1]
-    return float(h[k])
+    return _complete_homogeneous_pass(values, k)[k]
 
 
 def complete_homog(spec: FrequencySpectrum, k: int) -> float:
-    """P_{2k}(w_0^2, ..., w_{n-1}^2); zero for k < 0."""
-    return complete_homogeneous(spec.omega_sq, k)
+    """P_{2k}(w_0^2, ..., w_{n-1}^2); zero for k < 0.  Read from the
+    table up to degree max(n, 6), computed past it."""
+    if k < 0:
+        return 0.0
+    P = spec.table.P
+    return P[k] if k < len(P) else complete_homogeneous(spec.omega_sq, k)
 
 
 @dataclass(frozen=True)
@@ -198,18 +260,19 @@ def verify_identities(spec: FrequencySpectrum, k_range=None) -> IdentityReport:
     """
     n = spec.n
     w = spec.omegas
-    w2 = spec.omega_sq
+    table = spec.table
+    w2 = table.omega_sq
     if k_range is None:
         k_range = range(-n + 1, 7)
-    rhos = [rho(spec, k) for k in range(n)]
+    rhos = table.rho
+    red = table.reduced
 
     worst_a = worst_b = worst_c = worst_d = worst_e = None
 
     # id1, first form
     for s in range(n):
         for p in range(n):
-            terms = [(-1.0) ** k * w[p] ** (2 * k) * reduced_sigma(spec, k, s)
-                     for k in range(n)]
+            terms = [(-1.0) ** k * w[p] ** (2 * k) * red[s][k] for k in range(n)]
             rhs = (-1.0) ** s / rhos[s] if s == p else 0.0
             scale = max([abs(t) for t in terms] + [abs(rhs)])
             worst_a = _track(worst_a, sum(terms) - rhs, scale, (s, p))
@@ -217,10 +280,10 @@ def verify_identities(spec: FrequencySpectrum, k_range=None) -> IdentityReport:
     # id1, second form
     for s in range(n + 1):
         for p in range(n):
-            terms = [(-1.0) ** k * (-w2[k]) ** s * reduced_sigma(spec, p, k) * rhos[k]
+            terms = [(-1.0) ** k * (-w2[k]) ** s * red[k][p] * rhos[k]
                      for k in range(n)]
             if s == n:
-                rhs = -elementary_sigma(spec, p)
+                rhs = -table.sigma[p]
             else:
                 rhs = 1.0 if s == p else 0.0
             scale = max([abs(t) for t in terms] + [abs(rhs)])
@@ -236,21 +299,23 @@ def verify_identities(spec: FrequencySpectrum, k_range=None) -> IdentityReport:
         scale = max([abs(t) for t in terms] + [abs(rhs)])
         worst_c = _track(worst_c, sum(terms) - rhs, scale, (k,))
 
-    # difference-of-powers helper
+    # difference-of-powers helper; one P pass per pair serves every s
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
+            h = _complete_homogeneous_pass([w2[a], w2[b]], 5)
             for s in range(1, 7):
                 lhs = w[a] ** (2 * s) - w[b] ** (2 * s)
-                rhs = (w2[a] - w2[b]) * complete_homogeneous([w2[a], w2[b]], s - 1)
+                rhs = (w2[a] - w2[b]) * h[s - 1]
                 scale = max(abs(w[a] ** (2 * s)), abs(w[b] ** (2 * s)), abs(rhs), 1.0)
                 worst_d = _track(worst_d, lhs - rhs, scale, (a, b, s))
     if worst_d is None:  # n = 1: check against sampled fixed second arguments
         for v in (0.25, 2.0):
+            h = _complete_homogeneous_pass([w2[0], v], 5)
             for s in range(1, 7):
                 lhs = w2[0] ** s - v ** s
-                rhs = (w2[0] - v) * complete_homogeneous([w2[0], v], s - 1)
+                rhs = (w2[0] - v) * h[s - 1]
                 worst_d = _track(worst_d, lhs - rhs,
                                  max(abs(lhs), abs(rhs), 1.0), (v, s))
 
@@ -259,14 +324,13 @@ def verify_identities(spec: FrequencySpectrum, k_range=None) -> IdentityReport:
     for a in range(len(pool)):
         for b in range(a + 1, len(pool)):
             rest = [pool[j] for j in range(len(pool)) if j not in (a, b)][:2]
+            ha = _complete_homogeneous_pass(rest + [pool[a]], 4)
+            hb = _complete_homogeneous_pass(rest + [pool[b]], 4)
+            hab = _complete_homogeneous_pass(rest + [pool[a], pool[b]], 3)
             for s in range(1, 5):
-                lhs = (complete_homogeneous(rest + [pool[a]], s)
-                       - complete_homogeneous(rest + [pool[b]], s))
-                rhs = (pool[a] - pool[b]) * complete_homogeneous(
-                    rest + [pool[a], pool[b]], s - 1)
-                scale = max(abs(complete_homogeneous(rest + [pool[a]], s)),
-                            abs(complete_homogeneous(rest + [pool[b]], s)),
-                            abs(rhs), 1.0)
+                lhs = ha[s] - hb[s]
+                rhs = (pool[a] - pool[b]) * hab[s - 1]
+                scale = max(abs(ha[s]), abs(hb[s]), abs(rhs), 1.0)
                 worst_e = _track(worst_e, lhs - rhs, scale, (a, b, s))
 
     results = {}

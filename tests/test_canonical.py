@@ -112,6 +112,45 @@ class TestCanonicalMap:
         assert np.linalg.matrix_rank(T) == 4 * n + 2
 
 
+class TestMapSharing:
+    """The coordinate maps are built once per spectrum instance and shared."""
+
+    @pytest.mark.parametrize("builder", [oscillator_map, canonical_map])
+    def test_same_object_per_instance(self, builder):
+        spec = FrequencySpectrum((0.8, 1.7))
+        assert builder(spec) is builder(spec)
+
+    @pytest.mark.parametrize("builder", [oscillator_map, canonical_map])
+    def test_equal_instances_share_nothing(self, builder):
+        a, b = FrequencySpectrum((0.8, 1.7)), FrequencySpectrum((0.8, 1.7))
+        assert a == b
+        assert builder(a) is not builder(b)
+        assert a.table is not b.table
+        assert np.array_equal(builder(a).matrix, builder(b).matrix)
+
+    def test_shared_matrix_is_read_only(self):
+        spec = FrequencySpectrum((0.8, 1.7))
+        T = canonical_map(spec)
+        with pytest.raises(ValueError):
+            T.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            T.row("z[1]")[0] = 1.0
+        with pytest.raises(ValueError):
+            oscillator_map(spec).matrix[:] = 0.0
+
+    def test_users_do_not_change_the_shared_maps(self):
+        spec = FrequencySpectrum((0.8, 1.7))
+        g = GammaWeights(((1.5, -0.7), (-1.2, 0.9)))
+        before = canonical_map(spec).matrix.copy()
+        osc_before = oscillator_map(spec).matrix.copy()
+        energy_observable(spec)
+        alt_hamiltonian_observable(spec, g)
+        mode_integrals(spec)
+        scaled_canonical_map(spec, g)
+        assert np.array_equal(canonical_map(spec).matrix, before)
+        assert np.array_equal(oscillator_map(spec).matrix, osc_before)
+
+
 class TestScaledCanonicalMap:
     def test_degenerate_gamma_rejected(self):
         with pytest.raises(DegeneracyError):

@@ -5,8 +5,9 @@ import pytest
 
 from oddpu import (FrequencySpectrum, GammaWeights,
                    QuadraticObservable, alt_structure, bracket, companion_matrix,
-                   degeneracy_scalar, dirac_equivalent_gamma, dirac_structure,
-                   gamma_is_degenerate, hamiltonian_vector_field, jet_index)
+                   degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
+                   dirac_structure, gamma_is_degenerate, hamiltonian_vector_field,
+                   jet_index, rho)
 from oddpu.canonical import alt_hamiltonian_observable, energy_observable
 from oddpu.verify import random_gamma, random_spectrum
 
@@ -273,3 +274,27 @@ class TestSerialization:
         payload = dirac_structure(S1).to_json_dict()
         assert payload["gamma"] is None
         assert payload["degeneracy_scalar"] == pytest.approx(1.0)
+
+
+class TestDegeneracyScale:
+    def test_equals_explicit_sum(self):
+        rng = np.random.default_rng(61)
+        for n in range(1, 6):
+            spec = random_spectrum(rng, n)
+            g = random_gamma(rng, spec)
+            rhos = np.array([rho(spec, k) for k in range(n)])
+            expect = float(np.sum(np.abs(rhos * g.alpha_minus) / np.array(spec.omega_sq)))
+            assert degeneracy_scale(spec, g) == expect
+
+    def test_judges_degeneracy(self):
+        spec = FrequencySpectrum((1.0, 2.0))
+        flat = GammaWeights(((1.0, 1.0), (1.0, 1.0)))
+        assert degeneracy_scale(spec, flat) == 0.0
+        assert gamma_is_degenerate(spec, flat)
+        g = dirac_equivalent_gamma(2)
+        assert abs(degeneracy_scalar(spec, g)) > 1e-10 * degeneracy_scale(spec, g)
+        assert not gamma_is_degenerate(spec, g)
+
+    def test_gamma_size_mismatch(self):
+        with pytest.raises(ValueError):
+            degeneracy_scale(FrequencySpectrum((1.0, 2.0)), GammaWeights(((1.0, -1.0),)))

@@ -199,3 +199,93 @@ class TestVerifyIdentities:
         d = report.to_json_dict()
         assert set(d) == {"id1_first", "id1_second", "id2", "power_diff", "p_diff"}
         assert all("max_residual" in v for v in d.values())
+
+
+# The per-call formulas the spectrum table replaced, kept as oracles: the
+# table must hand back exactly their bits.
+
+def percall_coeffs(w2):
+    c = np.array([1.0])
+    for v in w2:
+        c = np.convolve(c, [1.0, v])
+    return c
+
+
+def percall_sigma(spec, k):
+    return float(percall_coeffs(spec.omega_sq)[spec.n - k])
+
+
+def percall_reduced_sigma(spec, m, k):
+    w2 = [v for idx, v in enumerate(spec.omega_sq) if idx != k]
+    return float(percall_coeffs(w2)[(spec.n - 1) - m])
+
+
+def percall_rho(spec, k):
+    w2 = spec.omega_sq
+    prod = 1.0
+    for m in range(spec.n):
+        if m != k:
+            prod *= w2[m] - w2[k]
+    return (-1.0) ** k / prod
+
+
+def numpy_complete_homogeneous(values, k):
+    """The recursion over a numpy array of float64 scalars."""
+    if k < 0:
+        return 0.0
+    h = np.zeros(k + 1)
+    h[0] = 1.0
+    for v in values:
+        for d in range(1, k + 1):
+            h[d] += v * h[d - 1]
+    return float(h[k])
+
+
+def seeded_spectra(n, count=4):
+    """Gap-respecting random spectra, handed over in shuffled order."""
+    rng = np.random.default_rng(900 + n)
+    for _ in range(count):
+        w = np.sqrt(np.cumsum(rng.uniform(0.05, 2.0, size=n)))
+        yield FrequencySpectrum(tuple(rng.permutation(w)))
+
+
+class TestSpectrumTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_public_reads_equal_percall_formulas(self, n):
+        for spec in seeded_spectra(n):
+            for k in range(n + 1):
+                assert elementary_sigma(spec, k) == percall_sigma(spec, k)
+            for k in range(n):
+                assert rho(spec, k) == percall_rho(spec, k)
+                for m in range(n):
+                    assert reduced_sigma(spec, m, k) == percall_reduced_sigma(spec, m, k)
+            # past the stored degrees complete_homog computes on request
+            for k in range(-n - 1, max(n, 6) + 4):
+                assert complete_homog(spec, k) == numpy_complete_homogeneous(
+                    spec.omega_sq, k)
+
+    def test_reads_are_python_floats(self):
+        spec = next(seeded_spectra(3))
+        values = ([elementary_sigma(spec, 0), reduced_sigma(spec, 0, 0), rho(spec, 0)]
+                  + [complete_homog(spec, k) for k in (-1, 0, 2, 9)])
+        assert all(type(v) is float for v in values)
+
+    def test_built_lazily_once_per_instance(self):
+        spec = FrequencySpectrum((1.0, 2.0))
+        assert "table" not in vars(spec)
+        table = spec.table
+        assert spec.table is table
+        twin = FrequencySpectrum((1.0, 2.0))
+        assert twin == spec
+        assert twin.table is not table
+
+    def test_list_recursion_equals_numpy_recursion(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            size = int(rng.integers(0, 9))
+            values = list(rng.uniform(0.01, 12.0, size=size))
+            for k in range(-2, 12):
+                assert (complete_homogeneous(values, k)
+                        == numpy_complete_homogeneous(values, k))
+        assert complete_homogeneous([], 0) == 1.0
+        assert complete_homogeneous([], 3) == 0.0
