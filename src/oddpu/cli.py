@@ -3,12 +3,20 @@
 Commands: ``spectrum`` (polynomial tables and identity report),
 ``structure`` (Poisson matrix as JSON), ``simulate`` (exact trajectory as
 CSV), ``deform`` (RK4 trajectory of a deformed system as CSV), ``verify``
-(full property suite).
+(full property suite).  Every command takes the same options, before or
+after the command name; a list option (``--omegas``, ``--gamma``,
+``--state``) placed before the command name is ended by ``--``.
 
-Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 degenerate
-structure requested where nondegeneracy is needed, 4 a trajectory turned
-non-finite: an RK4 state or slope, or an observable column of ``simulate``
-or ``deform`` (the error line gives t).
+Values in a ``--config`` JSON file are type-checked: ``omegas``,
+``gamma`` and ``state`` are arrays of numbers, ``t_end`` and ``dt``
+numbers, ``seed``, ``n_max`` and ``trials`` integers, ``potential`` an
+object; null counts as absent.
+
+Exit codes: 0 pass, 1 verification failure, 2 bad input (an argument
+error or a refused config value included; one ``error:`` line on stderr),
+3 degenerate structure requested where nondegeneracy is needed, 4 a
+trajectory turned non-finite: an RK4 state or slope, or an observable
+column of ``simulate`` or ``deform`` (the error line gives t).
 """
 
 from __future__ import annotations
@@ -64,6 +72,33 @@ def _emit_csv(header, table: np.ndarray, out_path):
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number_array(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+#: Config key -> (test of its JSON value, what the value must be).  Flags
+#: of the same names override the file's values.
+CONFIG_TYPES = {
+    "omegas": (_is_number_array, "an array of numbers"),
+    "gamma": (_is_number_array, "an array of numbers"),
+    "state": (_is_number_array, "an array of numbers"),
+    "t_end": (_is_number, "a number"),
+    "dt": (_is_number, "a number"),
+    "potential": (lambda value: isinstance(value, dict), "an object"),
+    "seed": (_is_integer, "an integer"),
+    "n_max": (_is_integer, "an integer"),
+    "trials": (_is_integer, "an integer"),
+}
+
+
 def _merged_config(args) -> dict:
     """File config (if any) with flag values layered on top."""
     cfg = {}
@@ -72,10 +107,12 @@ def _merged_config(args) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
+        for key, (is_valid, kind) in CONFIG_TYPES.items():
+            if loaded.get(key) is not None and not is_valid(loaded[key]):
+                raise ValueError("config value %s must be %s" % (key, kind))
         cfg.update(loaded)
-    for key in ("omegas", "gamma", "state", "t_end", "dt", "potential",
-                "seed", "n_max", "trials"):
-        val = getattr(args, key, None)
+    for key in CONFIG_TYPES:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -215,37 +252,6 @@ def cmd_verify(cfg, out_path) -> int:
     return EXIT_OK if summary["pass"] else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oddpu",
-        description="Odd-order Pais-Uhlenbeck oscillator: construct, verify, "
-                    "simulate, deform.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("spectrum", "symmetric-polynomial tables and identity report (JSON)"),
-            ("structure", "Poisson structure matrix (JSON)"),
-            ("simulate", "exact trajectory with conserved columns (CSV)"),
-            ("deform", "RK4 trajectory of a deformed system (CSV)"),
-            ("verify", "run the full property suite (JSON summary)")):
-        p = sub.add_parser(name, help=helptext)
-        p._negative_number_matcher = NEGATIVE_NUMBER
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--omegas", type=float, nargs="+", help="frequencies")
-        p.add_argument("--gamma", type=float, nargs="+",
-                       help="2n weights: g01 g02 g11 g12 ...")
-        p.add_argument("--state", type=float, nargs="+",
-                       help="initial jet vector (4n+2 entries)")
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--potential", type=json.loads,
-                       help='JSON: {"degree":d,"coeffs":[{"i":..,"j":..,"value":..}]}')
-        p.add_argument("--seed", type=int)
-        p.add_argument("--n-max", dest="n_max", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--out", help="output path (default stdout)")
-    return parser
-
-
 COMMANDS = {
     "spectrum": cmd_spectrum,
     "structure": cmd_structure,
@@ -254,11 +260,60 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
+#: What ``oddpu -h`` lists under "commands".
+COMMANDS_HELP = """commands:
+  spectrum    symmetric-polynomial tables and identity report (JSON)
+  structure   Poisson structure matrix (JSON)
+  simulate    exact trajectory with conserved columns (CSV)
+  deform      RK4 trajectory of a deformed system (CSV)
+  verify      run the full property suite (JSON summary)
+"""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as a ValueError, which ``main`` prints as
+    one ``error:`` line with exit 2, instead of a usage block and
+    SystemExit."""
+
+    def error(self, message):
+        raise ValueError(" ".join(message.splitlines()))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: a positional command name and the
+    options, which every command accepts."""
+    parser = _Parser(
+        prog="oddpu",
+        description="Odd-order Pais-Uhlenbeck oscillator: construct, verify, "
+                    "simulate, deform.",
+        epilog=COMMANDS_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser._negative_number_matcher = NEGATIVE_NUMBER
+    parser.add_argument("command", choices=tuple(COMMANDS), metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument("--omegas", type=float, nargs="+", help="frequencies")
+    parser.add_argument("--gamma", type=float, nargs="+",
+                        help="2n weights: g01 g02 g11 g12 ...")
+    parser.add_argument("--state", type=float, nargs="+",
+                        help="initial jet vector (4n+2 entries)")
+    parser.add_argument("--t-end", dest="t_end", type=float,
+                        help="last grid time (simulate, deform)")
+    parser.add_argument("--dt", type=float,
+                        help="grid spacing (simulate, deform); the RK4 step (deform)")
+    parser.add_argument("--potential", type=json.loads,
+                        help='JSON: {"degree":d,"coeffs":[{"i":..,"j":..,"value":..}]}')
+    parser.add_argument("--seed", type=int, help="random seed (verify)")
+    parser.add_argument("--n-max", dest="n_max", type=int,
+                        help="largest n checked, capped per check (verify)")
+    parser.add_argument("--trials", type=int,
+                        help="random draws per n, capped per check (verify)")
+    parser.add_argument("--out", help="output path (default stdout)")
+    return parser
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _merged_config(args)
         return COMMANDS[args.command](cfg, args.out)
     except DegeneracyError as exc:

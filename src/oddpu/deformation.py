@@ -169,6 +169,13 @@ class PotentialSpec:
         if self.degree_of(terms) > MAX_POTENTIAL_DEGREE:
             raise ValueError("potential degree capped at %d" % MAX_POTENTIAL_DEGREE)
         object.__setattr__(self, "terms", terms)
+        # value and gradient monomials (coefficient, power of w1, power of
+        # w2), with the coefficient products v * i and v * j taken once
+        object.__setattr__(self, "_value_monomials",
+                           tuple((v, i, j) for i, j, v in terms))
+        object.__setattr__(self, "_grad_monomials", (
+            tuple((v * i, i - 1, j) for i, j, v in terms if i > 0),
+            tuple((v * j, i, j - 1) for i, j, v in terms if j > 0)))
 
     @staticmethod
     def degree_of(terms) -> int:
@@ -196,17 +203,31 @@ class PotentialSpec:
 
     def value(self, w1: float, w2: float) -> float:
         try:
-            return float(sum(v * w1 ** i * w2 ** j for i, j, v in self.terms))
+            return float(_sum_monomials(self._value_monomials, w1, w2))
         except OverflowError:
             return np.inf
 
     def grad(self, w1: float, w2: float):
+        d1_terms, d2_terms = self._grad_monomials
         try:
-            d1 = sum(v * i * w1 ** (i - 1) * w2 ** j for i, j, v in self.terms if i > 0)
-            d2 = sum(v * j * w1 ** i * w2 ** (j - 1) for i, j, v in self.terms if j > 0)
+            return (float(_sum_monomials(d1_terms, w1, w2)),
+                    float(_sum_monomials(d2_terms, w1, w2)))
         except OverflowError:
             return np.inf, np.inf
-        return float(d1), float(d2)
+
+
+def _sum_monomials(monomials, w1, w2):
+    """Sum of c * w1 ** a * w2 ** b over the monomials, added left to right
+    from an int 0 as ``sum`` adds, so a -0.0 total reads 0.0.  A factor
+    w ** 0 is 1.0 and x * 1.0 == x, so it is skipped."""
+    total = 0
+    for c, a, b in monomials:
+        if a:
+            c = c * w1 ** a
+        if b:
+            c = c * w2 ** b
+        total = total + c
+    return total
 
 
 def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: PotentialSpec = None):
@@ -219,18 +240,19 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
     potential the field is the linear one, Omega_alt A_H u, and v1, v2
     are None: the null space is not needed.
     """
-    omega = alt_structure(spec, g).omega
-    A = alt_hamiltonian_observable(spec, g).A
+    omega_dot = alt_structure(spec, g).omega.dot
+    A_dot = alt_hamiltonian_observable(spec, g).A.dot
     if potential is None:
         def field(_t, u):
-            return omega.dot(A.dot(u))
+            return omega_dot(A_dot(u))
 
         return field, None, None
     v1, v2 = invariant_directions(spec, g)
+    v1_dot, v2_dot, grad = v1.dot, v2.dot, potential.grad
 
     def field(_t, u):
-        g1, g2 = potential.grad(float(v1.dot(u)), float(v2.dot(u)))
-        return omega.dot(A.dot(u) + g1 * v1 + g2 * v2)
+        g1, g2 = grad(float(v1_dot(u)), float(v2_dot(u)))
+        return omega_dot(A_dot(u) + g1 * v1 + g2 * v2)
 
     return field, v1, v2
 

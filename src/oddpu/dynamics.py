@@ -152,14 +152,18 @@ def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
     """The classical RK4 update of u over [t, t + h]; the one copy of the
     formula.  Callers run it under ``np.errstate(over="ignore",
     invalid="ignore")``: overflow is reported here as IntegrationError."""
+    half = h / 2
     k1 = field(t, u)
-    k2 = field(t + h / 2, u + (h / 2) * k1)
-    k3 = field(t + h / 2, u + (h / 2) * k2)
+    k2 = field(t + half, u + half * k1)
+    k3 = field(t + half, u + half * k2)
     k4 = field(t + h, u + h * k3)
-    u_next = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # k + k is 2 * k exactly
+    u_next = u + (h / 6) * (k1 + (k2 + k2) + (k3 + k3) + k4)
     # a non-finite slope always makes the update non-finite, so one check
-    # covers both on the common path
-    if not np.isfinite(u_next).all():
+    # covers both on the common path.  A non-finite entry makes the sum
+    # non-finite; a finite sum clears the state without the elementwise
+    # test, which runs only when the sum is not finite (it may overflow).
+    if not math.isfinite(sum(u_next.tolist())) and not np.isfinite(u_next).all():
         slopes_finite = all(np.isfinite(k).all() for k in (k1, k2, k3, k4))
         what = "state after the step" if slopes_finite else "vector field"
         raise IntegrationError("non-finite %s near t=%g" % (what, t), t=t)

@@ -227,6 +227,69 @@ class TestFloatOptions:
         assert rows[1][2] == "-1e-05"
 
 
+NAMESPACE_DEFAULTS = dict(config=None, omegas=None, gamma=None, state=None, t_end=None,
+                          dt=None, potential=None, seed=None, n_max=None, trials=None,
+                          out=None)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, expected", [
+        (["spectrum", "--omegas", "1", "2", "--out", "s.json"],
+         dict(command="spectrum", omegas=[1.0, 2.0], out="s.json")),
+        (["structure", "--omegas", "1", "2", "--gamma", "1", "-1", "-1e-05", "1E+1"],
+         dict(command="structure", omegas=[1.0, 2.0], gamma=[1.0, -1.0, -1e-05, 10.0])),
+        (["simulate", "--config", "c.json", "--state", "0", "-2.5E+3", "1", "0", "0", "0",
+          "--t-end", "10", "--dt", "-.5e1"],
+         dict(command="simulate", config="c.json", state=[0.0, -2500.0, 1.0, 0.0, 0.0, 0.0],
+              t_end=10.0, dt=-5.0)),
+        (["deform", "--omegas", "1", "--gamma", "1", "-1", "--potential",
+          '{"degree": 4, "coeffs": [{"i": 4, "j": 0, "value": 0.05}]}'],
+         dict(command="deform", omegas=[1.0], gamma=[1.0, -1.0],
+              potential={"degree": 4, "coeffs": [{"i": 4, "j": 0, "value": 0.05}]})),
+        (["verify", "--n-max", "3", "--trials", "4", "--seed", "-7"],
+         dict(command="verify", n_max=3, trials=4, seed=-7)),
+        # options may come before the command; -- ends a list option
+        (["--seed", "7", "verify"], dict(command="verify", seed=7)),
+        (["--omegas", "1", "-2e-1", "--", "spectrum"],
+         dict(command="spectrum", omegas=[1.0, -0.2])),
+    ])
+    def test_namespace(self, argv, expected):
+        assert vars(build_parser().parse_args(argv)) == dict(NAMESPACE_DEFAULTS, **expected)
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, description in (
+                ("spectrum", "symmetric-polynomial tables and identity report (JSON)"),
+                ("structure", "Poisson structure matrix (JSON)"),
+                ("simulate", "exact trajectory with conserved columns (CSV)"),
+                ("deform", "RK4 trajectory of a deformed system (CSV)"),
+                ("verify", "run the full property suite (JSON summary)")):
+            assert any(line.split() == [name] + description.split()
+                       for line in out.splitlines()), name
+        for flag in ("--config", "--omegas", "--gamma", "--state", "--t-end", "--dt",
+                     "--potential", "--seed", "--n-max", "--trials", "--out"):
+            assert flag in out
+
+    @pytest.mark.parametrize("argv, fragment", [
+        ([], "required: command"),
+        (["frob"], "invalid choice: 'frob'"),
+        (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+        (["simulate", "deform"], "unrecognized arguments: deform"),
+        (["verify", "--seed", "1.5"], "argument --seed"),
+        (["deform", "--potential", "{bad"], "argument --potential"),
+        # a list option before the command takes the command as a value
+        (["--omegas", "1", "spectrum"], "invalid float value: 'spectrum'"),
+    ])
+    def test_argument_errors_exit_2_with_one_line(self, capsys, argv, fragment):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, fragment)
+
+
 class TestDeformCommand:
     POT = json.dumps({"degree": 4, "coeffs": [
         {"i": 4, "j": 0, "value": 0.05},
@@ -396,6 +459,28 @@ class TestConfigHandling:
         code, _, _ = run(["spectrum", "--config",
                           str(tmp_path / "nope.json")], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("omegas", "12"), ("omegas", [1, "2"]), ("omegas", [True]), ("omegas", 1.0),
+        ("gamma", "1 -1"), ("gamma", [[1, -1]]), ("state", {"x": 1}), ("state", [0, None]),
+        ("t_end", True), ("t_end", "1"), ("dt", [0.1]),
+        ("seed", 1.0), ("seed", "7"), ("n_max", 1.9), ("n_max", False), ("trials", [3]),
+        ("potential", [1]), ("potential", '{"degree": 1}'),
+    ])
+    def test_config_value_types_checked(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict({"omegas": [1, 2]}, **{key: value})))
+        code, out, err = run(["spectrum", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "config value %s must be" % key)
+
+    def test_config_integers_and_null_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omegas": [1, 2], "gamma": None, "seed": 3}))
+        code, out, _ = run(["structure", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == run(["structure", "--omegas", "1", "2"], capsys)[1]
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -151,6 +151,75 @@ class TestPotentialSpec:
         assert pot.value(1e50, 1.0) == np.inf
         assert pot.grad(1e50, 1.0) == (np.inf, np.inf)
 
+def generator_value(terms, w1, w2):
+    """PotentialSpec.value as one generator sum over the terms."""
+    try:
+        return float(sum(v * w1 ** i * w2 ** j for i, j, v in terms))
+    except OverflowError:
+        return np.inf
+
+
+def generator_grad(terms, w1, w2):
+    """PotentialSpec.grad as one generator sum per component."""
+    try:
+        d1 = sum(v * i * w1 ** (i - 1) * w2 ** j for i, j, v in terms if i > 0)
+        d2 = sum(v * j * w1 ** i * w2 ** (j - 1) for i, j, v in terms if j > 0)
+    except OverflowError:
+        return np.inf, np.inf
+    return float(d1), float(d2)
+
+
+class TestCompiledPotential:
+    """The precompiled monomials give the generator formulas' bits."""
+
+    W = (0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 7.0, 1e-200, 1e60, -1e60, 1e200)
+
+    @staticmethod
+    def random_terms(rng):
+        terms = []
+        for _ in range(int(rng.integers(1, 7))):
+            i = int(rng.integers(0, 5))
+            j = int(rng.integers(0 if i else 1, 9 - i))
+            terms.append((i, j, float(rng.choice([-1.0, 1.0]) * rng.lognormal(0.0, 2.0))))
+        if rng.random() < 0.5:
+            terms.append(terms[0])      # a repeated monomial
+        return tuple(terms)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is float and repr(got) == repr(want), (got, want)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_value_and_grad_match_generator_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        pot = PotentialSpec(self.random_terms(rng))
+        ws = list(self.W) + rng.normal(0.0, 3.0, 6).tolist()
+        for w1 in ws:
+            for w2 in ws:
+                self.assert_same(pot.value(w1, w2), generator_value(pot.terms, w1, w2))
+                got, want = pot.grad(w1, w2), generator_grad(pot.terms, w1, w2)
+                assert len(got) == 2
+                for g, w in zip(got, want):
+                    self.assert_same(g, w)
+
+    @pytest.mark.parametrize("terms, w1, w2, value, grad", [
+        # a power past the float range raises inside ** and gives inf
+        (((8, 0, 1.0), (0, 8, 1.0)), 1e50, 1.0, np.inf, (np.inf, np.inf)),
+        (((1, 3, 2.0),), 0.5, 1e120, np.inf, (np.inf, np.inf)),
+        # sums start from an int 0, so a -0.0 monomial sums to 0.0, and a
+        # component with no monomials is 0.0
+        (((4, 0, 0.05),), -0.0, 2.0, 0.0, (0.0, 0.0)),
+        (((0, 3, -1.0),), 5.0, 0.0, 0.0, (0.0, 0.0)),
+    ])
+    def test_edge_cases(self, terms, w1, w2, value, grad):
+        pot = PotentialSpec(terms)
+        self.assert_same(pot.value(w1, w2), generator_value(terms, w1, w2))
+        self.assert_same(pot.value(w1, w2), float(value))
+        for got, old, want in zip(pot.grad(w1, w2), generator_grad(terms, w1, w2), grad):
+            self.assert_same(got, old)
+            self.assert_same(got, float(want))
+
+
 class TestDeformedFlow:
     QUARTIC = PotentialSpec(((4, 0, 0.05), (2, 2, 0.1), (0, 4, 0.05)))
 

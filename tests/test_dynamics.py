@@ -207,6 +207,24 @@ class TestRK4:
         assert err.value.t == 2.0
         assert "state" in str(err.value)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_state_whose_sum_overflows(self, sign):
+        # the cheap sum test reads inf here; the entries are finite
+        st = PhaseState(np.full(10, sign * 1e308))
+        out = rk4_step(lambda t, u: np.zeros(10), st, 0.1)
+        assert np.array_equal(out.u, st.u)
+
+    @pytest.mark.parametrize("slope, message", [
+        (np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0]), "non-finite vector field near t=2"),
+        (np.array([0.0, -np.inf, 0.0, 0.0, 0.0, 0.0]), "non-finite vector field near t=2"),
+        (np.array([1e308, -1e308, 0.0, 0.0, 0.0, 0.0]), "non-finite state after the step near t=2"),
+    ])
+    def test_nonfinite_messages(self, slope, message):
+        with pytest.raises(IntegrationError) as err:
+            rk4_step(lambda t, u: slope, PhaseState(np.zeros(6), 2.0), 1.0)
+        assert str(err.value) == message
+        assert err.value.t == 2.0
+
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
             rk4_step(lambda t, u: u, PhaseState(np.zeros(6)), 0.0)
