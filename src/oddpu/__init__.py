@@ -14,7 +14,7 @@ from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
 from .canonical import (LinearMap, UniquenessReport, alt_hamiltonian_observable,
                         canonical_map, energy_observable, mode_integrals,
                         oscillator_map, scaled_canonical_map, uniqueness_check)
-from .deformation import (DeformationSystem, PotentialObservable, PotentialSpec,
+from .deformation import (PotentialObservable, PotentialSpec,
                           closed_form_direction_n1, deformation_system,
                           deformed_energy, deformed_field, invariant_directions,
                           null_space_complete_pivot)

@@ -10,13 +10,16 @@ after the command name; a list option (``--omegas``, ``--gamma``,
 Values in a ``--config`` JSON file are type-checked: ``omegas``,
 ``gamma`` and ``state`` are arrays of numbers, ``t_end`` and ``dt``
 numbers, ``seed``, ``n_max`` and ``trials`` integers, ``potential`` an
-object; null counts as absent.
+object; null counts as absent.  Any other key is refused.
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input (an argument
-error or a refused config value included; one ``error:`` line on stderr),
-3 degenerate structure requested where nondegeneracy is needed, 4 a
-trajectory turned non-finite: an RK4 state or slope, or an observable
-column of ``simulate`` or ``deform`` (the error line gives t).
+error or a refused config key or value included; one ``error:`` line on
+stderr), 3 degenerate structure requested where nondegeneracy is needed,
+4 a trajectory turned non-finite: an RK4 state or slope, or an
+observable column of ``simulate`` or ``deform`` (the error line gives t).
+A reader that closes stdout early (``oddpu simulate ... | head -1``)
+ends the command with exit 0 and no ``error:`` line; the rest of the
+output is dropped.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 
@@ -107,6 +111,9 @@ def _merged_config(args) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(CONFIG_TYPES))
+        if unknown:
+            raise ValueError("unknown config key %s" % ", ".join(map(repr, unknown)))
         for key, (is_valid, kind) in CONFIG_TYPES.items():
             if loaded.get(key) is not None and not is_valid(loaded[key]):
                 raise ValueError("config value %s must be %s" % (key, kind))
@@ -322,6 +329,12 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print("error: integration produced a non-finite value: %s" % exc, file=sys.stderr)
         return EXIT_INTEGRATION
+    except BrokenPipeError:
+        # The reader closed stdout early (``oddpu simulate ... | head``):
+        # not bad input.  Point stdout at devnull so that the interpreter's
+        # final flush of the unwritten buffer cannot fail again at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -4,8 +4,18 @@ A potential U may be added to the gamma-weighted Hamiltonian without
 breaking the lower jet-chain equations iff its gradient is annihilated by
 the lower 4n rows of the alternative structure.  Those rows form a linear
 homogeneous system on the 4n+2 gradient components whose null space is
-two-dimensional for nondegenerate weights; potentials are polynomials in
-the two resulting invariant scalars.
+two-dimensional; potentials are polynomials in the two resulting
+invariant scalars w_a = v_a . u.
+
+``invariant_directions`` writes the null space in closed form from the
+canonical block form of the structure, at every n and for degenerate
+weights too, in one stated basis: w_1 is the invariant whose position
+part is x_1, w_2 its rotation, whose position part is x_2.  (The
+pivoted null-space solver used before left the basis to the pivot
+order; at the README's input it made w1 = -x_2, so the README's
+0.05 w1^4 now acts on x_1 where it acted on x_2.)  ``deformation_system``
+and ``null_space_complete_pivot`` remain as the oracle ``verify``
+checks the closed form against.
 """
 
 from __future__ import annotations
@@ -14,36 +24,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import alt_hamiltonian_observable
-from .poisson import DegeneracyError, GammaWeights, alt_structure, moment_sums
+from .canonical import alt_hamiltonian_observable, canonical_map
+from .poisson import GammaWeights, alt_structure, degeneracy_scalar, moment_sums
 from .spectrum import FrequencySpectrum
 
 MAX_POTENTIAL_DEGREE = 8
 
-
-@dataclass(frozen=True)
-class DeformationSystem:
-    """Coefficient matrix C (4n x (4n+2)) acting on grad U in jet order."""
-
-    C: np.ndarray
-    spec: FrequencySpectrum
-    gamma: GammaWeights
-
-    def rank(self) -> int:
-        rank, _ = null_space_complete_pivot(self.C)
-        return rank
+#: The 2x2 symplectic block.
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def null_space_complete_pivot(C: np.ndarray, tol: float = None):
+def null_space_complete_pivot(C: np.ndarray):
     """Rank and orthonormal null-space basis by Gauss-Jordan elimination
     with complete pivoting; pivot threshold 1e-10 * ||C||_inf.
 
-    Returns (rank, basis) with basis of shape (n - rank, n).
+    Returns (rank, basis) with basis of shape (n - rank, n).  The
+    threshold misjudges the rank of an ill-conditioned matrix (the
+    deformation system at n >= 5), so the runtime uses
+    ``invariant_directions``; this solver remains the oracle that
+    ``verify`` checks it against at small n.
     """
     A = np.array(C, dtype=float)
     m, n = A.shape
-    if tol is None:
-        tol = 1e-10 * max(np.linalg.norm(A, np.inf), 1.0)
+    tol = 1e-10 * max(np.linalg.norm(A, np.inf), 1.0)
     perm = list(range(n))
     r = 0
     while r < min(m, n):
@@ -74,8 +77,8 @@ def null_space_complete_pivot(C: np.ndarray, tol: float = None):
     return r, basis
 
 
-def deformation_system(spec: FrequencySpectrum, g: GammaWeights) -> DeformationSystem:
-    """Assemble the constraint system on the potential gradient.
+def deformation_system(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
+    """The constraint matrix C (4n x (4n+2)) acting on grad U in jet order.
 
     For p = 0..n-1 and i = 1,2, two equation families on dU/dx_i^{(m)}:
 
@@ -116,22 +119,54 @@ def deformation_system(spec: FrequencySpectrum, g: GammaWeights) -> DeformationS
                 coef = (-1.0) ** m * sums[2 * p + 2 * m][1]
                 row[2 * (2 * m + 1) + other[i] - 1] -= eps_sign[i] * coef
             rows.append(row)
-    return DeformationSystem(np.array(rows), spec, g)
+    return np.array(rows)
 
 
 def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
-    """Orthonormal basis (v1, v2) of the constraint null space.
+    """Unit basis (v1, v2) of the constraint null space, in closed form.
 
     Potentials built over w_a = v_a . u leave the lower jet-chain
-    equations intact.  Raises if the null space is not two-dimensional.
+    equations intact.  The canonical map T_c puts the alternative
+    structure into block form,
+
+      T_c Omega_alt T_c^T = blockdiag(c_{k,i} J2 per (q_{k,i}, p_{k,i}),
+                                      s (w_0...w_{n-1})^2 J2 for (z_1, z_2))
+
+    with c_{k,i} = (-1)^{k+i+1} / gamma_{k,i}, s the degeneracy scalar and
+    J2 = [[0, 1], [-1, 0]].  So s Omega_alt^{-1} = T_c^T K T_c with
+
+      K = blockdiag(-s (-1)^{k+i+1} gamma_{k,i} J2, -(w_0...w_{n-1})^{-2} J2),
+
+    which stays finite at s = 0.  The constraint rows span the lower 4n
+    rows of Omega_alt, so the null space is spanned by the columns of
+    T_c^T K T_c at the top jet indices 4n, 4n+1; at s = 0 these are
+    combinations of the z rows, which span the kernel of Omega_alt.  No
+    rank is decided and no tolerance is used.
+
+    Basis convention: N_1 is the vector of the null space whose position
+    part (jet entries x_1, x_2) is (1, 0), and v1 = N_1 / |N_1|.  The
+    system is invariant under the rotation R: x_1^(s) -> x_2^(s),
+    x_2^(s) -> -x_1^(s), so v2 = R v1 is the unit vector of the plane
+    with position part along x_2, and v1 . v2 = 0.  At w = 1,
+    gamma = (1, -1) this gives w_a = x_a, so the README's potential
+    0.05 w1^4 acts on x_1; the pivoted solver used before this
+    convention left w1 = -x_2 there.
     """
-    system = deformation_system(spec, g)
-    rank, basis = null_space_complete_pivot(system.C)
-    if basis.shape[0] != 2:
-        raise DegeneracyError(
-            "null space dimension %d != 2 (rank %d); degenerate gamma weights"
-            % (basis.shape[0], rank))
-    return basis[0], basis[1]
+    n = spec.n
+    s = degeneracy_scalar(spec, g)
+    T = canonical_map(spec).matrix
+    K = np.zeros((spec.jet_dim, spec.jet_dim))
+    for k in range(n):
+        for i in (1, 2):
+            b = 4 * k + 2 * (i - 1)        # rows q[k][i], p[k][i] of T_c
+            K[b:b + 2, b:b + 2] = -s * (-1.0) ** (k + i + 1) * g.gamma[k][i - 1] * J2
+    K[4 * n:, 4 * n:] = -J2 / float(np.prod(spec.omegas)) ** 2
+    plane = T.T @ (K @ T[:, 4 * n:])
+    N1 = plane @ np.linalg.solve(plane[:2], [1.0, 0.0])
+    v1 = N1 / np.linalg.norm(N1)
+    v2 = np.empty_like(v1)
+    v2[0::2], v2[1::2] = -v1[1::2], v1[0::2]
+    return v1, v2
 
 
 def closed_form_direction_n1(spec: FrequencySpectrum, g: GammaWeights, i: int) -> np.ndarray:

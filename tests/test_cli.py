@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import oddpu
 from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, dirac_structure,
                    invariant_directions)
 from oddpu.canonical import (alt_hamiltonian_observable, energy_observable,
@@ -322,6 +326,30 @@ class TestDeformCommand:
         assert code == 3
         assert "degenerate" in err
 
+    def test_dirac_weights_n6(self, capsys):
+        # the Dirac-equivalent weights at n = 6, where C has sigma_min /
+        # sigma_max ~ 1e-16 and a pivoted rank decision fails
+        n, h = 6, 0.01
+        argv = ["deform", "--omegas", "1", "1.5", "2", "2.5", "3", "3.5",
+                "--gamma", *["1", "-1", "-1", "1"] * 3, "--state", *["0.1"] * (4 * n + 2),
+                "--t-end", "1", "--dt", str(h), "--potential",
+                json.dumps({"degree": 4, "coeffs": [{"i": 4, "j": 0, "value": 0.05}]})]
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        data = np.genfromtxt(io.StringIO(out), delimiter=",", skip_header=1)
+        assert data.shape == (101, 1 + 4 * n + 2 + 3)
+        u = data[:, 1:4 * n + 3]
+        # lower jet chain d/dt x_i^(s) = x_i^(s+1), s < 2n, by central
+        # differences: error h^2/6 |x^(s+3)| plus rounding
+        eps = np.finfo(float).eps
+        for s in range(2 * n):
+            for i in (0, 1):
+                x, dx = u[:, 2 * s + i], u[:, 2 * (s + 1) + i]
+                central = (x[2:] - x[:-2]) / (2 * h)
+                third = np.abs(dx[2:] - 2 * dx[1:-1] + dx[:-2]).max() / h ** 2
+                tol = h * h / 3 * third + 64 * eps * np.abs(x).max() / h
+                assert np.abs(central - dx[1:-1]).max() <= tol, (s, i)
+
     def test_gamma_required(self, capsys):
         argv = [a for a in self.ARGS if a not in ("--gamma", "1", "-1")]
         argv = ["deform", "--omegas", "1",
@@ -482,6 +510,16 @@ class TestConfigHandling:
         assert code == 0
         assert out == run(["structure", "--omegas", "1", "2"], capsys)[1]
 
+    def test_unknown_config_key_refused(self, capsys, tmp_path):
+        # a misspelt "gamma" must not run simulate without its Hcal column
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omegas": [1], "state": [0, 0, 1, 0, 0, 0],
+                                   "t_end": 1, "dt": 0.5, "gama": [1, -1]}))
+        code, out, err = run(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "unknown config key", "'gama'")
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -502,3 +540,20 @@ class TestVerifyCommand:
     def test_bad_arguments(self, capsys):
         code, _, _ = run(["verify", "--n-max", "0"], capsys)
         assert code == 2
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_is_not_an_error(self):
+        # ~1 MB of CSV: far more than a pipe buffers, so the writer meets
+        # the closed pipe
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(oddpu.__file__).parents[1]))
+        argv = [sys.executable, "-m", "oddpu.cli", "simulate", "--omegas", "1",
+                "--state", "0", "0", "1", "0", "0", "0", "--t-end", "50", "--dt", "0.01"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        assert proc.stdout.readline().startswith(b"t,x1,x2,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""

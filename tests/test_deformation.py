@@ -8,7 +8,7 @@ from oddpu import (FrequencySpectrum, GammaWeights, PhaseState,
                    alt_structure, closed_form_direction_n1, deformation_system,
                    deformed_energy, deformed_field, invariant_directions,
                    null_space_complete_pivot, rk4_flow)
-from oddpu.verify import random_gamma, random_spectrum
+from oddpu.verify import _subspace_gap, random_gamma, random_spectrum
 
 S1 = FrequencySpectrum((1.0,))
 DIRAC1 = GammaWeights(((1.0, -1.0),))
@@ -50,21 +50,19 @@ class TestNullSpaceSolver:
 
 class TestDeformationSystem:
     def test_shape(self):
-        sys = deformation_system(S1, DIRAC1)
-        assert sys.C.shape == (4, 6)
+        assert deformation_system(S1, DIRAC1).shape == (4, 6)
 
     def test_gamma_size_mismatch(self):
         with pytest.raises(ValueError):
             deformation_system(S1, GammaWeights(((1.0, 1.0),) * 2))
 
     def test_dirac_n1_null_space_is_positions(self):
-        # gamma = (1, -1): a^+ = 0, a^- = 1, and the invariant
-        # combinations collapse onto the bare positions x_1, x_2
+        # gamma = (1, -1): a^+ = 0, a^- = 1, and the invariants are the
+        # bare positions, in the stated basis w_a = x_a
         v1, v2 = invariant_directions(S1, DIRAC1)
-        span = np.vstack([v1, v2])
-        for col in range(2, 6):
-            assert np.abs(span[:, col]).max() <= 1e-12
-        assert np.linalg.matrix_rank(span[:, :2]) == 2
+        e = np.eye(6)
+        assert np.abs(v1 - e[0]).max() <= 1e-15
+        assert np.abs(v2 - e[1]).max() <= 1e-15
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_rank_and_residuals(self, n):
@@ -72,20 +70,19 @@ class TestDeformationSystem:
         for _ in range(5):
             spec = random_spectrum(rng, n)
             g = random_gamma(rng, spec)
-            sys = deformation_system(spec, g)
-            assert sys.rank() == 4 * n
+            C = deformation_system(spec, g)
+            assert null_space_complete_pivot(C)[0] == 4 * n
             v1, v2 = invariant_directions(spec, g)
-            scale = np.abs(sys.C).max()
-            assert np.abs(sys.C @ v1).max() <= 1e-9 * scale
-            assert np.abs(sys.C @ v2).max() <= 1e-9 * scale
+            scale = np.abs(C).max()
+            assert np.abs(C @ v1).max() <= 1e-9 * scale
+            assert np.abs(C @ v2).max() <= 1e-9 * scale
             assert abs(float(v1 @ v2)) <= 1e-10
 
     def test_flat_gamma_keeps_rank(self):
         # a^- = 0 kills the eps-type columns but the system still has
         # rank 4n; the invariants collapse to x_i + ddx_i / w^2
         flat = GammaWeights(((1.0, 1.0),))
-        sys = deformation_system(S1, flat)
-        assert sys.rank() == 4
+        assert null_space_complete_pivot(deformation_system(S1, flat))[0] == 4
         v1, v2 = invariant_directions(S1, flat)
         span = np.vstack([v1, v2])
         for i in (1, 2):
@@ -98,12 +95,12 @@ class TestDeformationSystem:
         for _ in range(10):
             spec = random_spectrum(rng, 1)
             g = random_gamma(rng, spec)
-            sys = deformation_system(spec, g)
-            scale = np.abs(sys.C).max()
+            C = deformation_system(spec, g)
+            scale = np.abs(C).max()
             span = np.vstack(invariant_directions(spec, g))
             for i in (1, 2):
                 v = closed_form_direction_n1(spec, g, i)
-                assert np.abs(sys.C @ v).max() <= 1e-9 * scale * max(
+                assert np.abs(C @ v).max() <= 1e-9 * scale * max(
                     1.0, np.abs(v).max())
                 # v lies in the span of the computed basis
                 proj = span.T @ (span @ v)
@@ -114,6 +111,49 @@ class TestDeformationSystem:
         g = GammaWeights(((1.0, -1.0), (1.0, -1.0)))
         with pytest.raises(ValueError):
             closed_form_direction_n1(spec, g, 1)
+
+
+def rotate(v):
+    """R v for R: x_1^(s) -> x_2^(s), x_2^(s) -> -x_1^(s)."""
+    out = np.empty_like(v)
+    out[0::2], out[1::2] = -v[1::2], v[0::2]
+    return out
+
+
+def seed0_cases(n):
+    """verify's ten seed-0 draws at this n, then the degenerate flat
+    weights gamma = (1, 1) and (2, 2) on the first drawn spectrum."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(10):
+        spec = random_spectrum(rng, n)
+        cases.append((spec, random_gamma(rng, spec)))
+    spec = cases[0][0]
+    cases += [(spec, GammaWeights(((w, w),) * n)) for w in (1.0, 2.0)]
+    return cases
+
+
+class TestInvariantDirections:
+    """The closed-form null space: no rank decision, one stated basis."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seed0_draws_and_flat_weights(self, n):
+        for spec, g in seed0_cases(n):
+            C = deformation_system(spec, g)
+            v1, v2 = invariant_directions(spec, g)
+            for v in (v1, v2):
+                assert np.abs(C @ v).max() <= 1e-13 * np.abs(C).max()
+                assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+            assert abs(float(v1 @ v2)) <= 1e-15
+            assert v2.tobytes() == rotate(v1).tobytes()
+            # position parts: x_1 only in v1, x_2 only in v2
+            assert abs(v1[1]) <= 1e-15 and v1[0] > 0.0
+            if n <= 3:
+                # the pivot oracle's own error grows with cond(C); on these
+                # draws it stays below 1e-13
+                rank, basis = null_space_complete_pivot(C)
+                assert rank == 4 * n
+                assert _subspace_gap(basis, np.vstack([v1, v2])) <= 1e-12
 
 
 class TestPotentialSpec:
@@ -249,7 +289,7 @@ class TestDeformedFlow:
         assert abs(total(out.u) - e0) <= 1e-8 * (1 + abs(e0))
 
     def test_no_potential_is_linear_field(self, monkeypatch):
-        # the null space is not built: it may be misjudged at large n
+        # the linear field needs no null space, so none is built
         import oddpu.deformation as deformation
 
         def refuse(*_):
