@@ -6,8 +6,8 @@ from .spectrum import (FrequencySpectrum, IdentityReport, complete_homog,
 from .dynamics import (IntegrationError, ModalSolution, PhaseState, RK4Flow,
                        TrajectoryTable, companion_matrix, exact_propagate,
                        jet_index, modal_flow, rk4_flow, rk4_step, trajectory)
-from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
-                      StructureMatrix, alt_structure, bracket,
+from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
+                      QuadraticObservable, StructureMatrix, alt_structure, bracket,
                       degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                       dirac_structure, gamma_is_degenerate,
                       hamiltonian_vector_field)

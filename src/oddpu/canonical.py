@@ -4,6 +4,13 @@ The oscillator coordinates split the (2n+1)-order dynamics into n
 single-frequency third-order oscillators; on top of them sit the
 canonical coordinates (q, p, z) that put the Dirac structure into block
 form, and their gamma-scaled generalization for the alternative family.
+
+Every conserved quadratic is diagonal in (q, p): the Noether energy, the
+gamma-weighted Hamiltonian and each mode integral J_{k,i} is a
+``poisson.FactoredObservable``, (1/2) sum_j D_j (T u)_j^2 over the shared
+canonical map T, differing only in the weight vector D.  Its value is a
+weighted sum of p^2 + w^2 q^2; the dense jet-space matrix
+A = T^T diag(D) T is built only when a bracket or vector field asks.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModalSolution, PhaseState, companion_matrix, jet_index
-from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
-                      degeneracy_scalar, gamma_is_degenerate)
+from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
+                      QuadraticObservable, degeneracy_scalar, dirac_equivalent_gamma,
+                      gamma_is_degenerate)
 from .spectrum import FrequencySpectrum
 
 
@@ -139,60 +147,45 @@ def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> LinearMap:
     return LinearMap(rows, tuple(labels))
 
 
-def _weighted_oscillator_sum(spec: FrequencySpectrum, weights) -> QuadraticObservable:
-    """(1/2) sum_{k,i} weights[k][i-1] (p_{k,i}^2 + w_k^2 q_{k,i}^2) as a
-    quadratic form in jet coordinates."""
-    T = canonical_map(spec)
+def _oscillator_sum(spec: FrequencySpectrum, weights) -> FactoredObservable:
+    """(1/2) sum_{k,i} weights[k][i-1] (p_{k,i}^2 + w_k^2 q_{k,i}^2) over
+    the canonical map: D is weights * w_k^2 at q_{k,i}, weights at p_{k,i},
+    and 0 at z_1, z_2."""
+    g = np.array(weights, dtype=float)
     D = np.zeros(spec.jet_dim)
-    for k in range(spec.n):
-        w2 = spec.omega_sq[k]
-        for i in (1, 2):
-            D[T.labels.index("q[%d][%d]" % (k, i))] = weights[k][i - 1] * w2
-            D[T.labels.index("p[%d][%d]" % (k, i))] = weights[k][i - 1]
-    A = T.matrix.T @ np.diag(D) @ T.matrix
-    return QuadraticObservable(0.5 * (A + A.T))
+    D[0:4 * spec.n:2] = (g * np.array(spec.omega_sq)[:, None]).ravel()
+    D[1:4 * spec.n:2] = g.ravel()
+    return FactoredObservable(canonical_map(spec).matrix, D)
 
 
-def energy_observable(spec: FrequencySpectrum) -> QuadraticObservable:
-    """The Noether energy sum_k (-1)^{k+1} eps_{ij} dx_{k,i} ddx_{k,j}.
-
-    Built through the oscillator map; equal, pointwise, to the alternating
-    sum of mode oscillators in canonical coordinates.
-    """
-    osc = oscillator_map(spec)
-    dim = spec.jet_dim
-    A = np.zeros((dim, dim))
-    for k in range(spec.n):
-        dx1, dx2 = osc.row("dx[%d][1]" % k), osc.row("dx[%d][2]" % k)
-        ddx1, ddx2 = osc.row("ddx[%d][1]" % k), osc.row("ddx[%d][2]" % k)
-        # eps_{ij} dx_i ddx_j = dx_1 ddx_2 - dx_2 ddx_1
-        sgn = (-1.0) ** (k + 1)
-        A += sgn * (np.outer(dx1, ddx2) + np.outer(ddx2, dx1)
-                    - np.outer(dx2, ddx1) - np.outer(ddx1, dx2))
-    return QuadraticObservable(A)
+def energy_observable(spec: FrequencySpectrum) -> FactoredObservable:
+    """The Noether energy sum_k (-1)^{k+1} eps_{ij} dx_{k,i} ddx_{k,j}: the
+    alternating sum of mode oscillators, ``alt_hamiltonian_observable`` at
+    the weights ``dirac_equivalent_gamma(n)``."""
+    return _oscillator_sum(spec, dirac_equivalent_gamma(spec.n).gamma)
 
 
-def alt_hamiltonian_observable(spec: FrequencySpectrum, g: GammaWeights) -> QuadraticObservable:
+def alt_hamiltonian_observable(spec: FrequencySpectrum, g: GammaWeights) -> FactoredObservable:
     """The gamma-weighted Hamiltonian
     (1/2) sum_k [gamma_{k,1} (p_{k,1}^2 + w_k^2 q_{k,1}^2)
                  + gamma_{k,2} (p_{k,2}^2 + w_k^2 q_{k,2}^2)]."""
     if g.n != spec.n:
         raise ValueError("gamma weights sized for n=%d, spectrum has n=%d" % (g.n, spec.n))
-    return _weighted_oscillator_sum(spec, g.gamma)
+    return _oscillator_sum(spec, g.gamma)
 
 
 def mode_integrals(spec: FrequencySpectrum):
     """The 2n positive-semidefinite conserved integrals
-    J_{k,i} = p_{k,i}^2 + w_k^2 q_{k,i}^2, as ((k, i), observable) pairs."""
-    T = canonical_map(spec)
+    J_{k,i} = p_{k,i}^2 + w_k^2 q_{k,i}^2, as ((k, i), observable) pairs:
+    the oscillator sum with weight 2 on mode (k, i) and 0 elsewhere."""
+    T = canonical_map(spec).matrix
     out = []
     for k in range(spec.n):
-        w2 = spec.omega_sq[k]
         for i in (1, 2):
-            q = T.row("q[%d][%d]" % (k, i))
-            p = T.row("p[%d][%d]" % (k, i))
-            A = 2.0 * (np.outer(p, p) + w2 * np.outer(q, q))
-            out.append(((k, i), QuadraticObservable(A)))
+            D = np.zeros(spec.jet_dim)
+            D[4 * k + 2 * (i - 1)] = 2.0 * spec.omega_sq[k]     # at q_{k,i}
+            D[4 * k + 2 * i - 1] = 2.0                          # at p_{k,i}
+            out.append(((k, i), FactoredObservable(T, D)))
     return out
 
 

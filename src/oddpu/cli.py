@@ -117,7 +117,8 @@ def _merged_config(args) -> dict:
         for key, (is_valid, kind) in CONFIG_TYPES.items():
             if loaded.get(key) is not None and not is_valid(loaded[key]):
                 raise ValueError("config value %s must be %s" % (key, kind))
-        cfg.update(loaded)
+        # null counts as absent
+        cfg.update((key, val) for key, val in loaded.items() if val is not None)
     for key in CONFIG_TYPES:
         val = getattr(args, key)
         if val is not None:

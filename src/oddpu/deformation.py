@@ -20,6 +20,8 @@ checks the closed form against.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,17 +190,20 @@ def closed_form_direction_n1(spec: FrequencySpectrum, g: GammaWeights, i: int) -
 @dataclass(frozen=True)
 class PotentialSpec:
     """Polynomial potential sum_t value * w1^i * w2^j over the invariant
-    scalars, total degree 1..8."""
+    scalars, total degree 1..8.  Exponents are integers >= 0 and values
+    finite numbers; a bool, a string or a fraction is refused, not cast."""
 
     terms: tuple  # ((i, j, value), ...)
 
     def __post_init__(self):
+        for i, j, v in self.terms:
+            if not (_is_exponent(i) and _is_exponent(j) and _is_finite_number(v)):
+                raise ValueError("bad potential term (i=%r, j=%r, value=%r): exponents "
+                                 "must be integers >= 0 and the value a finite number"
+                                 % (i, j, v))
         terms = tuple((int(i), int(j), float(v)) for i, j, v in self.terms)
         if not terms:
             raise ValueError("potential needs at least one term")
-        for i, j, v in terms:
-            if i < 0 or j < 0 or not np.isfinite(v):
-                raise ValueError("bad potential term (%d, %d, %r)" % (i, j, v))
         if self.degree_of(terms) < 1:
             raise ValueError("potential degree must be >= 1")
         if self.degree_of(terms) > MAX_POTENTIAL_DEGREE:
@@ -224,8 +229,12 @@ class PotentialSpec:
     def from_json_dict(cls, obj: dict) -> "PotentialSpec":
         terms = tuple((t["i"], t["j"], t["value"]) for t in obj["coeffs"])
         pot = cls(terms)
-        if "degree" in obj and int(obj["degree"]) != pot.degree:
-            raise ValueError("declared degree %r does not match terms" % obj["degree"])
+        if "degree" in obj:
+            if not _is_exponent(obj["degree"]):
+                raise ValueError("potential degree must be an integer >= 0, got %r"
+                                 % (obj["degree"],))
+            if obj["degree"] != pot.degree:
+                raise ValueError("declared degree %r does not match terms" % obj["degree"])
         return pot
 
     def to_json_dict(self) -> dict:
@@ -249,6 +258,21 @@ class PotentialSpec:
                     float(_sum_monomials(d2_terms, w1, w2)))
         except OverflowError:
             return np.inf, np.inf
+
+
+def _is_finite_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int past the float range
+        return False
+
+
+def _is_exponent(value) -> bool:
+    """A non-negative integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 def _sum_monomials(monomials, w1, w2):

@@ -82,14 +82,14 @@ def _basis_derivatives(spec: FrequencySpectrum, taus, smax: int) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     B = np.zeros((taus.size, smax + 1, 2 * spec.n + 1))
     B[:, 0, 0] = 1.0
+    order = np.arange(smax + 1)
     for k, w in enumerate(spec.omegas):
         c, s = np.cos(w * taus), np.sin(w * taus)
-        cos_cycle = (c, -s, -c, s)
-        sin_cycle = (s, c, -s, -c)
-        for sder in range(smax + 1):
-            f = w ** sder
-            B[:, sder, 2 * k + 1] = f * cos_cycle[sder % 4]
-            B[:, sder, 2 * k + 2] = f * sin_cycle[sder % 4]
+        # the s-th derivative of cos is cycle[s % 4], of sin cycle[(s + 3) % 4]
+        cycle = np.stack((c, -s, -c, s), axis=1)
+        factors = np.array([w ** sder for sder in range(smax + 1)])
+        B[:, :, 2 * k + 1] = cycle[:, order % 4] * factors
+        B[:, :, 2 * k + 2] = cycle[:, (order + 3) % 4] * factors
     return B
 
 
@@ -261,9 +261,12 @@ def trajectory(flow, state: PhaseState, grid, observables=()) -> TrajectoryTable
     ``flow`` is a ModalSolution or an RK4Flow; either gives every grid
     state in one ``grid_states`` call.  ``observables`` is a sequence of
     (name, observable) pairs whose ``value`` takes a (rows, dim) stack, such
-    as QuadraticObservable; each is evaluated from the same state rows it
-    annotates, one call per column.  A non-finite observable value raises
-    IntegrationError at the first grid time that has one.
+    as QuadraticObservable, each evaluated from the state rows it annotates.
+    Factored observables (``poisson.FactoredObservable``: H, Hcal, every
+    J_{k,i}) that share a map T share one T u per row, computed once per
+    grid; each of their columns is then a weighted sum of its squares.  A
+    non-finite observable value raises IntegrationError at the first grid
+    time that has one.
     """
     grid = np.asarray(grid, dtype=float)
     names = tuple(name for name, _ in observables)
@@ -276,9 +279,15 @@ def trajectory(flow, state: PhaseState, grid, observables=()) -> TrajectoryTable
         raise ValueError("time grid must be strictly increasing")
     states = flow.grid_states(state, grid)
     values = np.empty((grid.size, len(names)))
+    coords = {}                 # id(T) -> T u for each row, one per shared map
     with np.errstate(over="ignore", invalid="ignore"):
         for col, (_, obs) in enumerate(observables):
-            values[:, col] = obs.value(states)
+            if not hasattr(obs, "from_coordinates"):
+                values[:, col] = obs.value(states)
+                continue
+            if id(obs.T) not in coords:
+                coords[id(obs.T)] = obs.coordinates(states)
+            values[:, col] = obs.from_coordinates(coords[id(obs.T)])
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(values))[0]
         raise IntegrationError("non-finite observable %s at t=%g" % (names[col], grid[row]),

@@ -16,6 +16,7 @@ equations, which live in :mod:`oddpu.verify`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,6 +269,83 @@ class QuadraticObservable:
         return QuadraticObservable(scalar * self.A, scalar * self.b, scalar * self.c)
 
     __rmul__ = __mul__
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredObservable:
+    """u -> (1/2) sum_j D_j (T u)_j^2: a quadratic observable diagonal in
+    the coordinates of a map T (shared, read-only), with weights D.
+
+    ``value`` takes one state (a float) or a (rows, dim) stack (an array
+    of rows values).  ``coordinates`` (T u) and ``from_coordinates`` are
+    its two halves, so observables over one T can share T u (see
+    ``dynamics.trajectory``).  Each row is one row-by-matrix and one
+    row-by-column product, the same kernels for a stack as for a single
+    state, so both agree to the last bit.
+
+    As a ``QuadraticObservable`` for brackets and vector fields:
+    A = T^T diag(D) T, symmetrized and built on first access; b = 0, c = 0.
+    """
+
+    T: np.ndarray
+    weights: np.ndarray
+
+    c = 0.0
+
+    def __post_init__(self):
+        D = np.array(self.weights, dtype=float)
+        D.setflags(write=False)
+        object.__setattr__(self, "T", np.asarray(self.T, dtype=float))
+        object.__setattr__(self, "weights", D)
+
+    @property
+    def dim(self) -> int:
+        return self.weights.size
+
+    @property
+    def b(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        A = self.T.T @ np.diag(self.weights) @ self.T
+        return 0.5 * (A + A.T)
+
+    def coordinates(self, u) -> np.ndarray:
+        """T u at one state, or at each row of a (rows, dim) stack."""
+        u = np.asarray(u, dtype=float)
+        return (u[..., None, :] @ self.T.T)[..., 0, :]
+
+    def from_coordinates(self, coords):
+        """(1/2) sum_j D_j coords_j^2 at each T u that ``coordinates`` gave.
+
+        A row whose squares overflow, with every coordinate finite, is
+        evaluated again at coords / 2^e, max |coords / 2^e| in [1, 2), and
+        scaled back by 2^e twice: an indefinite sum such as H = 0 at
+        coordinates near 1e160 stays finite, and only a value that is
+        itself out of range is non-finite."""
+        v = self._half_weighted_squares(coords)
+        if np.isfinite(v).all():
+            return v
+        redo = ~np.isfinite(v) & np.isfinite(coords).all(axis=-1)
+        if redo.any():
+            big = coords[redo]
+            scale = np.ldexp(1.0, np.frexp(np.abs(big).max(axis=-1))[1] - 1)
+            v = np.array(v)
+            with np.errstate(over="ignore"):
+                v[redo] = self._half_weighted_squares(big / scale[:, None]) * scale * scale
+        return v
+
+    def _half_weighted_squares(self, coords):
+        squares = coords * coords
+        return 0.5 * (squares[..., None, :] @ self.weights[:, None])[..., 0, 0]
+
+    def value(self, u):
+        v = self.from_coordinates(self.coordinates(u))
+        return float(v) if v.ndim == 0 else v
+
+    def grad(self, u) -> np.ndarray:
+        return self.A @ np.asarray(u, dtype=float)
 
 
 def bracket(S: StructureMatrix, f: QuadraticObservable,

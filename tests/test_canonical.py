@@ -11,6 +11,7 @@ from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals, oscillator_map,
                              quadratic_ansatz_observable, scaled_canonical_map,
                              uniqueness_check)
+from oddpu.poisson import FactoredObservable
 from oddpu.verify import random_gamma, random_spectrum
 
 S1 = FrequencySpectrum((1.0,))
@@ -184,15 +185,22 @@ class TestEnergy:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_equals_alternating_oscillator_sum(self, n):
-        # pointwise identity with the gamma = ((-1)^k, (-1)^{k+1}) sum
+        # the energy is the gamma = ((-1)^k, (-1)^{k+1}) oscillator sum, and
+        # pointwise equal to the jet-space Noether form
+        # sum_k (-1)^{k+1} eps_{ij} dx_{k,i} ddx_{k,j}
         rng = np.random.default_rng(240 + n)
         spec = random_spectrum(rng, n)
         H = energy_observable(spec)
         Halt = alt_hamiltonian_observable(spec, dirac_equivalent_gamma(n))
+        assert np.array_equal(H.weights, Halt.weights)
+        osc = oscillator_map(spec)
         for _ in range(10):
             u = rng.uniform(-1, 1, size=spec.jet_dim)
-            scale = 1.0 + abs(H.value(u))
-            assert abs(H.value(u) - Halt.value(u)) <= 1e-10 * scale
+            x = osc.labeled(u)
+            noether = sum((-1.0) ** (k + 1) * (x["dx[%d][1]" % k] * x["ddx[%d][2]" % k]
+                                               - x["dx[%d][2]" % k] * x["ddx[%d][1]" % k])
+                          for k in range(n))
+            assert abs(H.value(u) - noether) <= 1e-10 * (1.0 + abs(noether))
 
     def test_conserved_along_flow(self):
         rng = np.random.default_rng(11)
@@ -215,6 +223,71 @@ class TestEnergy:
     def test_alt_hamiltonian_gamma_mismatch(self):
         with pytest.raises(ValueError):
             alt_hamiltonian_observable(S1, GammaWeights(((1.0, 1.0),) * 2))
+
+
+class TestFactoredObservable:
+    """H, Hcal and every J_{k,i} are (1/2) sum_j D_j (T u)_j^2 over the
+    shared canonical map."""
+
+    @staticmethod
+    def observables(rng, spec):
+        return ([energy_observable(spec), alt_hamiltonian_observable(spec, random_gamma(rng, spec))]
+                + [J for _, J in mode_integrals(spec)])
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_stack_matches_single_states_bit_for_bit(self, n):
+        rng = np.random.default_rng(260 + n)
+        spec = random_spectrum(rng, n)
+        for rows in (1, 11, 300):
+            states = rng.uniform(-1, 1, size=(rows, spec.jet_dim))
+            for obs in self.observables(rng, spec):
+                stacked = obs.value(states)
+                assert stacked.shape == (rows,)
+                singles = [obs.value(u) for u in states]
+                assert all(type(v) is float for v in singles)
+                assert np.array_equal(stacked, singles)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_dense_matrix_is_the_jet_form_built_before(self, n):
+        # A = T^T diag(D) T, symmetrized, with D written entry by entry
+        # from the labels, exactly as the dense builder computed it
+        rng = np.random.default_rng(270 + n)
+        spec = random_spectrum(rng, n)
+        g = random_gamma(rng, spec)
+        T = canonical_map(spec)
+        D = np.zeros(spec.jet_dim)
+        for k in range(n):
+            w2 = spec.omega_sq[k]
+            for i in (1, 2):
+                D[T.labels.index("q[%d][%d]" % (k, i))] = g.gamma[k][i - 1] * w2
+                D[T.labels.index("p[%d][%d]" % (k, i))] = g.gamma[k][i - 1]
+        A = T.matrix.T @ np.diag(D) @ T.matrix
+        Hcal = alt_hamiltonian_observable(spec, g)
+        assert np.array_equal(Hcal.A, 0.5 * (A + A.T))
+        assert Hcal.A is Hcal.A                # built once, on first access
+        assert not Hcal.b.any() and Hcal.c == 0.0 and Hcal.dim == spec.jet_dim
+
+    def test_shares_the_canonical_map(self):
+        spec = FrequencySpectrum((0.8, 1.7))
+        T = canonical_map(spec).matrix
+        for obs in self.observables(np.random.default_rng(5), spec):
+            assert obs.T is T
+            assert not obs.weights.flags.writeable
+
+    def test_overflowing_squares_rescaled(self):
+        # (T u)^2 overflows, but H = 0 exactly; J is out of range
+        u = np.array([0.0, 0.0, 1e160, 0.0, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert energy_observable(S1).value(u) == 0.0
+            assert np.array_equal(energy_observable(S1).value(np.vstack((u, -u))), [0.0, 0.0])
+            for _, J in mode_integrals(S1):
+                assert J.value(u) == np.inf
+            # small weights: the squares 2^1060 overflow, the value does not
+            small = FactoredObservable(np.eye(2), [2.0 ** -100, 2.0 ** -100])
+            c = np.array([1.0, 0.75]) * 2.0 ** 530
+            assert small.value(c) == 1.5625 * 2.0 ** 959
+            assert np.array_equal(small.value(np.vstack((c, c / 2.0 ** 530))),
+                                  [1.5625 * 2.0 ** 959, 1.5625 * 2.0 ** -101])
 
 
 class TestModeIntegrals:

@@ -15,9 +15,11 @@ import pytest
 import oddpu
 from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, dirac_structure,
                    invariant_directions)
-from oddpu.canonical import (alt_hamiltonian_observable, energy_observable,
-                             mode_integrals)
+from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
+                             energy_observable, mode_integrals)
 from oddpu.cli import MAX_GRID_ROWS, build_parser, main
+
+from conftest import exact_coordinates
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -358,6 +360,47 @@ class TestDeformCommand:
         code, _, _ = run(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("coeff, fragment", [
+        # each was truncated or coerced and ran: 1.5 as 1, true as 1, "4" as 4
+        ({"i": 1.5, "j": 0, "value": 1}, "i=1.5"),
+        ({"i": True, "j": 0, "value": 1}, "i=True"),
+        ({"i": 1, "j": "4", "value": 1}, "j='4'"),
+        ({"i": 1, "j": 0, "value": True}, "value=True"),
+        ({"i": 1, "j": 0, "value": "0.5"}, "value='0.5'"),
+        ({"i": 1, "j": 0, "value": 10 ** 400}, "value=1000"),
+        ({"i": -1, "j": 2, "value": 1}, "i=-1"),
+    ])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_bad_potential_term_refused(self, capsys, tmp_path, coeff, fragment, via_config):
+        potential = {"coeffs": [{"i": 2, "j": 0, "value": 0.1}, coeff]}
+        argv = self.ARGS
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"potential": potential}))
+            argv = argv + ["--config", str(cfg)]
+        else:
+            argv = argv + ["--potential", json.dumps(potential)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "bad potential term", fragment)
+
+    @pytest.mark.parametrize("degree", [4.7, 4.0, True, "4", None])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_non_integer_degree_refused(self, capsys, tmp_path, degree, via_config):
+        potential = {"degree": degree, "coeffs": [{"i": 4, "j": 0, "value": 0.05}]}
+        argv = self.ARGS
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"potential": potential}))
+            argv = argv + ["--config", str(cfg)]
+        else:
+            argv = argv + ["--potential", json.dumps(potential)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "potential degree must be an integer", repr(degree))
+
     def test_bad_potential_json(self, capsys):
         code, _, _ = run(self.ARGS + ["--potential",
                                       '{"degree": 0, "coeffs": []}'], capsys)
@@ -384,8 +427,11 @@ class TestOutputIdentity:
     """Outputs against CSV fixtures written by earlier implementations: the
     per-sample modal evaluation and the per-step RK4 loop.
 
-    The t and state columns must match byte for byte.  Each observable
-    column must match within the forward-error bound of its formula.
+    The t and state columns must match byte for byte.  The observable
+    columns H, Hcal and J_{k,i} are now computed in factored form,
+    (1/2) sum_j D_j (T u)_j^2, so each is held to that formula's own
+    forward-error bound against its exact value on the fixture's states;
+    the fixtures' values came from the earlier jet-space forms u.A.u/2.
     """
 
     SIMULATE_N2 = ["simulate", "--omegas", "1", "2",
@@ -411,7 +457,7 @@ class TestOutputIdentity:
          (1.0,), (1.0, -1.0)),
         (SIMULATE_N2, "simulate_n2_gamma.csv", (1.0, 2.0), (1.0, -1.0, -1.0, 1.0)),
     ])
-    def test_simulate(self, capsys, value_bound, argv, fixture, omegas, gamma):
+    def test_simulate(self, capsys, factored_bound_check, argv, fixture, omegas, gamma):
         code, out, _ = run(argv, capsys)
         assert code == 0
         spec = FrequencySpectrum(omegas)
@@ -420,8 +466,10 @@ class TestOutputIdentity:
         observables.update(("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec))
         states, values = self.compare(out, fixture, spec.jet_dim)
         assert set(values) == set(observables)
-        for name, (new, old) in values.items():
-            assert np.all(np.abs(new - old) <= value_bound(observables[name], states)), name
+        coords = exact_coordinates(canonical_map(spec).matrix, states)
+        for name, (new, _) in values.items():
+            assert factored_bound_check(observables[name], states, new,
+                                        coords=coords).all(), name
 
     @pytest.mark.parametrize("argv, fixture, omegas, gamma", [
         (TestDeformCommand.ARGS, "deform_linear_n1.csv", (1.0,), (1.0, -1.0)),
@@ -430,39 +478,40 @@ class TestOutputIdentity:
           "--t-end", "2", "--dt", "0.01"], "deform_linear_n2.csv", (1.0, 2.0),
          (1.0, -1.0, -1.0, 1.0)),
     ])
-    def test_deform_without_potential(self, capsys, value_bound, argv, fixture, omegas,
-                                      gamma):
+    def test_deform_without_potential(self, capsys, factored_bound_check, argv, fixture,
+                                      omegas, gamma):
         code, out, _ = run(argv, capsys)
         assert code == 0
         spec = FrequencySpectrum(omegas)
         hcal = alt_hamiltonian_observable(spec, GammaWeights.from_flat(gamma))
         states, values = self.compare(out, fixture, spec.jet_dim)
-        new, old = values["Hcal"]
-        assert np.all(np.abs(new - old) <= value_bound(hcal, states))
+        coords = exact_coordinates(hcal.T, states)
+        assert factored_bound_check(hcal, states, values["Hcal"][0], coords=coords).all()
         assert np.all(values["U"][0] == 0.0)
-        new, old = values["Htot"]
-        assert np.all(np.abs(new - old) <= value_bound(hcal, states))
+        assert factored_bound_check(hcal, states, values["Htot"][0], coords=coords).all()
 
-    def test_deform(self, capsys, value_bound):
+    def test_deform(self, capsys, factored_bound_check):
         code, out, _ = run(TestDeformCommand.ARGS
                            + ["--potential", TestDeformCommand.POT], capsys)
         assert code == 0
         spec, gamma = FrequencySpectrum((1.0,)), GammaWeights(((1.0, -1.0),))
         states, values = self.compare(out, "deform_quartic.csv", spec.jet_dim)
         eps = np.finfo(float).eps
-        hcal_bound = value_bound(alt_hamiltonian_observable(spec, gamma), states)
+        hcal = alt_hamiltonian_observable(spec, gamma)
+        coords = exact_coordinates(hcal.T, states)
         # U = sum c w1^i w2^j with w_a = v_a . u: each w_a is good to
         # dim eps |v_a|.|u|, so U to degree-weighted products of those
         pot = PotentialSpec.from_json_dict(json.loads(TestDeformCommand.POT))
         W1, W2 = (np.abs(states) @ np.abs(v) for v in invariant_directions(spec, gamma))
         u_scale = sum(abs(c) * W1 ** i * W2 ** j for i, j, c in pot.terms)
         u_bound = 4 * (spec.jet_dim + 2 + pot.degree) * eps * u_scale
-        new, old = values["Hcal"]
-        assert np.all(np.abs(new - old) <= hcal_bound)
+        assert factored_bound_check(hcal, states, values["Hcal"][0], coords=coords).all()
         new, old = values["U"]
         assert np.all(np.abs(new - old) <= u_bound)
-        new, old = values["Htot"]
-        assert np.all(np.abs(new - old) <= hcal_bound + u_bound + eps * np.abs(old))
+        # Htot = Hcal + U, rounded once: against the exact Hcal plus the U column
+        new_htot = values["Htot"][0]
+        assert factored_bound_check(hcal, states, new_htot, offsets=new,
+                                    slack=eps * np.abs(new_htot), coords=coords).all()
 
 
 class TestConfigHandling:
@@ -509,6 +558,18 @@ class TestConfigHandling:
         code, out, _ = run(["structure", "--config", str(cfg)], capsys)
         assert code == 0
         assert out == run(["structure", "--omegas", "1", "2"], capsys)[1]
+
+    @pytest.mark.parametrize("key", ["n_max", "trials", "seed"])
+    def test_verify_null_counts_as_absent(self, capsys, tmp_path, key):
+        # null took the place of the default and exited 2 from int(None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": 1, "trials": 1, "seed": 7, key: None}))
+        code, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        expected = {"n_max": 1, "trials": 1, "seed": 7}
+        expected[key] = {"n_max": 6, "trials": 20, "seed": 42}[key]
+        assert {k: payload[k] for k in expected} == expected
 
     def test_unknown_config_key_refused(self, capsys, tmp_path):
         # a misspelt "gamma" must not run simulate without its Hcal column

@@ -7,9 +7,10 @@ from oddpu import (FrequencySpectrum, IntegrationError, ModalSolution,
                    PhaseState, companion_matrix, elementary_sigma,
                    PotentialSpec, exact_propagate, jet_index, modal_flow, rk4_flow,
                    rk4_step, trajectory)
-from oddpu.canonical import energy_observable, mode_integrals
+from oddpu.canonical import alt_hamiltonian_observable, energy_observable, mode_integrals
 from oddpu.deformation import deformed_field
-from oddpu.poisson import GammaWeights
+from oddpu.dynamics import _basis_derivatives
+from oddpu.poisson import FactoredObservable, GammaWeights
 from oddpu.verify import random_spectrum
 
 
@@ -148,6 +149,25 @@ class TestExactPropagate:
                     B[d, 2 * k + 1] = w ** d * (c, -s, -c, s)[d % 4]
                     B[d, 2 * k + 2] = w ** d * (s, c, -s, -c)[d % 4]
             assert np.array_equal(u, (B @ sol.amps).reshape(-1))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("rows", [1, 11, 12801])
+    def test_basis_matches_per_order_loop(self, n, rows):
+        # one column assignment per derivative order and family, with the
+        # Python power w ** d, as the basis was built before it was
+        # vectorized over the order; each entry is the same product
+        rng = np.random.default_rng(400 + n)
+        spec = random_spectrum(rng, n)
+        taus = np.arange(rows) / 128.0
+        smax = 2 * n
+        B = np.zeros((rows, smax + 1, 2 * n + 1))
+        B[:, 0, 0] = 1.0
+        for k, w in enumerate(spec.omegas):
+            c, s = np.cos(w * taus), np.sin(w * taus)
+            for d in range(smax + 1):
+                B[:, d, 2 * k + 1] = w ** d * (c, -s, -c, s)[d % 4]
+                B[:, d, 2 * k + 2] = w ** d * (s, c, -s, -c)[d % 4]
+        assert np.array_equal(_basis_derivatives(spec, taus, smax), B)
 
     def test_derivatives_shapes(self):
         spec = FrequencySpectrum((1.0, 2.0))
@@ -329,6 +349,40 @@ class TestTrajectory:
         table = trajectory(modal_flow(spec, st), st, grid, [("H", H)])
         col = table.observable_values[:, 0]
         assert np.abs(col - col[0]).max() <= 1e-9 * (1 + abs(col[0]))
+
+    def test_factored_columns_share_one_product(self, monkeypatch):
+        # H, Hcal and every J_{k,i} read T u from one product per grid, and
+        # each column equals the observable's own value on the states
+        rng = np.random.default_rng(12)
+        spec = random_spectrum(rng, 3)
+        st = random_state(rng, spec)
+        g = GammaWeights(((1.5, -0.7), (-1.2, 0.9), (0.6, 1.1)))
+        observables = ([("H", energy_observable(spec)),
+                        ("Hcal", alt_hamiltonian_observable(spec, g))]
+                       + [("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec)])
+        calls = []
+        original = FactoredObservable.coordinates
+
+        def counted(self, u):
+            calls.append(np.shape(u))
+            return original(self, u)
+
+        monkeypatch.setattr(FactoredObservable, "coordinates", counted)
+        table = trajectory(modal_flow(spec, st), st, np.linspace(0, 5, 51), observables)
+        assert calls == [(51, spec.jet_dim)]
+        monkeypatch.undo()
+        for col, (_, obs) in enumerate(observables):
+            assert np.array_equal(table.observable_values[:, col], obs.value(table.states))
+
+    def test_energy_drift_at_n10(self):
+        # at n = 10 the jet-space form u.A.u/2 drifted by 1.8e-3 (1 + |H(0)|)
+        # here, mostly cancellation in evaluating H, not state error
+        spec = FrequencySpectrum(tuple(np.linspace(1.0, 3.0, 10)))
+        st = PhaseState(np.linspace(-0.5, 0.5, 42))
+        grid = np.arange(1001) * 0.1
+        table = trajectory(modal_flow(spec, st), st, grid, [("H", energy_observable(spec))])
+        col = table.observable_values[:, 0]
+        assert np.abs(col - col[0]).max() <= 1e-4 * (1 + abs(col[0]))
 
     def test_modal_flow_matches_stepwise_calls(self):
         rng = np.random.default_rng(11)
