@@ -11,9 +11,9 @@ from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
                       degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                       dirac_structure, gamma_is_degenerate,
                       hamiltonian_vector_field)
-from .canonical import (LinearMap, UniquenessReport, alt_hamiltonian_observable,
-                        canonical_map, energy_observable, mode_integrals,
-                        oscillator_map, scaled_canonical_map, uniqueness_check)
+from .canonical import (UniquenessReport, alt_hamiltonian_observable, canonical_map,
+                        energy_observable, mode_integrals, oscillator_map,
+                        scaled_canonical_map, uniqueness_check)
 from .deformation import (PotentialObservable, PotentialSpec,
                           closed_form_direction_n1, deformation_system,
                           deformed_energy, deformed_field, invariant_directions,

@@ -4,6 +4,9 @@ The oscillator coordinates split the (2n+1)-order dynamics into n
 single-frequency third-order oscillators; on top of them sit the
 canonical coordinates (q, p, z) that put the Dirac structure into block
 form, and their gamma-scaled generalization for the alternative family.
+Each map is a plain read-only float64 array whose row layout is stated
+in its builder's docstring; the oscillator and canonical maps are built
+once per spectrum instance and shared by every caller.
 
 Every conserved quadratic is diagonal in (q, p): the Noether energy, the
 gamma-weighted Hamiltonian and each mode integral J_{k,i} is a
@@ -21,69 +24,39 @@ import numpy as np
 
 from .dynamics import ModalSolution, PhaseState, companion_matrix, jet_index
 from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
-                      QuadraticObservable, degeneracy_scalar, dirac_equivalent_gamma,
-                      gamma_is_degenerate)
+                      QuadraticObservable, _require_sizes_match, degeneracy_scalar,
+                      dirac_equivalent_gamma, gamma_is_degenerate)
 from .spectrum import FrequencySpectrum
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """Linear map from jet coordinates to labeled target coordinates.
-
-    The matrix is a read-only copy, so a map can be shared: the
-    per-spectrum maps are built once and handed to every caller.
-    """
-
-    matrix: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape[0] != len(self.labels):
-            raise ValueError("one label per output row required")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, u) -> np.ndarray:
-        return self.matrix @ np.asarray(u, dtype=float)
-
-    def labeled(self, u) -> dict:
-        return dict(zip(self.labels, self.apply(u)))
-
-    def row(self, label: str) -> np.ndarray:
-        return self.matrix[self.labels.index(label)]
-
-
-def oscillator_map(spec: FrequencySpectrum) -> LinearMap:
-    """Map u -> (x_{k,i}, dx_{k,i}, ddx_{k,i}), k = 0..n-1, i = 1,2.
+def oscillator_map(spec: FrequencySpectrum) -> np.ndarray:
+    """Read-only map u -> (x_{k,i}, dx_{k,i}, ddx_{k,i}), k = 0..n-1, i = 1,2.
 
     x_{k,i} = sqrt(rho_k) sum_m reduced_sigma(m, k) x_i^{(2m)}; the dx/ddx
-    rows shift the derivative stack by one and two orders.  Built once
-    per spectrum instance.
+    rows shift the derivative stack by one and two orders.  Row
+    6k + 2 order + (i - 1) holds the order-th derivative of x_{k,i}, so
+    ``(osc @ u).reshape(n, 3, 2)[k, order, i - 1]`` reads it off.  Built
+    once per spectrum instance.
     """
     return spec.memo("oscillator_map", lambda: _oscillator_map(spec))
 
 
-def _oscillator_map(spec: FrequencySpectrum) -> LinearMap:
+def _oscillator_map(spec: FrequencySpectrum) -> np.ndarray:
     n = spec.n
     table = spec.table
-    rows, labels = [], []
-    for k in range(n):
-        rk = np.sqrt(table.rho[k])
-        coeffs = [rk * table.reduced[k][m] for m in range(n)]
-        for order, tag in ((0, "x"), (1, "dx"), (2, "ddx")):
-            for i in (1, 2):
-                row = np.zeros(spec.jet_dim)
-                for m in range(n):
-                    row[jet_index(2 * m + order, i)] = coeffs[m]
-                rows.append(row)
-                labels.append("%s[%d][%d]" % (tag, k, i))
-    return LinearMap(rows, tuple(labels))
+    coeffs = np.sqrt(np.array(table.rho))[:, None] * np.array(table.reduced)
+    # axes: mode k, derivative order, component i; then the jet columns
+    # as (derivative s, component), with x_i^{(2m + order)} at s = 2m + order
+    osc = np.zeros((n, 3, 2, 2 * n + 1, 2))
+    for order in range(3):
+        for i in range(2):
+            osc[:, order, i, order:order + 2 * n:2, i] = coeffs
+    return _read_only(osc.reshape(6 * n, spec.jet_dim))
 
 
-def canonical_map(spec: FrequencySpectrum) -> LinearMap:
-    """Square map u -> (q_{k,i}, p_{k,i}, z_i) block-diagonalizing the
-    Dirac structure into symplectic pairs plus the z-sector.
+def canonical_map(spec: FrequencySpectrum) -> np.ndarray:
+    """Square read-only map u -> (q_{k,i}, p_{k,i}, z_i) block-diagonalizing
+    the Dirac structure into symplectic pairs plus the z-sector.
 
     q_{k,i} = sqrt(1/(2 w_k)) (dx_{k,1} + (-1)^i ddx_{k,2} / w_k)
     p_{k,i} = (-1)^k sqrt(w_k/2) (dx_{k,2} + (-1)^{i+1} ddx_{k,1} / w_k)
@@ -95,56 +68,49 @@ def canonical_map(spec: FrequencySpectrum) -> LinearMap:
     return spec.memo("canonical_map", lambda: _canonical_map(spec))
 
 
-def _canonical_map(spec: FrequencySpectrum) -> LinearMap:
+def _canonical_map(spec: FrequencySpectrum) -> np.ndarray:
     n = spec.n
-    sigma = spec.table.sigma
-    osc = oscillator_map(spec)
-    rows, labels = [], []
-    for k in range(n):
-        w = spec.omegas[k]
-        dx1, dx2 = osc.row("dx[%d][1]" % k), osc.row("dx[%d][2]" % k)
-        ddx1, ddx2 = osc.row("ddx[%d][1]" % k), osc.row("ddx[%d][2]" % k)
-        for i in (1, 2):
-            q = np.sqrt(1.0 / (2 * w)) * (dx1 + (-1.0) ** i / w * ddx2)
-            p = (-1.0) ** k * np.sqrt(w / 2.0) * (dx2 + (-1.0) ** (i + 1) / w * ddx1)
-            rows += [q, p]
-            labels += ["q[%d][%d]" % (k, i), "p[%d][%d]" % (k, i)]
-    wprod = float(np.prod(spec.omegas))
+    osc = oscillator_map(spec).reshape(n, 3, 2, spec.jet_dim)
+    dx1, dx2, ddx1, ddx2 = osc[:, 1, 0], osc[:, 1, 1], osc[:, 2, 0], osc[:, 2, 1]
+    w = np.array(spec.omegas)[:, None]
+    sign_k = (-1.0) ** np.arange(n)[:, None]
+    T = np.zeros((spec.jet_dim, spec.jet_dim))
+    qp = T[:4 * n].reshape(n, 2, 2, spec.jet_dim)     # (k, i - 1, q|p)
     for i in (1, 2):
-        z = np.zeros(spec.jet_dim)
-        for k in range(n + 1):
-            z[jet_index(2 * k, i)] = (-1.0) ** i / wprod * sigma[k]
-        rows.append(z)
-        labels.append("z[%d]" % i)
-    return LinearMap(rows, tuple(labels))
+        qp[:, i - 1, 0] = np.sqrt(1.0 / (2 * w)) * (dx1 + (-1.0) ** i / w * ddx2)
+        qp[:, i - 1, 1] = sign_k * np.sqrt(w / 2.0) * (dx2 + (-1.0) ** (i + 1) / w * ddx1)
+    wprod = float(np.prod(spec.omegas))
+    sigma = np.array(spec.table.sigma)
+    for i in (1, 2):
+        T[4 * n + i - 1, i - 1::4] = (-1.0) ** i / wprod * sigma   # at x_i^{(2k)}
+    return _read_only(T)
 
 
-def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> LinearMap:
-    """Gamma-scaled canonical coordinates for the alternative structure.
+def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
+    """Gamma-scaled canonical coordinates for the alternative structure: the
+    rows of ``canonical_map`` times sqrt|gamma_{k,i}| at q_{k,i},
+    (-1)^{k+i+1} sign(gamma_{k,i}) sqrt|gamma_{k,i}| at p_{k,i}, and
+    1/(w_0...w_{n-1} sqrt|s|), times sign(s) for the second, at the two
+    z rows (now pi_1, pi_2).  Read-only.
 
     Requires a nondegenerate gamma set: the pi_i rows carry 1/sqrt(|s|).
     """
     if gamma_is_degenerate(spec, g):
         raise DegeneracyError("degenerate gamma weights: scalar s vanishes")
     s = degeneracy_scalar(spec, g)
-    base = canonical_map(spec)
-    wprod = float(np.prod(spec.omegas))
-    rows, labels = [], []
-    for k in range(spec.n):
-        for i in (1, 2):
-            gam = g.gamma[k][i - 1]
-            root = np.sqrt(abs(gam))
-            rows.append(root * base.row("q[%d][%d]" % (k, i)))
-            labels.append("q[%d][%d]" % (k, i))
-            sign = (-1.0) ** (k + i + 1) * np.sign(gam)
-            rows.append(sign * root * base.row("p[%d][%d]" % (k, i)))
-            labels.append("p[%d][%d]" % (k, i))
-    scale = 1.0 / (wprod * np.sqrt(abs(s)))
-    rows.append(scale * base.row("z[1]"))
-    labels.append("pi[1]")
-    rows.append(np.sign(s) * scale * base.row("z[2]"))
-    labels.append("pi[2]")
-    return LinearMap(rows, tuple(labels))
+    gam = np.array(g.gamma)                             # (k, i - 1)
+    k, i = np.arange(spec.n)[:, None], np.array([1, 2])
+    root = np.sqrt(np.abs(gam))
+    sign = (-1.0) ** (k + i + 1) * np.sign(gam)
+    scale = 1.0 / (float(np.prod(spec.omegas)) * np.sqrt(abs(s)))
+    d = np.concatenate((np.stack((root, sign * root), axis=-1).ravel(),
+                        [scale, np.sign(s) * scale]))
+    return _read_only(d[:, None] * canonical_map(spec))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _oscillator_sum(spec: FrequencySpectrum, weights) -> FactoredObservable:
@@ -155,7 +121,7 @@ def _oscillator_sum(spec: FrequencySpectrum, weights) -> FactoredObservable:
     D = np.zeros(spec.jet_dim)
     D[0:4 * spec.n:2] = (g * np.array(spec.omega_sq)[:, None]).ravel()
     D[1:4 * spec.n:2] = g.ravel()
-    return FactoredObservable(canonical_map(spec).matrix, D)
+    return FactoredObservable(canonical_map(spec), D)
 
 
 def energy_observable(spec: FrequencySpectrum) -> FactoredObservable:
@@ -169,8 +135,7 @@ def alt_hamiltonian_observable(spec: FrequencySpectrum, g: GammaWeights) -> Fact
     """The gamma-weighted Hamiltonian
     (1/2) sum_k [gamma_{k,1} (p_{k,1}^2 + w_k^2 q_{k,1}^2)
                  + gamma_{k,2} (p_{k,2}^2 + w_k^2 q_{k,2}^2)]."""
-    if g.n != spec.n:
-        raise ValueError("gamma weights sized for n=%d, spectrum has n=%d" % (g.n, spec.n))
+    _require_sizes_match(spec, g)
     return _oscillator_sum(spec, g.gamma)
 
 
@@ -178,15 +143,10 @@ def mode_integrals(spec: FrequencySpectrum):
     """The 2n positive-semidefinite conserved integrals
     J_{k,i} = p_{k,i}^2 + w_k^2 q_{k,i}^2, as ((k, i), observable) pairs:
     the oscillator sum with weight 2 on mode (k, i) and 0 elsewhere."""
-    T = canonical_map(spec).matrix
-    out = []
-    for k in range(spec.n):
-        for i in (1, 2):
-            D = np.zeros(spec.jet_dim)
-            D[4 * k + 2 * (i - 1)] = 2.0 * spec.omega_sq[k]     # at q_{k,i}
-            D[4 * k + 2 * i - 1] = 2.0                          # at p_{k,i}
-            out.append(((k, i), FactoredObservable(T, D)))
-    return out
+    n = spec.n
+    weights = 2.0 * np.eye(2 * n)
+    return [((j // 2, j % 2 + 1), _oscillator_sum(spec, weights[j].reshape(n, 2)))
+            for j in range(2 * n)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import alt_hamiltonian_observable, canonical_map
-from .poisson import GammaWeights, alt_structure, degeneracy_scalar, moment_sums
+from .poisson import (GammaWeights, _require_sizes_match, alt_structure, degeneracy_scalar,
+                      moment_sums)
 from .spectrum import FrequencySpectrum
 
 MAX_POTENTIAL_DEGREE = 8
@@ -95,9 +96,8 @@ def deformation_system(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     The m = 0 term of the even sum is skipped exactly at p = 0 (the
     Kronecker guard), matching the vanishing {x_i, x_j} entry.
     """
+    _require_sizes_match(spec, g)
     n = spec.n
-    if g.n != n:
-        raise ValueError("gamma weights sized for n=%d, spectrum has n=%d" % (g.n, n))
     sums = moment_sums(spec, g, -2, 4 * n - 3)
     dim = spec.jet_dim
     other = {1: 2, 2: 1}
@@ -156,7 +156,7 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     """
     n = spec.n
     s = degeneracy_scalar(spec, g)
-    T = canonical_map(spec).matrix
+    T = canonical_map(spec)
     K = np.zeros((spec.jet_dim, spec.jet_dim))
     for k in range(n):
         for i in (1, 2):

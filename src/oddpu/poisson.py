@@ -17,6 +17,7 @@ equations, which live in :mod:`oddpu.verify`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,9 @@ class GammaWeights:
 
     def __post_init__(self):
         g = tuple((float(a), float(b)) for a, b in self.gamma)
-        if any(abs(v) < GAMMA_FLOOR for pair in g for v in pair):
-            raise ValueError("every gamma weight must satisfy |gamma| >= %g" % GAMMA_FLOOR)
+        if any(not GAMMA_FLOOR <= abs(v) < math.inf for pair in g for v in pair):
+            raise ValueError("every gamma weight must be finite with |gamma| >= %g"
+                             % GAMMA_FLOOR)
         object.__setattr__(self, "gamma", g)
 
     @classmethod
@@ -105,13 +107,15 @@ class StructureMatrix:
         scale = max(np.abs(self.omega).max(), 1.0)
         return int(np.linalg.matrix_rank(self.omega, tol=1e-8 * scale))
 
+    def _weights(self) -> GammaWeights:
+        """The gamma weights, ``dirac_equivalent_gamma`` for the Dirac structure."""
+        return self.gamma if self.gamma is not None else dirac_equivalent_gamma(self.spec.n)
+
     def degeneracy_scalar(self) -> float:
-        g = self.gamma if self.gamma is not None else dirac_equivalent_gamma(self.spec.n)
-        return degeneracy_scalar(self.spec, g)
+        return degeneracy_scalar(self.spec, self._weights())
 
     def is_degenerate(self) -> bool:
-        g = self.gamma if self.gamma is not None else dirac_equivalent_gamma(self.spec.n)
-        return gamma_is_degenerate(self.spec, g)
+        return gamma_is_degenerate(self.spec, self._weights())
 
     def to_json_dict(self) -> dict:
         return {

@@ -115,21 +115,20 @@ def check_canonical_form(n_max=4, trials=20, seed=42) -> dict:
         for _ in range(trials):
             spec = random_spectrum(rng, n)
             g = random_gamma(rng, spec)
-            T = canonical.scaled_canonical_map(spec, g).matrix
+            T = canonical.scaled_canonical_map(spec, g)
             Om = poisson.alt_structure(spec, g).omega
             worst_block = max(worst_block, np.abs(T @ Om @ T.T - J).max())
             # Dirac structure under the unscaled map, same block target
-            Tc = canonical.canonical_map(spec).matrix
+            Tc = canonical.canonical_map(spec)
             Omd = poisson.dirac_structure(spec).omega
             worst_block = max(worst_block, np.abs(Tc @ Omd @ Tc.T - J).max())
             H = canonical.energy_observable(spec)
             osc = canonical.oscillator_map(spec)
             for u in rng.uniform(-1, 1, size=(100 // trials + 1, spec.jet_dim)):
                 # the independent side: the jet-space Noether form
-                x = osc.labeled(u)
-                noether = sum((-1.0) ** (k + 1) * (
-                    x["dx[%d][1]" % k] * x["ddx[%d][2]" % k]
-                    - x["dx[%d][2]" % k] * x["ddx[%d][1]" % k]) for k in range(n))
+                x = (osc @ u).reshape(n, 3, 2)      # x[k, order, i - 1]
+                noether = sum((-1.0) ** (k + 1) * (x[k, 1, 0] * x[k, 2, 1]
+                                                   - x[k, 1, 1] * x[k, 2, 0]) for k in range(n))
                 worst_energy = max(worst_energy,
                                    abs(H.value(u) - noether) / max(1.0, abs(noether)))
     out = _result("canonical_block_form", worst_block, 1e-9)

@@ -5,8 +5,8 @@ import pytest
 
 from oddpu import (DegeneracyError, FrequencySpectrum, GammaWeights, PhaseState,
                    alt_structure, bracket, companion_matrix,
-                   dirac_equivalent_gamma, dirac_structure, exact_propagate,
-                   jet_index)
+                   degeneracy_scalar, dirac_equivalent_gamma, dirac_structure,
+                   exact_propagate, jet_index)
 from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals, oscillator_map,
                              quadratic_ansatz_observable, scaled_canonical_map,
@@ -26,20 +26,131 @@ def symplectic_block(n):
     return J
 
 
+# Layout of the maps, as stated in the builders' docstrings.
+def osc_rows(spec):
+    """Oscillator map as (k, order, i - 1, jet) rows."""
+    return oscillator_map(spec).reshape(spec.n, 3, 2, spec.jet_dim)
+
+
+def q_row(k, i):
+    return 4 * k + 2 * (i - 1)
+
+
+def p_row(k, i):
+    return 4 * k + 2 * (i - 1) + 1
+
+
+def z_row(n, i):
+    return 4 * n + i - 1
+
+
+# The label-driven builders the maps were written with before they became
+# plain arrays: a row per label, found by name.  Kept as the oracle every
+# entry of the array builders must match bit for bit.
+def oracle_oscillator_map(spec):
+    n = spec.n
+    table = spec.table
+    rows, labels = [], []
+    for k in range(n):
+        rk = np.sqrt(table.rho[k])
+        coeffs = [rk * table.reduced[k][m] for m in range(n)]
+        for order, tag in ((0, "x"), (1, "dx"), (2, "ddx")):
+            for i in (1, 2):
+                row = np.zeros(spec.jet_dim)
+                for m in range(n):
+                    row[jet_index(2 * m + order, i)] = coeffs[m]
+                rows.append(row)
+                labels.append("%s[%d][%d]" % (tag, k, i))
+    return np.array(rows), labels
+
+
+def oracle_canonical_map(spec):
+    n = spec.n
+    sigma = spec.table.sigma
+    osc, osc_labels = oracle_oscillator_map(spec)
+
+    def row(label):
+        return osc[osc_labels.index(label)]
+
+    rows, labels = [], []
+    for k in range(n):
+        w = spec.omegas[k]
+        dx1, dx2 = row("dx[%d][1]" % k), row("dx[%d][2]" % k)
+        ddx1, ddx2 = row("ddx[%d][1]" % k), row("ddx[%d][2]" % k)
+        for i in (1, 2):
+            q = np.sqrt(1.0 / (2 * w)) * (dx1 + (-1.0) ** i / w * ddx2)
+            p = (-1.0) ** k * np.sqrt(w / 2.0) * (dx2 + (-1.0) ** (i + 1) / w * ddx1)
+            rows += [q, p]
+            labels += ["q[%d][%d]" % (k, i), "p[%d][%d]" % (k, i)]
+    wprod = float(np.prod(spec.omegas))
+    for i in (1, 2):
+        z = np.zeros(spec.jet_dim)
+        for k in range(n + 1):
+            z[jet_index(2 * k, i)] = (-1.0) ** i / wprod * sigma[k]
+        rows.append(z)
+        labels.append("z[%d]" % i)
+    return np.array(rows), labels
+
+
+def oracle_scaled_canonical_map(spec, g):
+    s = degeneracy_scalar(spec, g)
+    base, base_labels = oracle_canonical_map(spec)
+
+    def row(label):
+        return base[base_labels.index(label)]
+
+    wprod = float(np.prod(spec.omegas))
+    rows = []
+    for k in range(spec.n):
+        for i in (1, 2):
+            gam = g.gamma[k][i - 1]
+            root = np.sqrt(abs(gam))
+            rows.append(root * row("q[%d][%d]" % (k, i)))
+            sign = (-1.0) ** (k + i + 1) * np.sign(gam)
+            rows.append(sign * root * row("p[%d][%d]" % (k, i)))
+    scale = 1.0 / (wprod * np.sqrt(abs(s)))
+    rows.append(scale * row("z[1]"))
+    rows.append(np.sign(s) * scale * row("z[2]"))
+    return np.array(rows)
+
+
+def same_bits(a, b):
+    """Equal entry by entry as bit patterns, so the sign of a zero counts."""
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.uint64),
+                                                               b.view(np.uint64))
+
+
+class TestMapsAgainstOracle:
+    """The array builders keep every bit of the label-driven ones."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bit_identical_and_read_only(self, n):
+        rng = np.random.default_rng(290 + n)
+        for _ in range(3):
+            spec = random_spectrum(rng, n)
+            g = random_gamma(rng, spec)
+            maps = [(oscillator_map(spec), oracle_oscillator_map(spec)[0]),
+                    (canonical_map(spec), oracle_canonical_map(spec)[0]),
+                    (scaled_canonical_map(spec, g), oracle_scaled_canonical_map(spec, g))]
+            for new, old in maps:
+                assert new.shape == old.shape
+                assert same_bits(new, old)
+                assert not new.flags.writeable
+                with pytest.raises(ValueError):
+                    new[0, 0] = 1.0
+
+
 class TestOscillatorMap:
     def test_n1_is_identity_on_jets(self):
-        osc = oscillator_map(S1)
+        osc = osc_rows(S1)
         for i in (1, 2):
-            assert osc.row("x[0][%d]" % i) == pytest.approx(
-                np.eye(6)[jet_index(0, i)])
-            assert osc.row("ddx[0][%d]" % i) == pytest.approx(
-                np.eye(6)[jet_index(2, i)])
+            assert osc[0, 0, i - 1] == pytest.approx(np.eye(6)[jet_index(0, i)])
+            assert osc[0, 2, i - 1] == pytest.approx(np.eye(6)[jet_index(2, i)])
 
     def test_n2_mode_rows(self):
         # rho_0 = 1/3, reduced sigmas for mode 0 are (4, 1):
         # x_{0,i} = (4 x_i + ddx_i) / sqrt(3)
-        osc = oscillator_map(S12)
-        row = osc.row("x[0][1]")
+        row = osc_rows(S12)[0, 0, 0]
         expected = np.zeros(10)
         expected[jet_index(0, 1)] = 4.0 / np.sqrt(3.0)
         expected[jet_index(2, 1)] = 1.0 / np.sqrt(3.0)
@@ -52,11 +163,11 @@ class TestOscillatorMap:
         spec = random_spectrum(rng, n)
         M = companion_matrix(spec)
         M3 = M @ M @ M
-        osc = oscillator_map(spec)
+        osc = osc_rows(spec)
         for k in range(n):
             w2 = spec.omega_sq[k]
             for i in (1, 2):
-                row = osc.row("x[%d][%d]" % (k, i))
+                row = osc[k, 0, i - 1]
                 resid = row @ M3 + w2 * (row @ M)
                 assert np.abs(resid).max() <= 1e-9 * np.abs(row @ M3).max()
 
@@ -64,42 +175,40 @@ class TestOscillatorMap:
         rng = np.random.default_rng(8)
         spec = random_spectrum(rng, 3)
         M = companion_matrix(spec)
-        osc = oscillator_map(spec)
+        osc = osc_rows(spec)
         for k in range(3):
             for i in (1, 2):
-                x = osc.row("x[%d][%d]" % (k, i))
-                assert osc.row("dx[%d][%d]" % (k, i)) == pytest.approx(x @ M)
-                assert osc.row("ddx[%d][%d]" % (k, i)) == pytest.approx(x @ M @ M)
+                x = osc[k, 0, i - 1]
+                assert osc[k, 1, i - 1] == pytest.approx(x @ M)
+                assert osc[k, 2, i - 1] == pytest.approx(x @ M @ M)
 
 
 class TestCanonicalMap:
     def test_n1_position_state(self):
         # u = (x_1 = 1): q and p vanish, z = (-1, 0)
-        T = canonical_map(S1)
         u = np.zeros(6)
         u[jet_index(0, 1)] = 1.0
-        out = T.labeled(u)
-        assert out["q[0][1]"] == pytest.approx(0.0)
-        assert out["p[0][2]"] == pytest.approx(0.0)
-        assert out["z[1]"] == pytest.approx(-1.0)
-        assert out["z[2]"] == pytest.approx(0.0)
+        out = canonical_map(S1) @ u
+        assert out[q_row(0, 1)] == pytest.approx(0.0)
+        assert out[p_row(0, 2)] == pytest.approx(0.0)
+        assert out[z_row(1, 1)] == pytest.approx(-1.0)
+        assert out[z_row(1, 2)] == pytest.approx(0.0)
 
     def test_n1_velocity_state(self):
         # u = (dx_1 = 1): q[0][1] = q[0][2] = 1/sqrt(2), everything else 0
-        T = canonical_map(S1)
         u = np.zeros(6)
         u[jet_index(1, 1)] = 1.0
-        out = T.labeled(u)
-        assert out["q[0][1]"] == pytest.approx(1.0 / np.sqrt(2.0))
-        assert out["q[0][2]"] == pytest.approx(1.0 / np.sqrt(2.0))
-        for lab in ("p[0][1]", "p[0][2]", "z[1]", "z[2]"):
-            assert out[lab] == pytest.approx(0.0)
+        out = canonical_map(S1) @ u
+        assert out[q_row(0, 1)] == pytest.approx(1.0 / np.sqrt(2.0))
+        assert out[q_row(0, 2)] == pytest.approx(1.0 / np.sqrt(2.0))
+        for j in (p_row(0, 1), p_row(0, 2), z_row(1, 1), z_row(1, 2)):
+            assert out[j] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_block_diagonalizes_dirac(self, n):
         rng = np.random.default_rng(210 + n)
         spec = random_spectrum(rng, n)
-        T = canonical_map(spec).matrix
+        T = canonical_map(spec)
         Om = dirac_structure(spec).omega
         block = T @ Om @ T.T
         assert np.abs(block - symplectic_block(n)).max() <= 1e-9
@@ -108,7 +217,7 @@ class TestCanonicalMap:
     def test_invertible(self, n):
         rng = np.random.default_rng(220 + n)
         spec = random_spectrum(rng, n)
-        T = canonical_map(spec).matrix
+        T = canonical_map(spec)
         assert T.shape == (4 * n + 2, 4 * n + 2)
         assert np.linalg.matrix_rank(T) == 4 * n + 2
 
@@ -127,29 +236,29 @@ class TestMapSharing:
         assert a == b
         assert builder(a) is not builder(b)
         assert a.table is not b.table
-        assert np.array_equal(builder(a).matrix, builder(b).matrix)
+        assert np.array_equal(builder(a), builder(b))
 
     def test_shared_matrix_is_read_only(self):
         spec = FrequencySpectrum((0.8, 1.7))
         T = canonical_map(spec)
         with pytest.raises(ValueError):
-            T.matrix[0, 0] = 1.0
+            T[0, 0] = 1.0
         with pytest.raises(ValueError):
-            T.row("z[1]")[0] = 1.0
+            T[z_row(spec.n, 1)][0] = 1.0
         with pytest.raises(ValueError):
-            oscillator_map(spec).matrix[:] = 0.0
+            oscillator_map(spec)[:] = 0.0
 
     def test_users_do_not_change_the_shared_maps(self):
         spec = FrequencySpectrum((0.8, 1.7))
         g = GammaWeights(((1.5, -0.7), (-1.2, 0.9)))
-        before = canonical_map(spec).matrix.copy()
-        osc_before = oscillator_map(spec).matrix.copy()
+        before = canonical_map(spec).copy()
+        osc_before = oscillator_map(spec).copy()
         energy_observable(spec)
         alt_hamiltonian_observable(spec, g)
         mode_integrals(spec)
         scaled_canonical_map(spec, g)
-        assert np.array_equal(canonical_map(spec).matrix, before)
-        assert np.array_equal(oscillator_map(spec).matrix, osc_before)
+        assert np.array_equal(canonical_map(spec), before)
+        assert np.array_equal(oscillator_map(spec), osc_before)
 
 
 class TestScaledCanonicalMap:
@@ -163,14 +272,14 @@ class TestScaledCanonicalMap:
         for _ in range(3):
             spec = random_spectrum(rng, n)
             g = random_gamma(rng, spec)
-            T = scaled_canonical_map(spec, g).matrix
+            T = scaled_canonical_map(spec, g)
             Om = alt_structure(spec, g).omega
             block = T @ Om @ T.T
             assert np.abs(block - symplectic_block(n)).max() <= 1e-9
 
     def test_reduces_to_canonical_at_dirac_gamma(self):
-        base = canonical_map(S1).matrix
-        scaled = scaled_canonical_map(S1, dirac_equivalent_gamma(1)).matrix
+        base = canonical_map(S1)
+        scaled = scaled_canonical_map(S1, dirac_equivalent_gamma(1))
         # |gamma| = 1 everywhere and s = 1, so only p-row signs can differ
         assert np.abs(np.abs(scaled) - np.abs(base)).max() <= 1e-12
 
@@ -196,9 +305,8 @@ class TestEnergy:
         osc = oscillator_map(spec)
         for _ in range(10):
             u = rng.uniform(-1, 1, size=spec.jet_dim)
-            x = osc.labeled(u)
-            noether = sum((-1.0) ** (k + 1) * (x["dx[%d][1]" % k] * x["ddx[%d][2]" % k]
-                                               - x["dx[%d][2]" % k] * x["ddx[%d][1]" % k])
+            x = (osc @ u).reshape(n, 3, 2)        # x[k, order, i - 1]
+            noether = sum((-1.0) ** (k + 1) * (x[k, 1, 0] * x[k, 2, 1] - x[k, 1, 1] * x[k, 2, 0])
                           for k in range(n))
             assert abs(H.value(u) - noether) <= 1e-10 * (1.0 + abs(noether))
 
@@ -250,7 +358,7 @@ class TestFactoredObservable:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_dense_matrix_is_the_jet_form_built_before(self, n):
         # A = T^T diag(D) T, symmetrized, with D written entry by entry
-        # from the labels, exactly as the dense builder computed it
+        # at the q and p rows, exactly as the dense builder computed it
         rng = np.random.default_rng(270 + n)
         spec = random_spectrum(rng, n)
         g = random_gamma(rng, spec)
@@ -259,9 +367,9 @@ class TestFactoredObservable:
         for k in range(n):
             w2 = spec.omega_sq[k]
             for i in (1, 2):
-                D[T.labels.index("q[%d][%d]" % (k, i))] = g.gamma[k][i - 1] * w2
-                D[T.labels.index("p[%d][%d]" % (k, i))] = g.gamma[k][i - 1]
-        A = T.matrix.T @ np.diag(D) @ T.matrix
+                D[q_row(k, i)] = g.gamma[k][i - 1] * w2
+                D[p_row(k, i)] = g.gamma[k][i - 1]
+        A = T.T @ np.diag(D) @ T
         Hcal = alt_hamiltonian_observable(spec, g)
         assert np.array_equal(Hcal.A, 0.5 * (A + A.T))
         assert Hcal.A is Hcal.A                # built once, on first access
@@ -269,7 +377,7 @@ class TestFactoredObservable:
 
     def test_shares_the_canonical_map(self):
         spec = FrequencySpectrum((0.8, 1.7))
-        T = canonical_map(spec).matrix
+        T = canonical_map(spec)
         for obs in self.observables(np.random.default_rng(5), spec):
             assert obs.T is T
             assert not obs.weights.flags.writeable

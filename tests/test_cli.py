@@ -105,6 +105,14 @@ class TestStructureCommand:
         code, _, _ = run(["structure", "--omegas", "1", "--gamma", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("gamma", [("inf", "-1"), ("nan", "1"), ("1", "inf")])
+    def test_non_finite_gamma_refused(self, capsys, gamma):
+        # inf and nan both slip past a bare |gamma| >= floor comparison
+        code, out, err = run_strict(["structure", "--omegas", "1", "--gamma", *gamma], capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "gamma weight must be finite")
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--omegas", "1",
@@ -401,6 +409,14 @@ class TestDeformCommand:
         assert out == ""
         assert_one_error_line(err, "potential degree must be an integer", repr(degree))
 
+    def test_non_finite_gamma_refused(self, capsys):
+        code, out, err = run_strict(["deform", "--omegas", "1", "--gamma", "inf", "-1",
+                                     "--state", "0", "0", "1", "0", "0", "0",
+                                     "--t-end", "1", "--dt", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "gamma weight must be finite")
+
     def test_bad_potential_json(self, capsys):
         code, _, _ = run(self.ARGS + ["--potential",
                                       '{"degree": 0, "coeffs": []}'], capsys)
@@ -466,7 +482,7 @@ class TestOutputIdentity:
         observables.update(("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec))
         states, values = self.compare(out, fixture, spec.jet_dim)
         assert set(values) == set(observables)
-        coords = exact_coordinates(canonical_map(spec).matrix, states)
+        coords = exact_coordinates(canonical_map(spec), states)
         for name, (new, _) in values.items():
             assert factored_bound_check(observables[name], states, new,
                                         coords=coords).all(), name

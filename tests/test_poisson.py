@@ -21,6 +21,11 @@ class TestGammaWeights:
         with pytest.raises(ValueError):
             GammaWeights(((1e-12, 1.0),))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GammaWeights(((bad, -1.0),))
+
     def test_from_flat(self):
         g = GammaWeights.from_flat([1.0, -1.0, 2.0, 3.0])
         assert g.gamma == ((1.0, -1.0), (2.0, 3.0))
