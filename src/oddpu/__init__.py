@@ -4,13 +4,13 @@ from .spectrum import (FrequencySpectrum, IdentityReport, complete_homog,
                        complete_homogeneous, elementary_sigma, reduced_sigma,
                        rho, verify_identities)
 from .dynamics import (IntegrationError, ModalSolution, PhaseState, RK4Flow,
-                       TrajectoryTable, companion_matrix, exact_propagate,
-                       jet_index, modal_flow, rk4_flow, rk4_step, trajectory)
+                       TrajectoryTable, companion_matrix, jet_index, rk4_step,
+                       trajectory)
 from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
-                      QuadraticObservable, StructureMatrix, alt_structure, bracket,
+                      QuadraticObservable, alt_structure, bracket,
                       degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                       dirac_structure, gamma_is_degenerate,
-                      hamiltonian_vector_field)
+                      hamiltonian_vector_field, structure_rank)
 from .canonical import (UniquenessReport, alt_hamiltonian_observable, canonical_map,
                         energy_observable, mode_integrals, oscillator_map,
                         scaled_canonical_map, uniqueness_check)

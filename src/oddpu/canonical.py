@@ -113,22 +113,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _oscillator_sum(spec: FrequencySpectrum, weights) -> FactoredObservable:
-    """(1/2) sum_{k,i} weights[k][i-1] (p_{k,i}^2 + w_k^2 q_{k,i}^2) over
-    the canonical map: D is weights * w_k^2 at q_{k,i}, weights at p_{k,i},
-    and 0 at z_1, z_2."""
+def _oscillator_weights(spec: FrequencySpectrum, weights) -> np.ndarray:
+    """The weights D of the oscillator sum (1/2) sum_{k,i} weights[k][i-1]
+    (p_{k,i}^2 + w_k^2 q_{k,i}^2) over the canonical map: weights * w_k^2
+    at q_{k,i}, weights at p_{k,i}, and 0 at z_1, z_2.  ``weights`` is
+    (n, 2), or a stack (..., n, 2) that gives one D per slice, (..., 4n+2)."""
     g = np.array(weights, dtype=float)
-    D = np.zeros(spec.jet_dim)
-    D[0:4 * spec.n:2] = (g * np.array(spec.omega_sq)[:, None]).ravel()
-    D[1:4 * spec.n:2] = g.ravel()
-    return FactoredObservable(canonical_map(spec), D)
+    stack = g.shape[:-2]
+    D = np.zeros(stack + (spec.jet_dim,))
+    D[..., 0:4 * spec.n:2] = (g * np.array(spec.omega_sq)[:, None]).reshape(stack + (-1,))
+    D[..., 1:4 * spec.n:2] = g.reshape(stack + (-1,))
+    return D
 
 
 def energy_observable(spec: FrequencySpectrum) -> FactoredObservable:
     """The Noether energy sum_k (-1)^{k+1} eps_{ij} dx_{k,i} ddx_{k,j}: the
     alternating sum of mode oscillators, ``alt_hamiltonian_observable`` at
     the weights ``dirac_equivalent_gamma(n)``."""
-    return _oscillator_sum(spec, dirac_equivalent_gamma(spec.n).gamma)
+    return FactoredObservable(canonical_map(spec),
+                              _oscillator_weights(spec, dirac_equivalent_gamma(spec.n).gamma))
 
 
 def alt_hamiltonian_observable(spec: FrequencySpectrum, g: GammaWeights) -> FactoredObservable:
@@ -136,17 +139,18 @@ def alt_hamiltonian_observable(spec: FrequencySpectrum, g: GammaWeights) -> Fact
     (1/2) sum_k [gamma_{k,1} (p_{k,1}^2 + w_k^2 q_{k,1}^2)
                  + gamma_{k,2} (p_{k,2}^2 + w_k^2 q_{k,2}^2)]."""
     _require_sizes_match(spec, g)
-    return _oscillator_sum(spec, g.gamma)
+    return FactoredObservable(canonical_map(spec), _oscillator_weights(spec, g.gamma))
 
 
 def mode_integrals(spec: FrequencySpectrum):
     """The 2n positive-semidefinite conserved integrals
     J_{k,i} = p_{k,i}^2 + w_k^2 q_{k,i}^2, as ((k, i), observable) pairs:
-    the oscillator sum with weight 2 on mode (k, i) and 0 elsewhere."""
+    the oscillator sum with weight 2 on mode (k, i) and 0 elsewhere, all
+    2n weight vectors from one stack."""
     n = spec.n
-    weights = 2.0 * np.eye(2 * n)
-    return [((j // 2, j % 2 + 1), _oscillator_sum(spec, weights[j].reshape(n, 2)))
-            for j in range(2 * n)]
+    T = canonical_map(spec)
+    D = _oscillator_weights(spec, 2.0 * np.eye(2 * n).reshape(2 * n, n, 2))
+    return [((j // 2, j % 2 + 1), FactoredObservable(T, D[j])) for j in range(2 * n)]
 
 
 @dataclass(frozen=True)

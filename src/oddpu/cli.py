@@ -49,8 +49,10 @@ CSV_BLOCK_ROWS = 1024
 #: Most time-grid rows a ``simulate`` or ``deform`` request may ask for.
 MAX_GRID_ROWS = 10 ** 6
 #: Negative numbers argparse takes as option values, not flags; its own
-#: pattern leaves out exponent notation such as -1e-05.
-NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+#: pattern leaves out exponent notation such as -1e-05 and the non-finite
+#: -inf, -infinity and -nan (any case), which then reach their refusals.
+NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$",
+                             re.IGNORECASE)
 
 
 def _output(out_path):
@@ -186,14 +188,21 @@ def cmd_spectrum(cfg, out_path) -> int:
 
 def cmd_structure(cfg, out_path) -> int:
     spec = _spectrum_from(cfg)
-    if cfg.get("gamma") is not None:
-        S = poisson.alt_structure(spec, _gamma_from(cfg, spec))
+    gamma = _gamma_from(cfg, spec) if cfg.get("gamma") is not None else None
+    if gamma is None:
+        omega, weights = poisson.dirac_structure(spec), poisson.dirac_equivalent_gamma(spec.n)
     else:
-        S = poisson.dirac_structure(spec)
-    payload = S.to_json_dict()
-    payload["provenance"] = S.provenance
-    payload["rank"] = S.rank()
-    payload["degenerate"] = S.is_degenerate()
+        omega, weights = poisson.alt_structure(spec, gamma), gamma
+    payload = {
+        "n": spec.n,
+        "omegas": list(spec.omegas),
+        "gamma": None if gamma is None else [list(pair) for pair in gamma.gamma],
+        "matrix": omega.tolist(),
+        "degeneracy_scalar": poisson.degeneracy_scalar(spec, weights),
+        "provenance": "dirac" if gamma is None else "alternative",
+        "rank": poisson.structure_rank(omega),
+        "degenerate": poisson.gamma_is_degenerate(spec, weights),
+    }
     _emit_json(payload, out_path)
     return EXIT_OK
 
@@ -215,7 +224,7 @@ def cmd_simulate(cfg, out_path) -> int:
         gamma = _gamma_from(cfg, spec)
         observables.append(("Hcal", canonical.alt_hamiltonian_observable(spec, gamma)))
     observables += [("J_%d_%d" % ki, obs) for ki, obs in canonical.mode_integrals(spec)]
-    flow = dynamics.modal_flow(spec, state)
+    flow = dynamics.ModalSolution(spec, state)
     table = dynamics.trajectory(flow, state, grid, observables)
     header = _state_header(spec.n) + list(table.observable_names)
     _emit_csv(header, np.column_stack((table.times, table.states,
@@ -238,7 +247,7 @@ def cmd_deform(cfg, out_path) -> int:
     observables = [("Hcal", canonical.alt_hamiltonian_observable(spec, gamma))]
     if potential is not None:
         observables.append(("U", deformation.PotentialObservable(potential, v1, v2)))
-    flow = dynamics.rk4_flow(field, float(cfg["dt"]))
+    flow = dynamics.RK4Flow(field, float(cfg["dt"]))
     table = dynamics.trajectory(flow, state, grid, observables)
     hcal_col = table.observable_values[:, 0]
     u_col = (table.observable_values[:, 1] if potential is not None

@@ -299,7 +299,7 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
     potential the field is the linear one, Omega_alt A_H u, and v1, v2
     are None: the null space is not needed.
     """
-    omega_dot = alt_structure(spec, g).omega.dot
+    omega_dot = alt_structure(spec, g).dot
     A_dot = alt_hamiltonian_observable(spec, g).A.dot
     if potential is None:
         def field(_t, u):

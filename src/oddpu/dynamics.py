@@ -97,9 +97,10 @@ class ModalSolution:
     """Closed-form solution of the linear EOM through a given state.
 
     The 2n+1 amplitudes per spatial component are fitted once against the
-    initial derivative stack; evaluation at any time is then exact per mode.
-    A ModalSolution is also a flow callable, ``flow(state, t)``, whose
-    state argument is ignored.
+    initial derivative stack; evaluation at any time is then exact per mode,
+    so a long trajectory accumulates no round-off from step to step.
+    ``eval`` gives one state, ``states`` the jet vectors at many times, and
+    ``grid_states`` a whole grid for ``trajectory``.
     """
 
     def __init__(self, spec: FrequencySpectrum, state: PhaseState):
@@ -137,15 +138,8 @@ class ModalSolution:
         return np.vstack((state.u, later))
 
     def eval(self, t: float) -> PhaseState:
+        """The state at absolute time t."""
         return PhaseState(self.states([t])[0], t)
-
-    def __call__(self, _state, t) -> PhaseState:
-        return self.eval(t)
-
-
-def exact_propagate(spec: FrequencySpectrum, state: PhaseState, t: float) -> PhaseState:
-    """Exact solution of the linear EOM at time state.t + t."""
-    return ModalSolution(spec, state).eval(state.t + t)
 
 
 def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
@@ -182,22 +176,13 @@ def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
     return PhaseState(u_next, state.t + h)
 
 
-def modal_flow(spec: FrequencySpectrum, state: PhaseState) -> ModalSolution:
-    """Flow callable backed by a single modal fit through ``state``.
-
-    Fitting once and evaluating per grid time avoids accumulating
-    round-off over long trajectories; ``trajectory`` evaluates the whole
-    grid in one call.
-    """
-    return ModalSolution(spec, state)
-
-
 class RK4Flow:
     """Fixed-step RK4 flow of ``field(t, u)``: each interval [a, b] is
     split into max(1, ceil((b - a)/h)) equal steps, so no step exceeds h.
 
-    ``flow(state, t)`` advances one state; ``grid_states`` advances along
-    a whole grid on raw arrays, building no PhaseState per step.
+    ``grid_states`` advances along a whole grid on raw arrays, building no
+    PhaseState per step; ``grid_states(state, [state.t, t])[-1]`` is the
+    state at one later time t.
     """
 
     def __init__(self, field, h: float):
@@ -231,18 +216,6 @@ class RK4Flow:
                 out[r] = u
                 start = times[r]
         return out
-
-    def __call__(self, state: PhaseState, t: float) -> PhaseState:
-        if t == state.t:
-            return state
-        if t < state.t:
-            raise ValueError("cannot integrate backwards in time")
-        return PhaseState(self.grid_states(state, [state.t, t])[-1], t)
-
-
-def rk4_flow(field, h: float) -> RK4Flow:
-    """Flow advancing by fixed RK4 steps of size <= h."""
-    return RK4Flow(field, h)
 
 
 @dataclass(frozen=True)

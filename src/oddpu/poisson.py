@@ -1,6 +1,8 @@
 """Poisson structures on the jet phase space.
 
-Two families of constant antisymmetric structure matrices are built:
+A structure is its constant antisymmetric matrix Omega, a plain
+(4n+2, 4n+2) float64 array in the layout of ``dynamics.jet_index``.  Two
+families are built:
 
 * ``dirac_structure``  -- the bracket inherited from the constrained
   first-order formulation, with entries built from the complete
@@ -9,16 +11,18 @@ Two families of constant antisymmetric structure matrices are built:
   nonzero constants gamma_{k,i}, which renders the positive-definite
   Hamiltonians canonical.
 
-Because the matrices are constant, the Jacobi identity holds identically;
-the interesting checks are antisymmetry, rank, and closure of Hamilton's
-equations, which live in :mod:`oddpu.verify`.
+``bracket`` and ``hamiltonian_vector_field`` take Omega directly, and
+``structure_rank`` applies the rank rule.  Because the matrices are
+constant, the Jacobi identity holds identically; the interesting checks
+are antisymmetry, rank, and closure of Hamilton's equations, which live
+in :mod:`oddpu.verify`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +73,6 @@ class GammaWeights:
         g = np.array(self.gamma)
         return 0.5 * (1.0 / g[:, 0] - 1.0 / g[:, 1])
 
-    def flat(self) -> list:
-        return [v for pair in self.gamma for v in pair]
-
 
 def _require_sizes_match(spec: FrequencySpectrum, g: GammaWeights):
     if g.n != spec.n:
@@ -84,51 +85,21 @@ def dirac_equivalent_gamma(n: int) -> GammaWeights:
     return GammaWeights(tuple(((-1.0) ** k, (-1.0) ** (k + 1)) for k in range(n)))
 
 
-@dataclass(frozen=True)
-class StructureMatrix:
-    """Constant antisymmetric matrix encoding a Poisson structure."""
-
-    omega: np.ndarray
-    spec: FrequencySpectrum
-    provenance: str                      # "dirac" | "alternative"
-    gamma: GammaWeights = field(default=None)
-
-    def __post_init__(self):
-        m = np.asarray(self.omega, dtype=float)
-        if np.abs(m + m.T).max() > 1e-12:
-            raise ValueError("structure matrix must be antisymmetric to 1e-12")
-        object.__setattr__(self, "omega", m)
-
-    @property
-    def dim(self) -> int:
-        return self.omega.shape[0]
-
-    def rank(self) -> int:
-        scale = max(np.abs(self.omega).max(), 1.0)
-        return int(np.linalg.matrix_rank(self.omega, tol=1e-8 * scale))
-
-    def _weights(self) -> GammaWeights:
-        """The gamma weights, ``dirac_equivalent_gamma`` for the Dirac structure."""
-        return self.gamma if self.gamma is not None else dirac_equivalent_gamma(self.spec.n)
-
-    def degeneracy_scalar(self) -> float:
-        return degeneracy_scalar(self.spec, self._weights())
-
-    def is_degenerate(self) -> bool:
-        return gamma_is_degenerate(self.spec, self._weights())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "omegas": list(self.spec.omegas),
-            "gamma": ([list(pair) for pair in self.gamma.gamma]
-                      if self.gamma is not None else None),
-            "matrix": self.omega.tolist(),
-            "degeneracy_scalar": self.degeneracy_scalar(),
-        }
+def _antisymmetric(omega: np.ndarray) -> np.ndarray:
+    """omega itself, refused unless antisymmetric to 1e-12."""
+    if np.abs(omega + omega.T).max() > 1e-12:
+        raise ValueError("structure matrix must be antisymmetric to 1e-12")
+    return omega
 
 
-def dirac_structure(spec: FrequencySpectrum) -> StructureMatrix:
+def structure_rank(omega: np.ndarray) -> int:
+    """Numerical rank of a structure matrix, at tolerance
+    1e-8 * max(max |Omega|, 1)."""
+    scale = max(np.abs(omega).max(), 1.0)
+    return int(np.linalg.matrix_rank(omega, tol=1e-8 * scale))
+
+
+def dirac_structure(spec: FrequencySpectrum) -> np.ndarray:
     """Structure with {x_i^{(s)}, x_j^{(m)}} = 0 for s+m odd and
     (-1)^{(s-m)/2 + n + 1} P_{s+m-2n} eps_{ij} for s+m even."""
     n = spec.n
@@ -144,10 +115,10 @@ def dirac_structure(spec: FrequencySpectrum) -> StructureMatrix:
             for i in (1, 2):
                 for j in (1, 2):
                     omega[2 * s + i - 1, 2 * m + j - 1] = coef * EPS[i - 1][j - 1]
-    return StructureMatrix(omega, spec, "dirac")
+    return _antisymmetric(omega)
 
 
-def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> StructureMatrix:
+def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     """Structure of the gamma-weighted family.
 
     Entries: zero at s = m = 0; for s+m odd a delta_{ij} block weighted by
@@ -178,7 +149,7 @@ def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> StructureMatrix:
                 for i in (1, 2):
                     for j in (1, 2):
                         omega[2 * s + i - 1, 2 * m + j - 1] = coef * EPS[i - 1][j - 1]
-    return StructureMatrix(omega, spec, "alternative", g)
+    return _antisymmetric(omega)
 
 
 def moment_sums(spec: FrequencySpectrum, g: GammaWeights, lo: int, hi: int) -> dict:
@@ -240,10 +211,6 @@ class QuadraticObservable:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    @classmethod
-    def zero(cls, dim: int) -> "QuadraticObservable":
-        return cls(np.zeros((dim, dim)))
 
     @classmethod
     def coordinate(cls, dim: int, s: int, i: int) -> "QuadraticObservable":
@@ -352,22 +319,21 @@ class FactoredObservable:
         return self.A @ np.asarray(u, dtype=float)
 
 
-def bracket(S: StructureMatrix, f: QuadraticObservable,
+def bracket(omega: np.ndarray, f: QuadraticObservable,
             g: QuadraticObservable) -> QuadraticObservable:
     """{f, g} = grad(f) . Omega . grad(g); closes on quadratic observables."""
-    if f.dim != S.dim or g.dim != S.dim:
+    if f.dim != len(omega) or g.dim != len(omega):
         raise ValueError("observable dimensions do not match the structure")
-    Om = S.omega
-    A = f.A @ Om @ g.A - g.A @ Om @ f.A
-    b = f.A @ Om @ g.b - g.A @ Om @ f.b
-    c = float(f.b @ Om @ g.b)
+    A = f.A @ omega @ g.A - g.A @ omega @ f.A
+    b = f.A @ omega @ g.b - g.A @ omega @ f.b
+    c = float(f.b @ omega @ g.b)
     return QuadraticObservable(0.5 * (A + A.T), b, c)
 
 
-def hamiltonian_vector_field(S: StructureMatrix, H: QuadraticObservable) -> np.ndarray:
+def hamiltonian_vector_field(omega: np.ndarray, H: QuadraticObservable) -> np.ndarray:
     """Matrix of the linear flow du/dt = Omega A_H u generated by H."""
-    if H.dim != S.dim:
+    if H.dim != len(omega):
         raise ValueError("observable dimension does not match the structure")
     if np.abs(H.b).max() > 0.0:
         raise ValueError("Hamiltonian must be a homogeneous quadratic (b = 0)")
-    return S.omega @ H.A
+    return omega @ H.A

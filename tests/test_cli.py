@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import oddpu
-from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, dirac_structure,
-                   invariant_directions)
+from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, degeneracy_scalar,
+                   dirac_structure, invariant_directions)
 from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals)
 from oddpu.cli import MAX_GRID_ROWS, build_parser, main
@@ -81,7 +81,7 @@ class TestStructureCommand:
         assert payload["rank"] == 6
         assert payload["degenerate"] is False
         assert np.array(payload["matrix"]) == pytest.approx(
-            dirac_structure(FrequencySpectrum((1.0,))).omega)
+            dirac_structure(FrequencySpectrum((1.0,))))
 
     def test_dirac_equivalent_gamma_matches(self, capsys):
         code, out_d, _ = run(["structure", "--omegas", "1", "2"], capsys)
@@ -105,13 +105,44 @@ class TestStructureCommand:
         code, _, _ = run(["structure", "--omegas", "1", "--gamma", "1"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("gamma", [("inf", "-1"), ("nan", "1"), ("1", "inf")])
+    @pytest.mark.parametrize("gamma", [("inf", "-1"), ("nan", "1"), ("1", "inf"),
+                                       ("1", "-inf"), ("-Infinity", "1"), ("1", "-NAN")])
     def test_non_finite_gamma_refused(self, capsys, gamma):
-        # inf and nan both slip past a bare |gamma| >= floor comparison
+        # inf and nan both slip past a bare |gamma| >= floor comparison; a
+        # negative one is a value, not an unrecognized flag
         code, out, err = run_strict(["structure", "--omegas", "1", "--gamma", *gamma], capsys)
         assert code == 2
         assert out == ""
         assert_one_error_line(err, "gamma weight must be finite")
+
+
+class TestSerialization:
+    """The ``structure`` JSON: its keys in order, and the degeneracy fields
+    of the Dirac structure taken at ``dirac_equivalent_gamma(n)``."""
+
+    KEYS = ["n", "omegas", "gamma", "matrix", "degeneracy_scalar", "provenance", "rank",
+            "degenerate"]
+
+    def test_json_dict_fields(self, capsys):
+        code, out, _ = run(["structure", "--omegas", "1", "--gamma", "2", "1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == self.KEYS
+        assert payload["n"] == 1
+        assert payload["omegas"] == [1.0]
+        assert payload["gamma"] == [[2.0, 1.0]]
+        assert len(payload["matrix"]) == 6
+        assert payload["provenance"] == "alternative"
+        assert payload["degeneracy_scalar"] == pytest.approx(
+            degeneracy_scalar(FrequencySpectrum((1.0,)), GammaWeights(((2.0, 1.0),))))
+
+    def test_dirac_json_has_null_gamma(self, capsys):
+        code, out, _ = run(["structure", "--omegas", "1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == self.KEYS
+        assert payload["gamma"] is None
+        assert payload["degeneracy_scalar"] == pytest.approx(1.0)
 
 
 class TestSimulateCommand:
@@ -174,14 +205,23 @@ class TestSimulateCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag", ["--t-end", "--dt"])
-    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-INF", "-infinity", "-nan"])
     def test_nonfinite_grid(self, capsys, flag, value):
         argv = list(self.ARGS)
         argv[argv.index(flag) + 1] = value
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
-        assert_one_error_line(err, "must be finite")
+        assert_one_error_line(err, "t_end and dt must be finite")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "-Infinity", "-NaN"])
+    def test_nonfinite_state(self, capsys, value):
+        argv = list(self.ARGS)
+        argv[argv.index("--state") + 3] = value
+        code, out, err = run_strict(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "jet vector entries must be finite")
 
     def test_nonfinite_modal_state(self, capsys):
         # w t overflows at the last grid time: the state cannot be formed

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from oddpu import (FrequencySpectrum, GammaWeights, PhaseState,
-                   PotentialObservable, PotentialSpec, alt_hamiltonian_observable,
+                   PotentialObservable, PotentialSpec, RK4Flow, alt_hamiltonian_observable,
                    alt_structure, closed_form_direction_n1, deformation_system,
                    deformed_energy, deformed_field, invariant_directions,
-                   null_space_complete_pivot, rk4_flow)
+                   null_space_complete_pivot)
 from oddpu.verify import _subspace_gap, random_gamma, random_spectrum
 
 S1 = FrequencySpectrum((1.0,))
@@ -285,8 +285,8 @@ class TestDeformedFlow:
         total = deformed_energy(spec, g, self.QUARTIC, v1, v2)
         st = PhaseState(0.4 * np.array([1.0, 0.5, -0.3, 0.8, 0.2, -0.6]))
         e0 = total(st.u)
-        out = rk4_flow(field, 1e-3)(st, 5.0)
-        assert abs(total(out.u) - e0) <= 1e-8 * (1 + abs(e0))
+        u = RK4Flow(field, 1e-3).grid_states(st, [st.t, 5.0])[-1]
+        assert abs(total(u) - e0) <= 1e-8 * (1 + abs(e0))
 
     def test_no_potential_is_linear_field(self, monkeypatch):
         # the linear field needs no null space, so none is built
@@ -301,7 +301,7 @@ class TestDeformedFlow:
         g = random_gamma(rng, spec)
         field, v1, v2 = deformed_field(spec, g, None)
         assert v1 is None and v2 is None
-        omega, A = alt_structure(spec, g).omega, alt_hamiltonian_observable(spec, g).A
+        omega, A = alt_structure(spec, g), alt_hamiltonian_observable(spec, g).A
         u = rng.uniform(-1, 1, size=spec.jet_dim)
         u[0] = -0.0
         assert field(0.0, u).tobytes() == (omega @ (A @ u)).tobytes()
@@ -333,5 +333,5 @@ class TestDeformedFlow:
         total = deformed_energy(S1, g, self.QUARTIC, v1, v2)
         st = PhaseState(0.3 * np.array([1.0, 0.5, -0.3, 0.8, 0.2, -0.6]))
         e0 = total(st.u)
-        out = rk4_flow(field, 1e-3)(st, 2.0)
-        assert abs(total(out.u) - e0) <= 1e-8 * (1 + abs(e0))
+        u = RK4Flow(field, 1e-3).grid_states(st, [st.t, 2.0])[-1]
+        assert abs(total(u) - e0) <= 1e-8 * (1 + abs(e0))

@@ -5,8 +5,7 @@ import pytest
 
 from oddpu import (FrequencySpectrum, IntegrationError, ModalSolution,
                    PhaseState, companion_matrix, elementary_sigma,
-                   PotentialSpec, exact_propagate, jet_index, modal_flow, rk4_flow,
-                   rk4_step, trajectory)
+                   PotentialSpec, RK4Flow, jet_index, rk4_step, trajectory)
 from oddpu.canonical import alt_hamiltonian_observable, energy_observable, mode_integrals
 from oddpu.deformation import deformed_field
 from oddpu.dynamics import _basis_derivatives
@@ -81,7 +80,7 @@ class TestExactPropagate:
     def test_constant_solution(self):
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.array([1.0, 0, 0, 0, 0, 0]))
-        out = exact_propagate(spec, st, 10.0)
+        out = ModalSolution(spec, st).eval(10.0)
         assert np.allclose(out.u, st.u, atol=1e-12)
         assert out.t == pytest.approx(10.0)
 
@@ -89,14 +88,14 @@ class TestExactPropagate:
         # x_1(t) = sin t solves the third-order equation at w0 = 1
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.array([0, 0, 1.0, 0, 0, 0]))
-        out = exact_propagate(spec, st, np.pi / 2)
+        out = ModalSolution(spec, st).eval(np.pi / 2)
         assert np.allclose(out.u, [1, 0, 0, 0, -1, 0], atol=1e-12)
 
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(3)
         spec = random_spectrum(rng, 3)
         st = random_state(rng, spec)
-        out = exact_propagate(spec, st, 0.0)
+        out = ModalSolution(spec, st).eval(0.0)
         assert np.allclose(out.u, st.u, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 5))
@@ -104,8 +103,8 @@ class TestExactPropagate:
         rng = np.random.default_rng(70 + n)
         spec = random_spectrum(rng, n)
         st = random_state(rng, spec)
-        fwd = exact_propagate(spec, st, 3.7)
-        back = exact_propagate(spec, fwd, -3.7)
+        fwd = ModalSolution(spec, st).eval(3.7)
+        back = ModalSolution(spec, fwd).eval(0.0)
         assert np.abs(back.u - st.u).max() <= 1e-9 * max(1.0, np.abs(st.u).max())
 
     @pytest.mark.parametrize("n", range(1, 5))
@@ -180,7 +179,7 @@ class TestExactPropagate:
     def test_dimension_mismatch(self):
         spec = FrequencySpectrum((1.0, 2.0))
         with pytest.raises(ValueError):
-            exact_propagate(spec, PhaseState(np.zeros(6)), 1.0)
+            ModalSolution(spec, PhaseState(np.zeros(6)))
 
 
 class TestRK4:
@@ -195,7 +194,7 @@ class TestRK4:
         M = companion_matrix(spec)
         st = PhaseState(np.array([0, 0, 1.0, 0, 0, 0]))
         stepped = rk4_step(lambda t, u: M @ u, st, 0.01)
-        exact = exact_propagate(spec, st, 0.01)
+        exact = ModalSolution(spec, st).eval(0.01)
         assert np.abs(stepped.u - exact.u).max() <= 1e-10
 
     def test_convergence_order(self):
@@ -204,11 +203,11 @@ class TestRK4:
         M = companion_matrix(spec)
         field = lambda t, u: M @ u
         st = random_state(rng, spec)
-        exact = exact_propagate(spec, st, 1.0)
+        exact = ModalSolution(spec, st).eval(1.0)
         errs = []
         for h in (0.02, 0.01, 0.005):
-            flow = rk4_flow(field, h)
-            errs.append(np.abs(flow(st, 1.0).u - exact.u).max())
+            u = RK4Flow(field, h).grid_states(st, [st.t, 1.0])[-1]
+            errs.append(np.abs(u - exact.u).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.8
 
@@ -249,7 +248,7 @@ class TestRK4:
         with pytest.raises(ValueError):
             rk4_step(lambda t, u: u, PhaseState(np.zeros(6)), 0.0)
         with pytest.raises(ValueError):
-            rk4_flow(lambda t, u: u, 0.0)
+            RK4Flow(lambda t, u: u, 0.0)
 
 
 class TestRK4Flow:
@@ -270,7 +269,7 @@ class TestRK4Flow:
             return deformed(t, u) + 0.1 * np.sin(t)
 
         st = PhaseState(2.0 * np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
-        table = trajectory(rk4_flow(field, 0.1), st, self.GRID)
+        table = trajectory(RK4Flow(field, 0.1), st, self.GRID)
         rows = [st.u]
         current = st
         for t in self.GRID[1:]:
@@ -282,17 +281,6 @@ class TestRK4Flow:
             rows.append(current.u)
         assert table.states.tobytes() == np.array(rows).tobytes()
 
-    def test_call_matches_grid(self):
-        field = self.field()
-        st = PhaseState(np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
-        flow = rk4_flow(field, 0.1)
-        out = flow(st, 0.25)
-        assert out.t == 0.25
-        assert np.array_equal(out.u, trajectory(flow, st, [0.0, 0.25]).states[1])
-        assert flow(out, 0.25) is out
-        with pytest.raises(ValueError):
-            flow(out, 0.2)
-
     @pytest.mark.parametrize("field, what", [
         # the slopes turn infinite once t passes 0.5
         (lambda t, u: np.full(6, np.inf if t > 0.5 else 1.0), "vector field"),
@@ -301,7 +289,7 @@ class TestRK4Flow:
     ])
     def test_nonfinite_inside_grid(self, field, what):
         with pytest.raises(IntegrationError) as err:
-            trajectory(rk4_flow(field, 0.1), PhaseState(np.zeros(6)), self.GRID)
+            trajectory(RK4Flow(field, 0.1), PhaseState(np.zeros(6)), self.GRID)
         assert what in str(err.value)
         assert "t=" in str(err.value)
         # the step that starts near t = 0.5, inside the fourth interval
@@ -316,7 +304,7 @@ class TestRK4Flow:
             return np.zeros(6)
 
         with pytest.raises(ValueError):
-            trajectory(rk4_flow(field, 0.1), PhaseState(np.zeros(6)), grid)
+            trajectory(RK4Flow(field, 0.1), PhaseState(np.zeros(6)), grid)
         assert calls == []
 
 
@@ -324,21 +312,21 @@ class TestTrajectory:
     def test_empty_grid(self):
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.zeros(6))
-        table = trajectory(modal_flow(spec, st), st, [])
+        table = trajectory(ModalSolution(spec, st), st, [])
         assert table.times.size == 0
         assert table.states.shape == (0, 6)
 
     def test_single_point_grid(self):
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.arange(6.0) / 10)
-        table = trajectory(modal_flow(spec, st), st, [0.0])
+        table = trajectory(ModalSolution(spec, st), st, [0.0])
         assert np.allclose(table.states[0], st.u)
 
     def test_grid_must_start_at_state_time(self):
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.zeros(6))
         with pytest.raises(ValueError):
-            trajectory(modal_flow(spec, st), st, [1.0, 2.0])
+            trajectory(ModalSolution(spec, st), st, [1.0, 2.0])
 
     def test_energy_conserved_on_long_grid(self):
         rng = np.random.default_rng(9)
@@ -346,7 +334,7 @@ class TestTrajectory:
         st = random_state(rng, spec)
         H = energy_observable(spec)
         grid = np.linspace(0, 100, 500)
-        table = trajectory(modal_flow(spec, st), st, grid, [("H", H)])
+        table = trajectory(ModalSolution(spec, st), st, grid, [("H", H)])
         col = table.observable_values[:, 0]
         assert np.abs(col - col[0]).max() <= 1e-9 * (1 + abs(col[0]))
 
@@ -368,7 +356,7 @@ class TestTrajectory:
             return original(self, u)
 
         monkeypatch.setattr(FactoredObservable, "coordinates", counted)
-        table = trajectory(modal_flow(spec, st), st, np.linspace(0, 5, 51), observables)
+        table = trajectory(ModalSolution(spec, st), st, np.linspace(0, 5, 51), observables)
         assert calls == [(51, spec.jet_dim)]
         monkeypatch.undo()
         for col, (_, obs) in enumerate(observables):
@@ -380,7 +368,7 @@ class TestTrajectory:
         spec = FrequencySpectrum(tuple(np.linspace(1.0, 3.0, 10)))
         st = PhaseState(np.linspace(-0.5, 0.5, 42))
         grid = np.arange(1001) * 0.1
-        table = trajectory(modal_flow(spec, st), st, grid, [("H", energy_observable(spec))])
+        table = trajectory(ModalSolution(spec, st), st, grid, [("H", energy_observable(spec))])
         col = table.observable_values[:, 0]
         assert np.abs(col - col[0]).max() <= 1e-4 * (1 + abs(col[0]))
 
@@ -388,18 +376,18 @@ class TestTrajectory:
         rng = np.random.default_rng(11)
         spec = random_spectrum(rng, 3)
         st = random_state(rng, spec)
-        flow = modal_flow(spec, st)
+        flow = ModalSolution(spec, st)
         grid = np.linspace(0, 20, 101)
         table = trajectory(flow, st, grid)
         assert np.array_equal(table.states[0], st.u)
         for t, u in zip(grid[1:], table.states[1:]):
-            assert np.array_equal(u, flow(st, t).u)
+            assert np.array_equal(u, flow.eval(t).u)
 
     def test_decreasing_grid_rejected(self):
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.zeros(6))
         with pytest.raises(ValueError):
-            trajectory(modal_flow(spec, st), st, [0.0, 2.0, 1.0])
+            trajectory(ModalSolution(spec, st), st, [0.0, 2.0, 1.0])
 
     def test_nonfinite_observable_names_column_and_time(self):
         # finite states whose quadratic forms overflow from t = 0
@@ -407,6 +395,6 @@ class TestTrajectory:
         st = PhaseState(np.array([0, 0, 1e160, 0, 0, 0]))
         observables = [("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec)]
         with pytest.raises(IntegrationError) as err:
-            trajectory(modal_flow(spec, st), st, [0.0, 0.5], observables)
+            trajectory(ModalSolution(spec, st), st, [0.0, 0.5], observables)
         assert "observable J_0_1 at t=0" in str(err.value)
         assert err.value.t == 0.0

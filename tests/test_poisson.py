@@ -7,8 +7,9 @@ from oddpu import (FrequencySpectrum, GammaWeights,
                    QuadraticObservable, alt_structure, bracket, companion_matrix,
                    degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                    dirac_structure, gamma_is_degenerate, hamiltonian_vector_field,
-                   jet_index, rho)
+                   jet_index, rho, structure_rank)
 from oddpu.canonical import alt_hamiltonian_observable, energy_observable
+from oddpu.poisson import _antisymmetric
 from oddpu.verify import random_gamma, random_spectrum
 
 S1 = FrequencySpectrum((1.0,))
@@ -40,7 +41,7 @@ class TestGammaWeights:
 
 class TestDiracStructure:
     def test_n1_bracket_entries(self):
-        Om = dirac_structure(S1).omega
+        Om = dirac_structure(S1)
         assert Om[jet_index(1, 1), jet_index(1, 2)] == pytest.approx(1.0)
         assert Om[jet_index(0, 1), jet_index(2, 2)] == pytest.approx(-1.0)
         assert Om[jet_index(2, 1), jet_index(2, 2)] == pytest.approx(1.0)
@@ -48,33 +49,40 @@ class TestDiracStructure:
     def test_positions_commute(self):
         for n in (1, 2, 3):
             rng = np.random.default_rng(n)
-            Om = dirac_structure(random_spectrum(rng, n)).omega
+            Om = dirac_structure(random_spectrum(rng, n))
             assert Om[0:2, 0:2] == pytest.approx(np.zeros((2, 2)))
 
     def test_n2_top_entry(self):
         # {x^(4)_1, x^(4)_2} = (-1)^{0+3} P_4(1,4) = -21
         spec = FrequencySpectrum((1.0, 2.0))
-        Om = dirac_structure(spec).omega
+        Om = dirac_structure(spec)
         assert Om[jet_index(4, 1), jet_index(4, 2)] == pytest.approx(-21.0)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_antisymmetry(self, n):
         rng = np.random.default_rng(100 + n)
-        Om = dirac_structure(random_spectrum(rng, n)).omega
+        Om = dirac_structure(random_spectrum(rng, n))
+        assert type(Om) is np.ndarray and Om.dtype == np.float64
         assert np.abs(Om + Om.T).max() <= 1e-12
+
+    def test_asymmetric_matrix_refused(self):
+        Om = dirac_structure(S1)
+        assert _antisymmetric(Om) is Om
+        Om[0, 1] += 1e-11
+        with pytest.raises(ValueError, match="antisymmetric to 1e-12"):
+            _antisymmetric(Om)
 
 
 class TestAltStructure:
     def test_reproduces_dirac_n1(self):
         g = GammaWeights(((1.0, -1.0),))
-        assert np.abs(alt_structure(S1, g).omega
-                      - dirac_structure(S1).omega).max() <= 1e-14
+        assert np.abs(alt_structure(S1, g) - dirac_structure(S1)).max() <= 1e-14
 
     def test_position_velocity_bracket(self):
         # {x_i, dx_j} = alpha_0^+ / w0 delta_ij
         spec = FrequencySpectrum((1.7,))
         g = GammaWeights(((2.0, 0.8),))
-        Om = alt_structure(spec, g).omega
+        Om = alt_structure(spec, g)
         expected = g.alpha_plus[0] / 1.7
         assert Om[jet_index(0, 1), jet_index(1, 1)] == pytest.approx(expected)
         assert Om[jet_index(0, 2), jet_index(1, 2)] == pytest.approx(expected)
@@ -86,7 +94,7 @@ class TestAltStructure:
         spec = FrequencySpectrum((w,))
         g = GammaWeights(((1.5, -0.4),))
         ap, am = g.alpha_plus[0], g.alpha_minus[0]
-        Om = alt_structure(spec, g).omega
+        Om = alt_structure(spec, g)
         assert Om[jet_index(0, 1), jet_index(2, 2)] == pytest.approx(-am)
         assert Om[jet_index(1, 1), jet_index(1, 2)] == pytest.approx(am)
         assert Om[jet_index(2, 1), jet_index(2, 2)] == pytest.approx(w * w * am)
@@ -98,8 +106,8 @@ class TestAltStructure:
         rng = np.random.default_rng(110 + n)
         for _ in range(5):
             spec = random_spectrum(rng, n)
-            dirac = dirac_structure(spec).omega
-            alt = alt_structure(spec, dirac_equivalent_gamma(n)).omega
+            dirac = dirac_structure(spec)
+            alt = alt_structure(spec, dirac_equivalent_gamma(n))
             assert np.abs(alt - dirac).max() <= 1e-9 * np.abs(dirac).max()
 
     def test_gamma_size_mismatch(self):
@@ -126,9 +134,9 @@ class TestDegeneracy:
         rng = np.random.default_rng(120 + n)
         spec = random_spectrum(rng, n)
         g = random_gamma(rng, spec)
-        assert alt_structure(spec, g).rank() == 4 * n + 2
+        assert structure_rank(alt_structure(spec, g)) == 4 * n + 2
         flat = GammaWeights(tuple((1.0, 1.0) for _ in range(n)))
-        assert alt_structure(spec, flat).rank() == 4 * n
+        assert structure_rank(alt_structure(spec, flat)) == 4 * n
 
 
 class TestObservableValue:
@@ -262,23 +270,6 @@ class TestHamiltonianVectorField:
         S = dirac_structure(S1)
         with pytest.raises(ValueError):
             hamiltonian_vector_field(S, QuadraticObservable.coordinate(6, 0, 1))
-
-
-class TestSerialization:
-    def test_json_dict_fields(self):
-        g = GammaWeights(((2.0, 1.0),))
-        payload = alt_structure(S1, g).to_json_dict()
-        assert payload["n"] == 1
-        assert payload["omegas"] == [1.0]
-        assert payload["gamma"] == [[2.0, 1.0]]
-        assert len(payload["matrix"]) == 6
-        assert payload["degeneracy_scalar"] == pytest.approx(
-            degeneracy_scalar(S1, g))
-
-    def test_dirac_json_has_null_gamma(self):
-        payload = dirac_structure(S1).to_json_dict()
-        assert payload["gamma"] is None
-        assert payload["degeneracy_scalar"] == pytest.approx(1.0)
 
 
 class TestDegeneracyScale:
