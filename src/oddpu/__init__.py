@@ -1,8 +1,7 @@
 """Executable Hamiltonian mechanics of the odd-order Pais-Uhlenbeck oscillator."""
 
-from .spectrum import (FrequencySpectrum, IdentityReport, complete_homog,
-                       complete_homogeneous, elementary_sigma, reduced_sigma,
-                       rho, verify_identities)
+from .spectrum import (FrequencySpectrum, complete_homog, complete_homogeneous,
+                       elementary_sigma, reduced_sigma, rho, verify_identities)
 from .dynamics import (IntegrationError, ModalSolution, PhaseState, RK4Flow,
                        TrajectoryTable, companion_matrix, jet_index, rk4_step,
                        trajectory)

@@ -10,12 +10,9 @@ invariant scalars w_a = v_a . u.
 ``invariant_directions`` writes the null space in closed form from the
 canonical block form of the structure, at every n and for degenerate
 weights too, in one stated basis: w_1 is the invariant whose position
-part is x_1, w_2 its rotation, whose position part is x_2.  (The
-pivoted null-space solver used before left the basis to the pivot
-order; at the README's input it made w1 = -x_2, so the README's
-0.05 w1^4 now acts on x_1 where it acted on x_2.)  ``deformation_system``
-and ``null_space_complete_pivot`` remain as the oracle ``verify``
-checks the closed form against.
+part is x_1, w_2 its rotation, whose position part is x_2.
+``deformation_system`` and ``null_space_complete_pivot`` remain as the
+oracle ``verify`` checks the closed form against.
 """
 
 from __future__ import annotations
@@ -151,8 +148,7 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     x_2^(s) -> -x_1^(s), so v2 = R v1 is the unit vector of the plane
     with position part along x_2, and v1 . v2 = 0.  At w = 1,
     gamma = (1, -1) this gives w_a = x_a, so the README's potential
-    0.05 w1^4 acts on x_1; the pivoted solver used before this
-    convention left w1 = -x_2 there.
+    0.05 w1^4 acts on x_1.
     """
     n = spec.n
     s = degeneracy_scalar(spec, g)
@@ -227,6 +223,14 @@ class PotentialSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PotentialSpec":
+        """The potential {"degree": d, "coeffs": [{"i": .., "j": .., "value": ..},
+        ...]}, "degree" optional; a missing, unknown or mistyped field is
+        refused by name."""
+        _check_keys(obj, "bad potential", ("coeffs",), ("degree",))
+        if not isinstance(obj["coeffs"], list):
+            raise ValueError("bad potential: coeffs must be an array, got %r" % (obj["coeffs"],))
+        for t in obj["coeffs"]:
+            _check_keys(t, "bad potential term %r" % (t,), ("i", "j", "value"))
         terms = tuple((t["i"], t["j"], t["value"]) for t in obj["coeffs"])
         pot = cls(terms)
         if "degree" in obj:
@@ -258,6 +262,19 @@ class PotentialSpec:
                     float(_sum_monomials(d2_terms, w1, w2)))
         except OverflowError:
             return np.inf, np.inf
+
+
+def _check_keys(obj, what: str, required, optional=()):
+    """Refuse obj, as "<what>: <reason>", unless it is a JSON object with
+    every required key and no key outside required and optional."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s: not an object" % what)
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError("%s: unknown key %s" % (what, ", ".join(map(repr, unknown))))
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError("%s: missing key %s" % (what, ", ".join(map(repr, missing))))
 
 
 def _is_finite_number(value) -> bool:

@@ -233,13 +233,14 @@ def trajectory(flow, state: PhaseState, grid, observables=()) -> TrajectoryTable
 
     ``flow`` is a ModalSolution or an RK4Flow; either gives every grid
     state in one ``grid_states`` call.  ``observables`` is a sequence of
-    (name, observable) pairs whose ``value`` takes a (rows, dim) stack, such
-    as QuadraticObservable, each evaluated from the state rows it annotates.
-    Factored observables (``poisson.FactoredObservable``: H, Hcal, every
-    J_{k,i}) that share a map T share one T u per row, computed once per
-    grid; each of their columns is then a weighted sum of its squares.  A
-    non-finite observable value raises IntegrationError at the first grid
-    time that has one.
+    (name, observable) pairs, one column each.  Factored observables
+    (``poisson.FactoredObservable``: H, Hcal, every J_{k,i}) that share a
+    map T share one T u per row, computed once per grid; each of their
+    columns is then a weighted sum of its squares.  Any other observable
+    (``deformation.PotentialObservable``, ``poisson.QuadraticObservable``)
+    gives its column from its ``value`` of the (rows, dim) stack of grid
+    states.  A non-finite observable value raises IntegrationError at the
+    first grid time that has one.
     """
     grid = np.asarray(grid, dtype=float)
     names = tuple(name for name, _ in observables)

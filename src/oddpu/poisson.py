@@ -189,63 +189,41 @@ def gamma_is_degenerate(spec: FrequencySpectrum, g: GammaWeights) -> bool:
 
 @dataclass(frozen=True)
 class QuadraticObservable:
-    """Phase-space function u -> u.A.u/2 + b.u + c with A symmetric.
+    """Homogeneous quadratic phase-space function u -> u.A.u/2, A symmetric.
 
-    Houses every function the model brackets: the Hamiltonians, the mode
-    integrals, and coordinate functionals (A = 0, b a unit vector).
+    The model's Hamiltonians and mode integrals are all of this form, and
+    brackets close on it.
     """
 
     A: np.ndarray
-    b: np.ndarray = None
-    c: float = 0.0
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         if np.abs(A - A.T).max() > 1e-12:
             raise ValueError("quadratic part must be symmetric to 1e-12")
-        b = np.zeros(A.shape[0]) if self.b is None else np.asarray(self.b, dtype=float)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(self.c))
 
     @property
     def dim(self) -> int:
         return self.A.shape[0]
 
-    @classmethod
-    def coordinate(cls, dim: int, s: int, i: int) -> "QuadraticObservable":
-        """The jet-entry functional x_i^{(s)}."""
-        b = np.zeros(dim)
-        b[2 * s + i - 1] = 1.0
-        return cls(np.zeros((dim, dim)), b)
-
     def value(self, u):
-        """u.A.u/2 + b.u + c at one state (a float), or at each row of a
-        (rows, dim) stack (an array of rows values)."""
+        """u.A.u/2 at one state (a float), or at each row of a (rows, dim)
+        stack (an array of rows values)."""
         u = np.asarray(u, dtype=float)
         # Each state as a 1 x dim row times a dim x 1 column: matmul then
         # runs the same vector-matrix and dot kernels for every row of a
         # stack as for a single state, so both agree to the last bit.
-        row, col = u[..., None, :], u[..., :, None]
-        v = (0.5 * row @ self.A @ col + row @ self.b[:, None])[..., 0, 0] + self.c
+        v = (0.5 * u[..., None, :] @ self.A @ u[..., :, None])[..., 0, 0]
         return float(v) if u.ndim == 1 else v
-
-    def grad(self, u) -> np.ndarray:
-        return self.A @ np.asarray(u, dtype=float) + self.b
-
-    def __add__(self, other):
-        return QuadraticObservable(self.A + other.A, self.b + other.b, self.c + other.c)
-
-    def __mul__(self, scalar):
-        return QuadraticObservable(scalar * self.A, scalar * self.b, scalar * self.c)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
 class FactoredObservable:
-    """u -> (1/2) sum_j D_j (T u)_j^2: a quadratic observable diagonal in
-    the coordinates of a map T (shared, read-only), with weights D.
+    """u -> (1/2) sum_j D_j (T u)_j^2: a homogeneous quadratic observable
+    diagonal in the coordinates of a map T, with weights D.  T is held,
+    not copied (the canonical builders pass their shared read-only map);
+    D is copied and made read-only.
 
     ``value`` takes one state (a float) or a (rows, dim) stack (an array
     of rows values).  ``coordinates`` (T u) and ``from_coordinates`` are
@@ -254,14 +232,13 @@ class FactoredObservable:
     row-by-column product, the same kernels for a stack as for a single
     state, so both agree to the last bit.
 
-    As a ``QuadraticObservable`` for brackets and vector fields:
-    A = T^T diag(D) T, symmetrized and built on first access; b = 0, c = 0.
+    ``A`` = T^T diag(D) T, symmetrized and built on first access, is what
+    ``bracket`` and ``hamiltonian_vector_field`` read, as they read a
+    ``QuadraticObservable``'s.
     """
 
     T: np.ndarray
     weights: np.ndarray
-
-    c = 0.0
 
     def __post_init__(self):
         D = np.array(self.weights, dtype=float)
@@ -272,10 +249,6 @@ class FactoredObservable:
     @property
     def dim(self) -> int:
         return self.weights.size
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     @functools.cached_property
     def A(self) -> np.ndarray:
@@ -315,9 +288,6 @@ class FactoredObservable:
         v = self.from_coordinates(self.coordinates(u))
         return float(v) if v.ndim == 0 else v
 
-    def grad(self, u) -> np.ndarray:
-        return self.A @ np.asarray(u, dtype=float)
-
 
 def bracket(omega: np.ndarray, f: QuadraticObservable,
             g: QuadraticObservable) -> QuadraticObservable:
@@ -325,15 +295,11 @@ def bracket(omega: np.ndarray, f: QuadraticObservable,
     if f.dim != len(omega) or g.dim != len(omega):
         raise ValueError("observable dimensions do not match the structure")
     A = f.A @ omega @ g.A - g.A @ omega @ f.A
-    b = f.A @ omega @ g.b - g.A @ omega @ f.b
-    c = float(f.b @ omega @ g.b)
-    return QuadraticObservable(0.5 * (A + A.T), b, c)
+    return QuadraticObservable(0.5 * (A + A.T))
 
 
 def hamiltonian_vector_field(omega: np.ndarray, H: QuadraticObservable) -> np.ndarray:
     """Matrix of the linear flow du/dt = Omega A_H u generated by H."""
     if H.dim != len(omega):
         raise ValueError("observable dimension does not match the structure")
-    if np.abs(H.b).max() > 0.0:
-        raise ValueError("Hamiltonian must be a homogeneous quadratic (b = 0)")
     return omega @ H.A

@@ -20,6 +20,7 @@ quantities satisfy and reports worst-case residuals.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -80,6 +81,12 @@ class FrequencySpectrum:
     Frequencies are stored sorted ascending.  Unsorted input is accepted
     and sorted, with ``was_sorted`` flagging that this happened (the sign
     bookkeeping of ``rho`` depends on the ordering convention).
+
+    Every w_k^2 must be a normal float64, and the largest power the
+    builders form, w^max(2n+10, 4n-2), must not overflow:
+    ``verify_identities`` forms w^(2n+10), the moment sums of
+    ``poisson.alt_structure`` w^(4n-2) and the modal basis w^(2n+1).
+    Other spectra are refused with a ValueError.
     """
 
     omegas: tuple
@@ -95,6 +102,15 @@ class FrequencySpectrum:
         object.__setattr__(self, "was_sorted", srt != om)
         object.__setattr__(self, "omegas", srt)
         w2 = self.omega_sq
+        power = max(2 * self.n + 10, 4 * self.n - 2)
+        try:
+            srt[-1] ** power    # a Python float power raises OverflowError, never gives inf
+            in_range = min(w2) >= sys.float_info.min
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError("frequencies out of float64 range: every w^2 must be a "
+                             "normal float and w^%d must not overflow" % power)
         for a in range(len(w2)):
             for b in range(a + 1, len(w2)):
                 if w2[b] - w2[a] < GAP_FLOOR:
@@ -204,42 +220,22 @@ def complete_homog(spec: FrequencySpectrum, k: int) -> float:
     return P[k] if k < len(P) else complete_homogeneous(spec.omega_sq, k)
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    max_residual: float
-    location: tuple
-    passed: bool
+def _worst(checks) -> dict:
+    """The report entry of one identity from its (residual, scale, location)
+    checks: the largest relative residual |residual| / |scale| (the first
+    of equal ones), where it occurred, and whether that check passes
+    ``passes_tolerance``."""
+    worst = None
+    for residual, scale, location in checks:
+        rel = abs(residual) / max(abs(scale), 1e-300)
+        if worst is None or rel > worst[0]:
+            worst = (rel, residual, scale, location)
+    rel, residual, scale, location = worst
+    return {"max_residual": rel, "location": list(location),
+            "pass": passes_tolerance(residual, scale)}
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Per-identity worst relative residual and where it occurred."""
-
-    results: dict
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            name: {
-                "max_residual": r.max_residual,
-                "location": list(r.location),
-                "pass": r.passed,
-            }
-            for name, r in self.results.items()
-        }
-
-
-def _track(worst, residual, scale, location):
-    rel = abs(residual) / max(abs(scale), 1e-300)
-    if worst is None or rel > worst[0]:
-        return (rel, abs(residual), scale, location)
-    return worst
-
-
-def verify_identities(spec: FrequencySpectrum, k_range=None) -> IdentityReport:
+def verify_identities(spec: FrequencySpectrum) -> dict:
     """Numerically check the symmetric-polynomial identities.
 
     Checked, over all index combinations:
@@ -249,94 +245,81 @@ def verify_identities(spec: FrequencySpectrum, k_range=None) -> IdentityReport:
     * ``id1_second``:  sum_k (-1)^k (-w_k^2)^s reduced_sigma(p, k) rho_k
                        = delta_{sp} (s < n), -sigma_p (s = n)
     * ``id2``:         P_{2k} = (-1)^{n-1} sum_s (-1)^s w_s^{2n+2k-2} rho_s
-                       for k in ``k_range`` (default -n+1 .. 6)
+                       for k = -n+1 .. 6
     * ``power_diff``:  w_a^{2s} - w_b^{2s}
                        = (w_a^2 - w_b^2) P_{2s-2}(w_a^2, w_b^2)
     * ``p_diff``:      P_{2s}(S, w_a^2) - P_{2s}(S, w_b^2)
                        = (w_a^2 - w_b^2) P_{2s-2}(S, w_a^2, w_b^2)
 
     Residuals are relative to the largest term magnitude in each sum.
-    Failures are reported, never raised.
+    Returns {identity: {"max_residual", "location", "pass"}}, the report
+    the ``spectrum`` command prints.  Failures are reported, never raised.
     """
     n = spec.n
     w = spec.omegas
     table = spec.table
     w2 = table.omega_sq
-    if k_range is None:
-        k_range = range(-n + 1, 7)
     rhos = table.rho
     red = table.reduced
 
-    worst_a = worst_b = worst_c = worst_d = worst_e = None
+    def id1_first():
+        for s in range(n):
+            for p in range(n):
+                terms = [(-1.0) ** k * w[p] ** (2 * k) * red[s][k] for k in range(n)]
+                rhs = (-1.0) ** s / rhos[s] if s == p else 0.0
+                yield sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (s, p)
 
-    # id1, first form
-    for s in range(n):
-        for p in range(n):
-            terms = [(-1.0) ** k * w[p] ** (2 * k) * red[s][k] for k in range(n)]
-            rhs = (-1.0) ** s / rhos[s] if s == p else 0.0
-            scale = max([abs(t) for t in terms] + [abs(rhs)])
-            worst_a = _track(worst_a, sum(terms) - rhs, scale, (s, p))
+    def id1_second():
+        for s in range(n + 1):
+            for p in range(n):
+                terms = [(-1.0) ** k * (-w2[k]) ** s * red[k][p] * rhos[k]
+                         for k in range(n)]
+                if s == n:
+                    rhs = -table.sigma[p]
+                else:
+                    rhs = 1.0 if s == p else 0.0
+                yield sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (s, p)
 
-    # id1, second form
-    for s in range(n + 1):
-        for p in range(n):
-            terms = [(-1.0) ** k * (-w2[k]) ** s * red[k][p] * rhos[k]
-                     for k in range(n)]
-            if s == n:
-                rhs = -table.sigma[p]
-            else:
-                rhs = 1.0 if s == p else 0.0
-            scale = max([abs(t) for t in terms] + [abs(rhs)])
-            worst_b = _track(worst_b, sum(terms) - rhs, scale, (s, p))
+    def id2():
+        for k in range(-n + 1, 7):
+            terms = [(-1.0) ** (n - 1) * (-1.0) ** s * w[s] ** (2 * n + 2 * k - 2) * rhos[s]
+                     for s in range(n)]
+            rhs = complete_homog(spec, k)
+            yield sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (k,)
 
-    # id2
-    for k in k_range:
-        if k < -n + 1:
-            continue
-        terms = [(-1.0) ** (n - 1) * (-1.0) ** s * w[s] ** (2 * n + 2 * k - 2) * rhos[s]
-                 for s in range(n)]
-        rhs = complete_homog(spec, k)
-        scale = max([abs(t) for t in terms] + [abs(rhs)])
-        worst_c = _track(worst_c, sum(terms) - rhs, scale, (k,))
+    def power_diff():
+        # one P pass per pair serves every s
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                h = _complete_homogeneous_pass([w2[a], w2[b]], 5)
+                for s in range(1, 7):
+                    lhs = w[a] ** (2 * s) - w[b] ** (2 * s)
+                    rhs = (w2[a] - w2[b]) * h[s - 1]
+                    scale = max(abs(w[a] ** (2 * s)), abs(w[b] ** (2 * s)), abs(rhs), 1.0)
+                    yield lhs - rhs, scale, (a, b, s)
+        if n == 1:  # check against sampled fixed second arguments
+            for v in (0.25, 2.0):
+                h = _complete_homogeneous_pass([w2[0], v], 5)
+                for s in range(1, 7):
+                    lhs = w2[0] ** s - v ** s
+                    rhs = (w2[0] - v) * h[s - 1]
+                    yield lhs - rhs, max(abs(lhs), abs(rhs), 1.0), (v, s)
 
-    # difference-of-powers helper; one P pass per pair serves every s
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            h = _complete_homogeneous_pass([w2[a], w2[b]], 5)
-            for s in range(1, 7):
-                lhs = w[a] ** (2 * s) - w[b] ** (2 * s)
-                rhs = (w2[a] - w2[b]) * h[s - 1]
-                scale = max(abs(w[a] ** (2 * s)), abs(w[b] ** (2 * s)), abs(rhs), 1.0)
-                worst_d = _track(worst_d, lhs - rhs, scale, (a, b, s))
-    if worst_d is None:  # n = 1: check against sampled fixed second arguments
-        for v in (0.25, 2.0):
-            h = _complete_homogeneous_pass([w2[0], v], 5)
-            for s in range(1, 7):
-                lhs = w2[0] ** s - v ** s
-                rhs = (w2[0] - v) * h[s - 1]
-                worst_d = _track(worst_d, lhs - rhs,
-                                 max(abs(lhs), abs(rhs), 1.0), (v, s))
+    def p_diff():
+        # over sampled argument subsets, padded so n = 1 still exercises it
+        pool = list(w2) + [0.3, 1.7]
+        for a in range(len(pool)):
+            for b in range(a + 1, len(pool)):
+                rest = [pool[j] for j in range(len(pool)) if j not in (a, b)][:2]
+                ha = _complete_homogeneous_pass(rest + [pool[a]], 4)
+                hb = _complete_homogeneous_pass(rest + [pool[b]], 4)
+                hab = _complete_homogeneous_pass(rest + [pool[a], pool[b]], 3)
+                for s in range(1, 5):
+                    lhs = ha[s] - hb[s]
+                    rhs = (pool[a] - pool[b]) * hab[s - 1]
+                    yield lhs - rhs, max(abs(ha[s]), abs(hb[s]), abs(rhs), 1.0), (a, b, s)
 
-    # difference-of-P helper, over sampled argument subsets
-    pool = list(w2) + [0.3, 1.7]  # pad so n = 1 still exercises the identity
-    for a in range(len(pool)):
-        for b in range(a + 1, len(pool)):
-            rest = [pool[j] for j in range(len(pool)) if j not in (a, b)][:2]
-            ha = _complete_homogeneous_pass(rest + [pool[a]], 4)
-            hb = _complete_homogeneous_pass(rest + [pool[b]], 4)
-            hab = _complete_homogeneous_pass(rest + [pool[a], pool[b]], 3)
-            for s in range(1, 5):
-                lhs = ha[s] - hb[s]
-                rhs = (pool[a] - pool[b]) * hab[s - 1]
-                scale = max(abs(ha[s]), abs(hb[s]), abs(rhs), 1.0)
-                worst_e = _track(worst_e, lhs - rhs, scale, (a, b, s))
-
-    results = {}
-    for name, worst in (("id1_first", worst_a), ("id1_second", worst_b),
-                        ("id2", worst_c), ("power_diff", worst_d),
-                        ("p_diff", worst_e)):
-        rel, absres, scale, loc = worst
-        results[name] = IdentityResult(rel, loc, passes_tolerance(absres, scale))
-    return IdentityReport(results)
+    return {check.__name__: _worst(check())
+            for check in (id1_first, id1_second, id2, power_diff, p_diff)}

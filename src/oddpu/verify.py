@@ -52,8 +52,8 @@ def check_identities(n_max=6, trials=20, seed=42) -> dict:
     for n in range(1, n_max + 1):
         for _ in range(trials):
             spec = random_spectrum(rng, n)
-            report = spectrum.verify_identities(spec, range(-n + 1, 7))
-            worst = max(worst, max(r.max_residual for r in report.results.values()))
+            report = spectrum.verify_identities(spec)
+            worst = max(worst, max(r["max_residual"] for r in report.values()))
     return _result("identities", worst, 1e-8)
 
 

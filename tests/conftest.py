@@ -7,10 +7,10 @@ import pytest
 
 
 def quadratic_value_bound(obs, states):
-    """Forward-error bound of u.A.u/2 + b.u + c, one per row of ``states``:
-    4 (dim + 2) eps (|u|.|A|.|u| + |b|.|u| + |c|)."""
+    """Forward-error bound of u.A.u/2, one per row of ``states``:
+    4 (dim + 2) eps |u|.|A|.|u|."""
     U = np.abs(np.atleast_2d(states))
-    scale = np.einsum("ri,ij,rj->r", U, np.abs(obs.A), U) + U @ np.abs(obs.b) + abs(obs.c)
+    scale = np.einsum("ri,ij,rj->r", U, np.abs(obs.A), U)
     return 4 * (obs.dim + 2) * np.finfo(float).eps * scale
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import oddpu
-from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, degeneracy_scalar,
-                   dirac_structure, invariant_directions)
+from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, cli, degeneracy_scalar,
+                   dirac_structure, invariant_directions, verify)
 from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals)
 from oddpu.cli import MAX_GRID_ROWS, build_parser, main
@@ -63,6 +63,20 @@ class TestSpectrumCommand:
     def test_missing_omegas(self, capsys):
         code, _, _ = run(["spectrum"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--omegas", "1e100"],          # w^12 overflows
+        ["simulate", "--omegas", "1e160", "--state", "0", "0", "1", "0", "0", "0",
+         "--t-end", "1", "--dt", "0.5"],            # w^2 overflows
+        ["structure", "--omegas", "1e100"],
+        ["structure", "--omegas", "1e-170"],        # w^2 subnormal
+        ["spectrum", "--omegas", "1e-200"],         # w^2 underflows to 0
+    ])
+    def test_frequency_out_of_float_range(self, argv, capsys):
+        code, out, err = run_strict(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "out of float64 range")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
@@ -372,9 +386,10 @@ class TestDeformCommand:
     def test_degenerate_gamma_exit_code(self, capsys):
         argv = list(self.ARGS)
         argv[argv.index("-1")] = "1"
-        code, _, err = run(argv, capsys)
+        code, out, err = run(argv, capsys)
         assert code == 3
-        assert "degenerate" in err
+        assert out == ""
+        assert err == "error: degenerate structure: deformation needs |s| > 0\n"
 
     def test_dirac_weights_n6(self, capsys):
         # the Dirac-equivalent weights at n = 6, where C has sigma_min /
@@ -417,6 +432,11 @@ class TestDeformCommand:
         ({"i": 1, "j": 0, "value": "0.5"}, "value='0.5'"),
         ({"i": 1, "j": 0, "value": 10 ** 400}, "value=1000"),
         ({"i": -1, "j": 2, "value": 1}, "i=-1"),
+        # each ended in an error naming only the key or the index type
+        ({"i": 4, "value": 0.05}, "missing key 'j'"),
+        ([4, 0, 0.05], "[4, 0, 0.05]: not an object"),
+        # a misspelt key was ignored and the call exited 0
+        ({"i": 1, "j": 0, "value": 1, "k": 2}, "unknown key 'k'"),
     ])
     @pytest.mark.parametrize("via_config", [False, True])
     def test_bad_potential_term_refused(self, capsys, tmp_path, coeff, fragment, via_config):
@@ -432,6 +452,26 @@ class TestDeformCommand:
         assert code == 2
         assert out == ""
         assert_one_error_line(err, "bad potential term", fragment)
+
+    @pytest.mark.parametrize("potential, fragment", [
+        ({"degree": 4}, "missing key 'coeffs'"),
+        ({"degre": 4, "coeffs": [{"i": 4, "j": 0, "value": 0.05}]}, "unknown key 'degre'"),
+        ({"coeffs": {"i": 4, "j": 0, "value": 0.05}}, "coeffs must be an array"),
+    ])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_malformed_potential_refused(self, capsys, tmp_path, potential, fragment,
+                                         via_config):
+        argv = self.ARGS
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"potential": potential}))
+            argv = argv + ["--config", str(cfg)]
+        else:
+            argv = argv + ["--potential", json.dumps(potential)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "bad potential", fragment)
 
     @pytest.mark.parametrize("degree", [4.7, 4.0, True, "4", None])
     @pytest.mark.parametrize("via_config", [False, True])
@@ -657,6 +697,33 @@ class TestVerifyCommand:
     def test_bad_arguments(self, capsys):
         code, _, _ = run(["verify", "--n-max", "0"], capsys)
         assert code == 2
+
+
+class TestVerificationFailure:
+    def test_failing_entry_exits_1_and_still_reports(self, capsys, monkeypatch):
+        real_identities = cli.verify_identities
+
+        def identities_with_id2_failing(spec):
+            report = real_identities(spec)
+            report["id2"]["pass"] = False
+            return report
+
+        failing_summary = {"seed": 42, "n_max": 6, "trials": 20,
+                           "checks": {"identities": {"worst_residual": 1.0,
+                                                     "tolerance": 1e-8, "pass": False}},
+                           "pass": False}
+        monkeypatch.setattr(cli, "verify_identities", identities_with_id2_failing)
+        monkeypatch.setattr(verify, "run_all", lambda **kwargs: failing_summary)
+
+        code, out, err = run(["spectrum", "--omegas", "1", "2"], capsys)
+        assert (code, err) == (1, "")
+        identities = json.loads(out)["identities"]
+        assert identities["id2"]["pass"] is False
+        assert all(identities[name]["pass"] for name in identities if name != "id2")
+
+        code, out, err = run(["verify"], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == failing_summary
 
 
 class TestClosedStdout:

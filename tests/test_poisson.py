@@ -152,7 +152,7 @@ class TestObservableValue:
         A = rng.normal(size=(dim, dim))
         observables = [energy_observable(spec),
                        alt_hamiltonian_observable(spec, random_gamma(rng, spec)),
-                       QuadraticObservable(A + A.T, rng.normal(size=dim), 0.7)]
+                       QuadraticObservable(A + A.T)]
         states = rng.uniform(-1, 1, size=(50, dim))
         for obs in observables:
             stacked = obs.value(states)
@@ -171,44 +171,33 @@ class TestBracket:
         spec = random_spectrum(rng, 2)
         S = dirac_structure(spec)
         A = rng.uniform(-1, 1, size=(10, 10))
-        f = QuadraticObservable(A + A.T, rng.uniform(-1, 1, 10))
+        f = QuadraticObservable(A + A.T)
         B = rng.uniform(-1, 1, size=(10, 10))
-        g = QuadraticObservable(B + B.T, rng.uniform(-1, 1, 10))
+        g = QuadraticObservable(B + B.T)
         fg = bracket(S, f, g)
         gf = bracket(S, g, f)
         assert np.abs(fg.A + gf.A).max() <= 1e-12
-        assert np.abs(fg.b + gf.b).max() <= 1e-12
-        assert abs(fg.c + gf.c) <= 1e-12
 
     def test_self_bracket_vanishes(self):
         rng = np.random.default_rng(2)
         S = dirac_structure(S1)
         A = rng.uniform(-1, 1, size=(6, 6))
-        f = QuadraticObservable(A + A.T, rng.uniform(-1, 1, 6))
+        f = QuadraticObservable(A + A.T)
         ff = bracket(S, f, f)
         assert np.abs(ff.A).max() <= 1e-12
-        assert np.abs(ff.b).max() <= 1e-12
-        assert ff.c == pytest.approx(0.0)
 
     def test_velocity_coordinates_bracket(self):
+        # {dx_1, dx_2} = 1: the bracket of two coordinates is an entry of Omega
         S = dirac_structure(S1)
-        f = QuadraticObservable.coordinate(6, 1, 1)
-        g = QuadraticObservable.coordinate(6, 1, 2)
-        out = bracket(S, f, g)
-        assert np.abs(out.A).max() == 0.0
-        assert np.abs(out.b).max() == 0.0
-        assert out.c == pytest.approx(1.0)
+        assert S[jet_index(1, 1), jet_index(1, 2)] == pytest.approx(1.0)
 
     def test_coordinate_with_energy(self):
-        # {x_1, H} = dx_1
+        # {x_1, H} = dx_1: the x_1 row of the Hamiltonian vector field
         S = dirac_structure(S1)
         H = energy_observable(S1)
-        out = bracket(S, QuadraticObservable.coordinate(6, 0, 1), H)
         expected = np.zeros(6)
         expected[jet_index(1, 1)] = 1.0
-        assert np.abs(out.A).max() <= 1e-12
-        assert out.b == pytest.approx(expected)
-        assert out.c == pytest.approx(0.0)
+        assert hamiltonian_vector_field(S, H)[jet_index(0, 1)] == pytest.approx(expected)
 
     def test_bilinearity(self):
         rng = np.random.default_rng(4)
@@ -216,20 +205,17 @@ class TestBracket:
 
         def rand_obs():
             A = rng.uniform(-1, 1, size=(6, 6))
-            return QuadraticObservable(A + A.T, rng.uniform(-1, 1, 6), rng.uniform())
+            return QuadraticObservable(A + A.T)
 
         f, g, h = rand_obs(), rand_obs(), rand_obs()
-        lhs = bracket(S, f + 2.0 * g, h)
-        rhs = bracket(S, f, h) + 2.0 * bracket(S, g, h)
-        assert np.abs(lhs.A - rhs.A).max() <= 1e-12
-        assert np.abs(lhs.b - rhs.b).max() <= 1e-12
-        assert abs(lhs.c - rhs.c) <= 1e-12
+        lhs = bracket(S, QuadraticObservable(f.A + 2.0 * g.A), h)
+        rhs = bracket(S, f, h).A + 2.0 * bracket(S, g, h).A
+        assert np.abs(lhs.A - rhs).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         S = dirac_structure(S1)
         with pytest.raises(ValueError):
-            bracket(S, QuadraticObservable.coordinate(10, 0, 1),
-                    QuadraticObservable.coordinate(10, 0, 2))
+            bracket(S, QuadraticObservable(np.eye(10)), QuadraticObservable(np.eye(10)))
 
 
 class TestHamiltonianVectorField:
@@ -265,11 +251,6 @@ class TestHamiltonianVectorField:
         expected[jet_index(1, 1)] = 0.5 * (g1 - g2)
         expected[jet_index(2, 2)] = -(g1 + g2) / (2 * w0)
         assert row == pytest.approx(expected)
-
-    def test_linear_part_rejected(self):
-        S = dirac_structure(S1)
-        with pytest.raises(ValueError):
-            hamiltonian_vector_field(S, QuadraticObservable.coordinate(6, 0, 1))
 
 
 class TestDegeneracyScale:
