@@ -345,7 +345,7 @@ def main(argv=None) -> int:
         # final flush of the unwritten buffer cannot fail again at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
 

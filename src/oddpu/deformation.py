@@ -2,10 +2,11 @@
 
 A potential U may be added to the gamma-weighted Hamiltonian without
 breaking the lower jet-chain equations iff its gradient is annihilated by
-the lower 4n rows of the alternative structure.  Those rows form a linear
-homogeneous system on the 4n+2 gradient components whose null space is
-two-dimensional; potentials are polynomials in the two resulting
-invariant scalars w_a = v_a . u.
+the lower 4n rows of the alternative structure.  Those rows are the
+constraint system (``deformation_system``), a linear homogeneous system
+on the 4n+2 gradient components whose null space is two-dimensional;
+potentials are polynomials in the two resulting invariant scalars
+w_a = v_a . u.
 
 ``invariant_directions`` writes the null space in closed form from the
 canonical block form of the structure, at every n and for degenerate
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import alt_hamiltonian_observable, canonical_map
-from .poisson import (GammaWeights, _require_sizes_match, alt_structure, degeneracy_scalar,
-                      moment_sums)
+from .poisson import GammaWeights, alt_structure, degeneracy_scalar
 from .spectrum import FrequencySpectrum
 
 MAX_POTENTIAL_DEGREE = 8
@@ -78,47 +78,10 @@ def null_space_complete_pivot(C: np.ndarray):
 
 
 def deformation_system(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
-    """The constraint matrix C (4n x (4n+2)) acting on grad U in jet order.
-
-    For p = 0..n-1 and i = 1,2, two equation families on dU/dx_i^{(m)}:
-
-      sum_{k,m<n} (-1)^m rho_k w_k^{2p+2m-1} a_k^+ dU/dx_i^{(2m+1)}
-        + sum_{m=delta_{p0}}^{n} sum_k (-1)^m rho_k w_k^{2p+2m-2} a_k^-
-          eps_{ij} dU/dx_j^{(2m)} = 0
-
-      sum_{m<=n} sum_k (-1)^m rho_k w_k^{2p+2m-1} a_k^+ dU/dx_i^{(2m)}
-        - sum_{k,m<n} (-1)^m rho_k w_k^{2p+2m} a_k^- eps_{ij}
-          dU/dx_j^{(2m+1)} = 0
-
-    The m = 0 term of the even sum is skipped exactly at p = 0 (the
-    Kronecker guard), matching the vanishing {x_i, x_j} entry.
-    """
-    _require_sizes_match(spec, g)
-    n = spec.n
-    sums = moment_sums(spec, g, -2, 4 * n - 3)
-    dim = spec.jet_dim
-    other = {1: 2, 2: 1}
-    eps_sign = {1: 1.0, 2: -1.0}  # eps_{ij} with j the other index
-    rows = []
-    for p in range(n):
-        for i in (1, 2):
-            row = np.zeros(dim)
-            for m in range(n):
-                row[2 * (2 * m + 1) + i - 1] += (-1.0) ** m * sums[2 * p + 2 * m - 1][0]
-            for m in range(1 if p == 0 else 0, n + 1):
-                coef = (-1.0) ** m * sums[2 * p + 2 * m - 2][1]
-                row[2 * (2 * m) + other[i] - 1] += eps_sign[i] * coef
-            rows.append(row)
-    for p in range(n):
-        for i in (1, 2):
-            row = np.zeros(dim)
-            for m in range(n + 1):
-                row[2 * (2 * m) + i - 1] += (-1.0) ** m * sums[2 * p + 2 * m - 1][0]
-            for m in range(n):
-                coef = (-1.0) ** m * sums[2 * p + 2 * m][1]
-                row[2 * (2 * m + 1) + other[i] - 1] -= eps_sign[i] * coef
-            rows.append(row)
-    return np.array(rows)
+    """The constraint matrix C (4n x (4n+2)) acting on grad U in jet order:
+    the lower 4n rows of the alternative structure, the rows of
+    x_i^{(s)} for s < 2n."""
+    return alt_structure(spec, g)[:4 * spec.n]
 
 
 def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
@@ -136,7 +99,7 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
 
       K = blockdiag(-s (-1)^{k+i+1} gamma_{k,i} J2, -(w_0...w_{n-1})^{-2} J2),
 
-    which stays finite at s = 0.  The constraint rows span the lower 4n
+    which stays finite at s = 0.  The constraint rows are the lower 4n
     rows of Omega_alt, so the null space is spanned by the columns of
     T_c^T K T_c at the top jet indices 4n, 4n+1; at s = 0 these are
     combinations of the z rows, which span the kernel of Omega_alt.  No

@@ -132,8 +132,15 @@ def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     _require_sizes_match(spec, g)
     n = spec.n
     dim = spec.jet_dim
-    # an entry depends on (s, m) through its sign and the moment sums at s+m-2
-    sums = moment_sums(spec, g, -1, 4 * n - 2)
+    # an entry depends on (s, m) through its sign and the weighted moments
+    # (sum_k rho_k w_k^e alpha_k^+, sum_k rho_k w_k^e alpha_k^-) at e = s+m-2
+    rhos = np.array(spec.table.rho)
+    w = np.array(spec.omegas)
+    ap, am = g.alpha_plus, g.alpha_minus
+    sums = {}
+    for e in range(-1, 4 * n - 1):
+        moments = rhos * w ** e
+        sums[e] = (float(moments @ ap), float(moments @ am))
     omega = np.zeros((dim, dim))
     for s in range(2 * n + 1):
         for m in range(2 * n + 1):
@@ -152,34 +159,29 @@ def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     return _antisymmetric(omega)
 
 
-def moment_sums(spec: FrequencySpectrum, g: GammaWeights, lo: int, hi: int) -> dict:
-    """{e: (sum_k rho_k w_k^e alpha_k^+, sum_k rho_k w_k^e alpha_k^-)} for
-    lo <= e <= hi: the weighted moments every alternative-family entry
-    (and every deformation constraint) is made of."""
-    rhos = np.array(spec.table.rho)
-    w = np.array(spec.omegas)
-    ap, am = g.alpha_plus, g.alpha_minus
-    sums = {}
-    for e in range(lo, hi + 1):
-        moments = rhos * w ** e
-        sums[e] = (float(moments @ ap), float(moments @ am))
-    return sums
+def _degeneracy_terms(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
+    """The terms rho_k alpha_k^- / w_k^2 of the degeneracy scalar, refused
+    with a ValueError when the sum of their sizes overflows: the spectrum's
+    float64 range rule bounds powers of w, not rho_k / w_k^2."""
+    _require_sizes_match(spec, g)
+    t = spec.table
+    with np.errstate(over="ignore"):
+        terms = np.array(t.rho) * g.alpha_minus / np.array(t.omega_sq)
+        if not np.isfinite(np.sum(np.abs(terms))):
+            raise ValueError("degeneracy scalar out of float64 range")
+    return terms
 
 
 def degeneracy_scalar(spec: FrequencySpectrum, g: GammaWeights) -> float:
     """s = sum_k rho_k alpha_k^- / w_k^2; the alternative structure drops
     rank (by 2, in the z-sector) exactly where this vanishes."""
-    _require_sizes_match(spec, g)
-    t = spec.table
-    return float(np.sum(np.array(t.rho) * g.alpha_minus / np.array(t.omega_sq)))
+    return float(np.sum(_degeneracy_terms(spec, g)))
 
 
 def degeneracy_scale(spec: FrequencySpectrum, g: GammaWeights) -> float:
     """sum_k |rho_k alpha_k^-| / w_k^2: the size the degeneracy scalar is
     judged against."""
-    _require_sizes_match(spec, g)
-    t = spec.table
-    return float(np.sum(np.abs(np.array(t.rho) * g.alpha_minus) / np.array(t.omega_sq)))
+    return float(np.sum(np.abs(_degeneracy_terms(spec, g))))
 
 
 def gamma_is_degenerate(spec: FrequencySpectrum, g: GammaWeights) -> bool:

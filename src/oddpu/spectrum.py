@@ -111,13 +111,11 @@ class FrequencySpectrum:
         if not in_range:
             raise ValueError("frequencies out of float64 range: every w^2 must be a "
                              "normal float and w^%d must not overflow" % power)
-        for a in range(len(w2)):
-            for b in range(a + 1, len(w2)):
-                if w2[b] - w2[a] < GAP_FLOOR:
-                    raise ValueError(
-                        "squared-frequency gap %.3g below floor %.1g"
-                        % (w2[b] - w2[a], GAP_FLOOR)
-                    )
+        # w2 is sorted: a pair closer than the floor has a closer neighbouring pair
+        for lo, hi in zip(w2, w2[1:]):
+            if hi - lo < GAP_FLOOR:
+                raise ValueError("squared-frequency gap %.3g below floor %.1g"
+                                 % (hi - lo, GAP_FLOOR))
 
     @property
     def n(self) -> int:

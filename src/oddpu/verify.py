@@ -91,16 +91,6 @@ def check_dirac_recovery(n_max=5, trials=20, seed=42) -> dict:
     return _result("dirac_recovery", worst, 1e-9)
 
 
-def _canonical_block(n: int) -> np.ndarray:
-    """Expected bracket matrix of (q,p) pairs plus the z/pi pair."""
-    J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    blocks = [J2] * (2 * n + 1)
-    out = np.zeros((4 * n + 2, 4 * n + 2))
-    for b, blk in enumerate(blocks):
-        out[2 * b:2 * b + 2, 2 * b:2 * b + 2] = blk
-    return out
-
-
 def check_canonical_form(n_max=4, trials=20, seed=42) -> dict:
     """Criterion 4: scaled canonical map conjugates the alternative
     structure to block form (off-block <= 1e-9) and the energy, an
@@ -111,7 +101,7 @@ def check_canonical_form(n_max=4, trials=20, seed=42) -> dict:
     worst_block = 0.0
     worst_energy = 0.0
     for n in range(1, n_max + 1):
-        J = _canonical_block(n)
+        J = np.kron(np.eye(2 * n + 1), deformation.J2)   # (q, p) pairs, then (z, pi)
         for _ in range(trials):
             spec = random_spectrum(rng, n)
             g = random_gamma(rng, spec)

@@ -129,6 +129,20 @@ class TestStructureCommand:
         assert out == ""
         assert_one_error_line(err, "gamma weight must be finite")
 
+    @pytest.mark.parametrize("argv", [
+        ["structure", "--omegas", "1e-152", "1e-3"],
+        # the overflow must not read as a degenerate structure (exit 3)
+        ["deform", "--omegas", "1e-152", "1e-3", "--gamma", "1", "-1", "-1", "1",
+         "--state", *["0"] * 10, "--t-end", "1", "--dt", "0.5"],
+    ])
+    def test_degeneracy_scalar_out_of_range(self, argv, capsys):
+        # rho_0 / w_0^2 is about 1e6 / 1e-304: every power of w is in range,
+        # the degeneracy term is not
+        code, out, err = run_strict(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "degeneracy scalar out of float64 range")
+
 
 class TestSerialization:
     """The ``structure`` JSON: its keys in order, and the degeneracy fields
@@ -682,6 +696,15 @@ class TestConfigHandling:
         cfg.write_text("[1, 2]")
         code, _, _ = run(["spectrum", "--config", str(cfg)], capsys)
         assert code == 2
+
+    def test_undecodable_config(self, capsys, tmp_path):
+        # json.JSONDecodeError is a ValueError: bad input, one error line
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{bad")
+        code, out, err = run(["spectrum", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err)
 
 
 class TestVerifyCommand:

@@ -56,6 +56,52 @@ class TestDeformationSystem:
         with pytest.raises(ValueError):
             deformation_system(S1, GammaWeights(((1.0, 1.0),) * 2))
 
+    @staticmethod
+    def written_out_n1(spec, g):
+        """C at n = 1 from its two equation families, p = 0, i = 1, 2, on
+        dU/dx_i^{(m)} at column 2m + i - 1:
+
+          rho w^-1 a^+ dU/dx_i' - eps_ij rho w^0 a^- dU/dx_j'' = 0
+          rho w^-1 a^+ dU/dx_i - rho w a^+ dU/dx_i'' - eps_ij rho w^0 a^- dU/dx_j' = 0
+
+        (the m = 0 even term of the first family is dropped at p = 0).
+        With rho_0 = 1 the moment sums are S_e^{+-} = w^e a^{+-}."""
+        w = spec.omegas[0]
+        ap, am = float(g.alpha_plus[0]), float(g.alpha_minus[0])
+        rows = []
+        for i, j, eps_ij in ((1, 2, 1.0), (2, 1, -1.0)):
+            row = np.zeros(6)
+            row[2 + i - 1] = ap / w
+            row[4 + j - 1] = -eps_ij * am
+            rows.append(row)
+        for i, j, eps_ij in ((1, 2, 1.0), (2, 1, -1.0)):
+            row = np.zeros(6)
+            row[i - 1] = ap / w
+            row[4 + i - 1] = -w * ap
+            row[2 + j - 1] = -eps_ij * am
+            rows.append(row)
+        return rows
+
+    def test_rows_match_written_out_n1(self):
+        # C is sliced from alt_structure; this is the independent check of
+        # its values: each row is one written-out row up to sign
+        rng = np.random.default_rng(23)
+        cases = [(S1, DIRAC1), (S1, GammaWeights(((1.0, 1.0),)))]
+        for _ in range(10):
+            spec = random_spectrum(rng, 1)
+            cases.append((spec, random_gamma(rng, spec)))
+        for spec, g in cases:
+            assert spec.table.rho == (1.0,)
+            expected = self.written_out_n1(spec, g)
+            C = deformation_system(spec, g)
+            matched = []
+            for row in C:
+                hits = [k for k, e in enumerate(expected) for sign in (1.0, -1.0)
+                        if np.allclose(row, sign * e, rtol=1e-15, atol=0.0)]
+                assert len(hits) == 1, (row, expected)
+                matched += hits
+            assert sorted(matched) == [0, 1, 2, 3]
+
     def test_dirac_n1_null_space_is_positions(self):
         # gamma = (1, -1): a^+ = 0, a^- = 1, and the invariants are the
         # bare positions, in the stated basis w_a = x_a

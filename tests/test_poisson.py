@@ -9,7 +9,7 @@ from oddpu import (FrequencySpectrum, GammaWeights,
                    dirac_structure, gamma_is_degenerate, hamiltonian_vector_field,
                    jet_index, rho, structure_rank)
 from oddpu.canonical import alt_hamiltonian_observable, energy_observable
-from oddpu.poisson import _antisymmetric
+from oddpu.poisson import DegeneracyError, _antisymmetric
 from oddpu.verify import random_gamma, random_spectrum
 
 S1 = FrequencySpectrum((1.0,))
@@ -271,6 +271,15 @@ class TestDegeneracyScale:
         g = dirac_equivalent_gamma(2)
         assert abs(degeneracy_scalar(spec, g)) > 1e-10 * degeneracy_scale(spec, g)
         assert not gamma_is_degenerate(spec, g)
+
+    @pytest.mark.parametrize("degeneracy", [degeneracy_scalar, degeneracy_scale])
+    def test_out_of_float_range_is_bad_input(self, degeneracy):
+        # rho_0 / w_0^2 overflows although every power of w is in range; the
+        # refusal is bad input, not a degenerate structure
+        spec = FrequencySpectrum((1e-152, 1e-3))
+        with pytest.raises(ValueError, match="out of float64 range") as info:
+            degeneracy(spec, dirac_equivalent_gamma(2))
+        assert not isinstance(info.value, DegeneracyError)
 
     def test_gamma_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,9 @@ class TestFrequencySpectrum:
             FrequencySpectrum((1.0, 1.0))
         with pytest.raises(ValueError):
             FrequencySpectrum((1.0, np.sqrt(1.0 + 1e-8)))
+        # the close pair is the last of the sorted neighbours, given unsorted
+        with pytest.raises(ValueError, match="gap 5e-07 below floor"):
+            FrequencySpectrum((2.0, 1.0, np.sqrt(4.0 + 5e-7)))
 
     def test_sorts_with_flag(self):
         spec = FrequencySpectrum((2.0, 1.0))
