@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModalSolution, PhaseState, companion_matrix, jet_index
+from .dynamics import J2, ModalSolution, PhaseState, block_view, companion_matrix
 from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
                       QuadraticObservable, _require_sizes_match, degeneracy_scalar,
                       dirac_equivalent_gamma, gamma_is_degenerate)
@@ -162,27 +162,18 @@ class UniquenessReport:
 def quadratic_ansatz_observable(omega0: float, b: float, c: float, f: float) -> QuadraticObservable:
     """W = b (ddx_i + w0^2 x_i)^2 + c (dx_i^2 - 2 x_i ddx_i - w0^2 x_i^2)
     + f eps_{ij} dx_i ddx_j, summed over i, on the n = 1 jet space."""
-    dim = 6
-    A = np.zeros((dim, dim))
     w2 = omega0 * omega0
-
-    def e(s, i):
-        v = np.zeros(dim)
-        v[jet_index(s, i)] = 1.0
-        return v
-
-    def add_product(coef, va, vb):
-        A[:] += coef * (np.outer(va, vb) + np.outer(vb, va))
-
-    for i in (1, 2):
-        trans = e(2, i) + w2 * e(0, i)     # conserved space-translation charge
-        add_product(b, trans, trans)
-        add_product(c, e(1, i), e(1, i))
-        add_product(-2 * c, e(0, i), e(2, i))
-        add_product(-c * w2, e(0, i), e(0, i))
-    add_product(f, e(1, 1), e(2, 2))
-    add_product(-f, e(1, 2), e(2, 1))
-    # value convention is u.A.u/2; the display above is a plain quadratic
+    # the b and c terms as a symmetric form in (x, dx, ddx), doubled for
+    # the value convention u.A.u/2, on the delta_ij blocks
+    form = 2 * np.array([[b * (w2 * w2) - c * w2, 0.0, b * w2 - c],
+                         [0.0, c, 0.0],
+                         [b * w2 - c, 0.0, b]])
+    A = np.zeros((6, 6))
+    blocks = block_view(A)
+    blocks[..., (0, 1), (0, 1)] = form[..., None]
+    # f eps_{ij} off the diagonal only: f * J2 would put -0.0 on it
+    blocks[1, 2, (0, 1), (1, 0)] = f, -f
+    blocks[2, 1, (0, 1), (1, 0)] = -f, f
     return QuadraticObservable(A)
 
 
@@ -195,26 +186,18 @@ def _antisymmetric_basis():
     positions commute in both structure families (the (0,0) block of the
     gamma family vanishes by definition), and without that constraint a
     structure would exist for every coefficient choice, emptying the
-    uniqueness statement.  8 basis matrices in all.
+    uniqueness statement.  8 basis matrices in all, each a block at
+    (s, m) and its mirror -block^T at (m, s).
     """
+    I2 = np.eye(2)
+    patterns = [(0, 1, I2), (0, 2, I2), (1, 2, I2),
+                (0, 1, J2), (0, 2, J2), (1, 1, J2), (1, 2, J2), (2, 2, J2)]
     mats = []
-    for s in range(3):
-        for m in range(s + 1, 3):  # a_{sm}, s < m
-            E = np.zeros((6, 6))
-            for i in (1, 2):
-                E[jet_index(s, i), jet_index(m, i)] = 1.0
-                E[jet_index(m, i), jet_index(s, i)] = -1.0
-            mats.append(E)
-    for s in range(3):
-        for m in range(s, 3):      # d_{sm}, s <= m, (0,0) excluded
-            if s == 0 and m == 0:
-                continue
-            E = np.zeros((6, 6))
-            pairs = [(s, m)] if s == m else [(s, m), (m, s)]
-            for ss, mm in pairs:
-                E[jet_index(ss, 1), jet_index(mm, 2)] = 1.0
-                E[jet_index(ss, 2), jet_index(mm, 1)] = -1.0
-            mats.append(E)
+    for s, m, block in patterns:
+        E = np.zeros((6, 6))
+        block_view(E)[m, s] -= block.T     # from zeros: no -0.0; J2 is its own mirror
+        block_view(E)[s, m] = block
+        mats.append(E)
     return mats
 
 

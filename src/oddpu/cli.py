@@ -129,7 +129,7 @@ def _merged_config(args) -> dict:
 
 
 def _require(cfg, key):
-    if key not in cfg or cfg[key] is None:
+    if key not in cfg:
         raise ValueError("missing required input: %s" % key)
     return cfg[key]
 
@@ -188,7 +188,7 @@ def cmd_spectrum(cfg, out_path) -> int:
 
 def cmd_structure(cfg, out_path) -> int:
     spec = _spectrum_from(cfg)
-    gamma = _gamma_from(cfg, spec) if cfg.get("gamma") is not None else None
+    gamma = _gamma_from(cfg, spec) if "gamma" in cfg else None
     if gamma is None:
         omega, weights = poisson.dirac_structure(spec), poisson.dirac_equivalent_gamma(spec.n)
     else:
@@ -220,7 +220,7 @@ def cmd_simulate(cfg, out_path) -> int:
     grid = _grid_from(cfg)
     observables = [("H", canonical.energy_observable(spec))]
     gamma = None
-    if cfg.get("gamma") is not None:
+    if "gamma" in cfg:
         gamma = _gamma_from(cfg, spec)
         observables.append(("Hcal", canonical.alt_hamiltonian_observable(spec, gamma)))
     observables += [("J_%d_%d" % ki, obs) for ki, obs in canonical.mode_integrals(spec)]
@@ -241,7 +241,7 @@ def cmd_deform(cfg, out_path) -> int:
     state = _state_from(cfg, spec)
     grid = _grid_from(cfg)
     potential = None
-    if cfg.get("potential") is not None:
+    if "potential" in cfg:
         potential = deformation.PotentialSpec.from_json_dict(cfg["potential"])
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
     observables = [("Hcal", canonical.alt_hamiltonian_observable(spec, gamma))]

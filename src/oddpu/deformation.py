@@ -25,13 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import alt_hamiltonian_observable, canonical_map
+from .dynamics import J2, block_view
 from .poisson import GammaWeights, alt_structure, degeneracy_scalar
 from .spectrum import FrequencySpectrum
 
 MAX_POTENTIAL_DEGREE = 8
-
-#: The 2x2 symplectic block.
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def null_space_complete_pivot(C: np.ndarray):
@@ -95,7 +93,8 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
                                       s (w_0...w_{n-1})^2 J2 for (z_1, z_2))
 
     with c_{k,i} = (-1)^{k+i+1} / gamma_{k,i}, s the degeneracy scalar and
-    J2 = [[0, 1], [-1, 0]].  So s Omega_alt^{-1} = T_c^T K T_c with
+    J2 = [[0, 1], [-1, 0]] (``dynamics.J2``).  So s Omega_alt^{-1} = T_c^T K T_c
+    with K written pair by pair on the diagonal of ``dynamics.block_view(K)``,
 
       K = blockdiag(-s (-1)^{k+i+1} gamma_{k,i} J2, -(w_0...w_{n-1})^{-2} J2),
 
@@ -116,12 +115,12 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     n = spec.n
     s = degeneracy_scalar(spec, g)
     T = canonical_map(spec)
+    k, i = np.arange(n)[:, None], np.array([1, 2])
+    coef = (-s * (-1.0) ** (k + i + 1) * np.array(g.gamma)).ravel()
     K = np.zeros((spec.jet_dim, spec.jet_dim))
-    for k in range(n):
-        for i in (1, 2):
-            b = 4 * k + 2 * (i - 1)        # rows q[k][i], p[k][i] of T_c
-            K[b:b + 2, b:b + 2] = -s * (-1.0) ** (k + i + 1) * g.gamma[k][i - 1] * J2
-    K[4 * n:, 4 * n:] = -J2 / float(np.prod(spec.omegas)) ** 2
+    pairs = block_view(K)              # pair 2k + i - 1 is rows q[k][i], p[k][i] of T_c
+    pairs[range(2 * n), range(2 * n)] = coef[:, None, None] * J2
+    pairs[2 * n, 2 * n] = -J2 / float(np.prod(spec.omegas)) ** 2
     plane = T.T @ (K @ T[:, 4 * n:])
     N1 = plane @ np.linalg.solve(plane[:2], [1.0, 0.0])
     v1 = N1 / np.linalg.norm(N1)
@@ -137,13 +136,11 @@ def closed_form_direction_n1(spec: FrequencySpectrum, g: GammaWeights, i: int) -
         raise ValueError("closed form applies to n = 1 only")
     ap, am = float(g.alpha_plus[0]), float(g.alpha_minus[0])
     w = spec.omegas[0]
-    v = np.zeros(6)
-    j = 2 if i == 1 else 1
-    eps_ij = 1.0 if i == 1 else -1.0
-    v[2 * 0 + i - 1] = am * am - ap * ap
-    v[2 * 1 + j - 1] = eps_ij * am * ap / w
-    v[2 * 2 + i - 1] = -(ap / w) ** 2
-    return v
+    v = np.zeros((3, 2))           # (derivative order, component)
+    v[0, i - 1] = am * am - ap * ap
+    v[1, 2 - i] = J2[i - 1, 2 - i] * am * ap / w
+    v[2, i - 1] = -(ap / w) ** 2
+    return v.ravel()
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,20 @@ def jet_index(s: int, i: int) -> int:
     return 2 * s + (i - 1)
 
 
+#: The 2x2 Levi-Civita block eps_ij, eps_12 = +1 (read-only).
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+J2.setflags(write=False)
+
+
+def block_view(A: np.ndarray) -> np.ndarray:
+    """Writable (d, d, 2, 2) view of a C-contiguous (2d, 2d) array.  On the
+    jet layout block [s, m] holds the entries at (jet_index(s, i),
+    jet_index(m, j)), a_{sm} delta_ij or d_{sm} eps_ij in every
+    rotation-covariant matrix of the model."""
+    d = len(A) // 2
+    return A.reshape(d, 2, d, 2).swapaxes(1, 2)
+
+
 @dataclass(frozen=True)
 class PhaseState:
     """Jet vector u (length 4n+2, layout ``jet_index``) at time t."""
@@ -61,14 +75,11 @@ def companion_matrix(spec: FrequencySpectrum) -> np.ndarray:
     implement x_i^{(2n+1)} = -sum_k sigma_k x_i^{(2k+1)}.
     """
     n = spec.n
-    dim = spec.jet_dim
-    sigma = spec.table.sigma
-    M = np.zeros((dim, dim))
-    for i in (1, 2):
-        for s in range(2 * n):
-            M[jet_index(s, i), jet_index(s + 1, i)] = 1.0
-        for k in range(n):
-            M[jet_index(2 * n, i), jet_index(2 * k + 1, i)] = -sigma[k]
+    M = np.zeros((spec.jet_dim, spec.jet_dim))
+    blocks = block_view(M)
+    s = np.arange(2 * n)
+    blocks[s, s + 1, 0, 0] = blocks[s, s + 1, 1, 1] = 1.0
+    blocks[2 * n, 1::2, 0, 0] = blocks[2 * n, 1::2, 1, 1] = -np.array(spec.table.sigma[:n])
     return M
 
 

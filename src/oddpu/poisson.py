@@ -1,8 +1,9 @@
 """Poisson structures on the jet phase space.
 
 A structure is its constant antisymmetric matrix Omega, a plain
-(4n+2, 4n+2) float64 array in the layout of ``dynamics.jet_index``.  Two
-families are built:
+(4n+2, 4n+2) float64 array in the layout of ``dynamics.jet_index``, built
+from 2x2 blocks a_{sm} delta_ij or d_{sm} eps_ij (``dynamics.block_view``,
+eps = ``dynamics.J2``).  Two families are built:
 
 * ``dirac_structure``  -- the bracket inherited from the constrained
   first-order formulation, with entries built from the complete
@@ -26,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import J2, block_view
 from .spectrum import FrequencySpectrum
-
-#: Levi-Civita sign, eps[i-1][j-1] with eps_{12} = +1.
-EPS = ((0.0, 1.0), (-1.0, 0.0))
 
 GAMMA_FLOOR = 1e-9
 
@@ -103,18 +102,14 @@ def dirac_structure(spec: FrequencySpectrum) -> np.ndarray:
     """Structure with {x_i^{(s)}, x_j^{(m)}} = 0 for s+m odd and
     (-1)^{(s-m)/2 + n + 1} P_{s+m-2n} eps_{ij} for s+m even."""
     n = spec.n
-    dim = spec.jet_dim
     P = spec.table.P
-    omega = np.zeros((dim, dim))
+    omega = np.zeros((spec.jet_dim, spec.jet_dim))
+    blocks = block_view(omega)
     for s in range(2 * n + 1):
-        for m in range(2 * n + 1):
-            if (s + m) % 2 != 0:
-                continue
+        for m in range(s % 2, 2 * n + 1, 2):
             k = (s + m - 2 * n) // 2
             coef = (-1.0) ** ((s - m) // 2 + n + 1) * (P[k] if k >= 0 else 0.0)
-            for i in (1, 2):
-                for j in (1, 2):
-                    omega[2 * s + i - 1, 2 * m + j - 1] = coef * EPS[i - 1][j - 1]
+            blocks[s, m] = coef * J2
     return _antisymmetric(omega)
 
 
@@ -131,7 +126,6 @@ def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     """
     _require_sizes_match(spec, g)
     n = spec.n
-    dim = spec.jet_dim
     # an entry depends on (s, m) through its sign and the weighted moments
     # (sum_k rho_k w_k^e alpha_k^+, sum_k rho_k w_k^e alpha_k^-) at e = s+m-2
     rhos = np.array(spec.table.rho)
@@ -141,7 +135,8 @@ def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     for e in range(-1, 4 * n - 1):
         moments = rhos * w ** e
         sums[e] = (float(moments @ ap), float(moments @ am))
-    omega = np.zeros((dim, dim))
+    omega = np.zeros((spec.jet_dim, spec.jet_dim))
+    blocks = block_view(omega)
     for s in range(2 * n + 1):
         for m in range(2 * n + 1):
             if s == 0 and m == 0:
@@ -149,13 +144,9 @@ def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
             plus, minus = sums[s + m - 2]
             if (s + m) % 2 == 1:
                 coef = (-1.0) ** ((s - m + 1) // 2) * plus
-                for i in (1, 2):
-                    omega[2 * s + i - 1, 2 * m + i - 1] = coef
+                blocks[s, m, 0, 0] = blocks[s, m, 1, 1] = coef
             else:
-                coef = (-1.0) ** ((s - m) // 2) * minus
-                for i in (1, 2):
-                    for j in (1, 2):
-                        omega[2 * s + i - 1, 2 * m + j - 1] = coef * EPS[i - 1][j - 1]
+                blocks[s, m] = (-1.0) ** ((s - m) // 2) * minus * J2
     return _antisymmetric(omega)
 
 

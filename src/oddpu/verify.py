@@ -101,7 +101,7 @@ def check_canonical_form(n_max=4, trials=20, seed=42) -> dict:
     worst_block = 0.0
     worst_energy = 0.0
     for n in range(1, n_max + 1):
-        J = np.kron(np.eye(2 * n + 1), deformation.J2)   # (q, p) pairs, then (z, pi)
+        J = np.kron(np.eye(2 * n + 1), dynamics.J2)   # (q, p) pairs, then (z, pi)
         for _ in range(trials):
             spec = random_spectrum(rng, n)
             g = random_gamma(rng, spec)

@@ -458,3 +458,22 @@ class TestUniqueness:
     def test_bad_frequency(self):
         with pytest.raises(ValueError):
             uniqueness_check(0.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ansatz_value_off_constraint_line(self, seed):
+        # W away from c = b w0^2 (criterion 7's failing branch), against
+        # the display formula summed term by term at random jets
+        rng = np.random.default_rng(900 + seed)
+        w0 = rng.uniform(0.3, 3.0)
+        b, c, f = rng.uniform(-2.0, 2.0, size=3)
+        assert abs(c - b * w0 ** 2) > 1e-3
+        W = quadratic_ansatz_observable(w0, b, c, f)
+        for u in rng.uniform(-1.0, 1.0, size=(20, 6)):
+            x, dx, ddx = u.reshape(3, 2)
+            terms = [b * (ddx[i] + w0 ** 2 * x[i]) ** 2 for i in range(2)]
+            terms += [c * dx[i] ** 2 for i in range(2)]
+            terms += [-2 * c * x[i] * ddx[i] for i in range(2)]
+            terms += [-c * w0 ** 2 * x[i] ** 2 for i in range(2)]
+            terms += [f * dx[0] * ddx[1], -f * dx[1] * ddx[0]]
+            assert W.value(u) == pytest.approx(sum(terms),
+                                               rel=0, abs=1e-14 * sum(map(abs, terms)))

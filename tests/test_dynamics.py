@@ -8,7 +8,7 @@ from oddpu import (FrequencySpectrum, IntegrationError, ModalSolution,
                    PotentialSpec, RK4Flow, jet_index, rk4_step, trajectory)
 from oddpu.canonical import alt_hamiltonian_observable, energy_observable, mode_integrals
 from oddpu.deformation import deformed_field
-from oddpu.dynamics import _basis_derivatives
+from oddpu.dynamics import J2, _basis_derivatives, block_view
 from oddpu.poisson import FactoredObservable, GammaWeights
 from oddpu.verify import random_spectrum
 
@@ -36,6 +36,34 @@ class TestPhaseState:
         assert st.n == 2
         assert list(st.component(1)) == [0, 2, 4, 6, 8]
         assert list(st.component(2)) == [1, 3, 5, 7, 9]
+
+
+class TestBlockView:
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_block_holds_jet_entries(self, d):
+        A = np.random.default_rng(d).standard_normal((2 * d, 2 * d))
+        blocks = block_view(A)
+        assert blocks.shape == (d, d, 2, 2)
+        for s in range(d):
+            for m in range(d):
+                for i in (1, 2):
+                    for j in (1, 2):
+                        assert blocks[s, m, i - 1, j - 1] == A[jet_index(s, i), jet_index(m, j)]
+
+    def test_write_lands_in_array(self):
+        A = np.zeros((6, 6))
+        block_view(A)[2, 1] = [[1.0, 2.0], [3.0, 4.0]]
+        assert A[jet_index(2, 1), jet_index(1, 1)] == 1.0
+        assert A[jet_index(2, 1), jet_index(1, 2)] == 2.0
+        assert A[jet_index(2, 2), jet_index(1, 1)] == 3.0
+        assert A[jet_index(2, 2), jet_index(1, 2)] == 4.0
+        assert np.count_nonzero(A) == 4
+
+    def test_j2_is_read_only_levi_civita(self):
+        assert np.array_equal(J2, [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(J2 @ J2, -np.eye(2))
+        with pytest.raises(ValueError):
+            J2[0, 1] = 2.0
 
 
 class TestCompanionMatrix:

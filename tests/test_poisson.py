@@ -8,7 +8,9 @@ from oddpu import (FrequencySpectrum, GammaWeights,
                    degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                    dirac_structure, gamma_is_degenerate, hamiltonian_vector_field,
                    jet_index, rho, structure_rank)
-from oddpu.canonical import alt_hamiltonian_observable, energy_observable
+from oddpu.canonical import (_antisymmetric_basis, alt_hamiltonian_observable,
+                             energy_observable, quadratic_ansatz_observable)
+from oddpu.dynamics import J2
 from oddpu.poisson import DegeneracyError, _antisymmetric
 from oddpu.verify import random_gamma, random_spectrum
 
@@ -284,3 +286,41 @@ class TestDegeneracyScale:
     def test_gamma_size_mismatch(self):
         with pytest.raises(ValueError):
             degeneracy_scale(FrequencySpectrum((1.0, 2.0)), GammaWeights(((1.0, -1.0),)))
+
+
+def rotation(dim):
+    """R = kron(I, J2): x_1^(s) -> x_2^(s), x_2^(s) -> -x_1^(s) on every jet pair."""
+    return np.kron(np.eye(dim // 2), J2)
+
+
+class TestRotationCovariance:
+    """Every (s, m) block is a delta_ij or an eps_ij block, so R X R^T = X
+    holds exactly: each entry of R X R^T is one entry of X, up to sign."""
+
+    @staticmethod
+    def assert_covariant(X):
+        R = rotation(len(X))
+        assert np.array_equal(R @ X @ R.T, X)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_companion_and_structures(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(3):
+            spec = random_spectrum(rng, n)
+            self.assert_covariant(companion_matrix(spec))
+            self.assert_covariant(dirac_structure(spec))
+            self.assert_covariant(alt_structure(spec, random_gamma(rng, spec)))
+
+    def test_ansatz(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            w0 = rng.uniform(0.2, 3.0)
+            b, c, f = rng.uniform(-2.0, 2.0, size=3)
+            self.assert_covariant(quadratic_ansatz_observable(w0, b, c, f).A)
+
+    def test_each_basis_pattern(self):
+        basis = _antisymmetric_basis()
+        assert len(basis) == 8
+        for E in basis:
+            assert np.array_equal(E, -E.T)
+            self.assert_covariant(E)
