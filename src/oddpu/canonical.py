@@ -153,6 +153,15 @@ def mode_integrals(spec: FrequencySpectrum):
     return [((j // 2, j % 2 + 1), FactoredObservable(T, D[j])) for j in range(2 * n)]
 
 
+def conserved_observables(spec: FrequencySpectrum, g: GammaWeights | None = None) -> list:
+    """The conserved columns as (name, observable) pairs: H, then Hcal when
+    weights are given, then each J_k_i."""
+    pairs = [("H", energy_observable(spec))]
+    if g is not None:
+        pairs.append(("Hcal", alt_hamiltonian_observable(spec, g)))
+    return pairs + [("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec)]
+
+
 @dataclass(frozen=True)
 class UniquenessReport:
     conserved_residual: float

@@ -7,10 +7,10 @@ CSV), ``deform`` (RK4 trajectory of a deformed system as CSV), ``verify``
 after the command name; a list option (``--omegas``, ``--gamma``,
 ``--state``) placed before the command name is ended by ``--``.
 
-Values in a ``--config`` JSON file are type-checked: ``omegas``,
-``gamma`` and ``state`` are arrays of numbers, ``t_end`` and ``dt``
-numbers, ``seed``, ``n_max`` and ``trials`` integers, ``potential`` an
-object; null counts as absent.  Any other key is refused.
+Each option is declared once, in ``OPTIONS``: its flag and the check of
+its value in a ``--config`` JSON file, where null counts as absent and
+any other key is refused.  Each command is declared once, in
+``COMMANDS``; ``verify``'s defaults live in ``verify.run_all``.
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input (an argument
 error or a refused config key or value included; one ``error:`` line on
@@ -36,7 +36,7 @@ import numpy as np
 from . import canonical, deformation, dynamics, poisson, verify
 from .dynamics import IntegrationError, PhaseState
 from .poisson import DegeneracyError, GammaWeights
-from .spectrum import FrequencySpectrum, complete_homog, verify_identities
+from .spectrum import P_TABLE_DEGREE, FrequencySpectrum, complete_homog, verify_identities
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -90,18 +90,25 @@ def _is_number_array(value) -> bool:
     return isinstance(value, list) and all(map(_is_number, value))
 
 
-#: Config key -> (test of its JSON value, what the value must be).  Flags
-#: of the same names override the file's values.
-CONFIG_TYPES = {
-    "omegas": (_is_number_array, "an array of numbers"),
-    "gamma": (_is_number_array, "an array of numbers"),
-    "state": (_is_number_array, "an array of numbers"),
-    "t_end": (_is_number, "a number"),
-    "dt": (_is_number, "a number"),
-    "potential": (lambda value: isinstance(value, dict), "an object"),
-    "seed": (_is_integer, "an integer"),
-    "n_max": (_is_integer, "an integer"),
-    "trials": (_is_integer, "an integer"),
+#: Each option: config key -> (flag type, flag nargs, test of its JSON
+#: value, what the value must be, help).  The flag is the key with "_" as
+#: "-"; a flag's value overrides the config file's.
+OPTIONS = {
+    "omegas": (float, "+", _is_number_array, "an array of numbers", "frequencies"),
+    "gamma": (float, "+", _is_number_array, "an array of numbers",
+              "2n weights: g01 g02 g11 g12 ..."),
+    "state": (float, "+", _is_number_array, "an array of numbers",
+              "initial jet vector (4n+2 entries)"),
+    "t_end": (float, None, _is_number, "a number", "last grid time (simulate, deform)"),
+    "dt": (float, None, _is_number, "a number",
+           "grid spacing (simulate, deform); the RK4 step (deform)"),
+    "potential": (json.loads, None, lambda value: isinstance(value, dict), "an object",
+                  'JSON: {"degree":d,"coeffs":[{"i":..,"j":..,"value":..}]}'),
+    "seed": (int, None, _is_integer, "an integer", "random seed (verify)"),
+    "n_max": (int, None, _is_integer, "an integer",
+              "largest n checked, capped per check (verify)"),
+    "trials": (int, None, _is_integer, "an integer",
+               "random draws per n, capped per check (verify)"),
 }
 
 
@@ -113,15 +120,15 @@ def _merged_config(args) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(CONFIG_TYPES))
+        unknown = sorted(set(loaded) - set(OPTIONS))
         if unknown:
             raise ValueError("unknown config key %s" % ", ".join(map(repr, unknown)))
-        for key, (is_valid, kind) in CONFIG_TYPES.items():
+        for key, (_, _, is_valid, kind, _) in OPTIONS.items():
             if loaded.get(key) is not None and not is_valid(loaded[key]):
                 raise ValueError("config value %s must be %s" % (key, kind))
         # null counts as absent
         cfg.update((key, val) for key, val in loaded.items() if val is not None)
-    for key in CONFIG_TYPES:
+    for key in OPTIONS:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
@@ -179,7 +186,7 @@ def cmd_spectrum(cfg, out_path) -> int:
         "sigma": list(table.sigma),
         "sigma_reduced": [[table.reduced[k][m] for k in range(n)] for m in range(n)],
         "rho": list(table.rho),
-        "P": {str(k): complete_homog(spec, k) for k in range(-n + 1, 7)},
+        "P": {str(k): complete_homog(spec, k) for k in range(-n + 1, P_TABLE_DEGREE + 1)},
         "identities": identities,
     }
     _emit_json(payload, out_path)
@@ -193,6 +200,7 @@ def cmd_structure(cfg, out_path) -> int:
         omega, weights = poisson.dirac_structure(spec), poisson.dirac_equivalent_gamma(spec.n)
     else:
         omega, weights = poisson.alt_structure(spec, gamma), gamma
+    T = canonical.canonical_map(spec)
     payload = {
         "n": spec.n,
         "omegas": list(spec.omegas),
@@ -200,7 +208,7 @@ def cmd_structure(cfg, out_path) -> int:
         "matrix": omega.tolist(),
         "degeneracy_scalar": poisson.degeneracy_scalar(spec, weights),
         "provenance": "dirac" if gamma is None else "alternative",
-        "rank": poisson.structure_rank(omega),
+        "rank": poisson.structure_rank(T @ omega @ T.T),
         "degenerate": poisson.gamma_is_degenerate(spec, weights),
     }
     _emit_json(payload, out_path)
@@ -218,12 +226,8 @@ def cmd_simulate(cfg, out_path) -> int:
     spec = _spectrum_from(cfg)
     state = _state_from(cfg, spec)
     grid = _grid_from(cfg)
-    observables = [("H", canonical.energy_observable(spec))]
-    gamma = None
-    if "gamma" in cfg:
-        gamma = _gamma_from(cfg, spec)
-        observables.append(("Hcal", canonical.alt_hamiltonian_observable(spec, gamma)))
-    observables += [("J_%d_%d" % ki, obs) for ki, obs in canonical.mode_integrals(spec)]
+    gamma = _gamma_from(cfg, spec) if "gamma" in cfg else None
+    observables = canonical.conserved_observables(spec, gamma)
     flow = dynamics.ModalSolution(spec, state)
     table = dynamics.trajectory(flow, state, grid, observables)
     header = _state_header(spec.n) + list(table.observable_names)
@@ -259,32 +263,20 @@ def cmd_deform(cfg, out_path) -> int:
 
 
 def cmd_verify(cfg, out_path) -> int:
-    n_max = int(cfg.get("n_max", 6))
-    trials = int(cfg.get("trials", 20))
-    seed = int(cfg.get("seed", 42))
-    if n_max < 1 or trials < 1:
-        raise ValueError("n_max and trials must be >= 1")
-    summary = verify.run_all(n_max=n_max, trials=trials, seed=seed)
+    summary = verify.run_all(**{key: cfg[key] for key in ("n_max", "trials", "seed")
+                                if key in cfg})
     _emit_json(summary, out_path)
     return EXIT_OK if summary["pass"] else EXIT_FAIL
 
 
+#: Command name -> (function, what ``oddpu -h`` lists for it).
 COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "structure": cmd_structure,
-    "simulate": cmd_simulate,
-    "deform": cmd_deform,
-    "verify": cmd_verify,
+    "spectrum": (cmd_spectrum, "symmetric-polynomial tables and identity report (JSON)"),
+    "structure": (cmd_structure, "Poisson structure matrix (JSON)"),
+    "simulate": (cmd_simulate, "exact trajectory with conserved columns (CSV)"),
+    "deform": (cmd_deform, "RK4 trajectory of a deformed system (CSV)"),
+    "verify": (cmd_verify, "run the full property suite (JSON summary)"),
 }
-
-#: What ``oddpu -h`` lists under "commands".
-COMMANDS_HELP = """commands:
-  spectrum    symmetric-polynomial tables and identity report (JSON)
-  structure   Poisson structure matrix (JSON)
-  simulate    exact trajectory with conserved columns (CSV)
-  deform      RK4 trajectory of a deformed system (CSV)
-  verify      run the full property suite (JSON summary)
-"""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -303,27 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oddpu",
         description="Odd-order Pais-Uhlenbeck oscillator: construct, verify, "
                     "simulate, deform.",
-        epilog=COMMANDS_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
+        epilog="commands:\n" + "".join("  %-12s%s\n" % (name, about)
+                                        for name, (_, about) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser._negative_number_matcher = NEGATIVE_NUMBER
     parser.add_argument("command", choices=tuple(COMMANDS), metavar="command",
                         help="one of the commands listed below")
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--omegas", type=float, nargs="+", help="frequencies")
-    parser.add_argument("--gamma", type=float, nargs="+",
-                        help="2n weights: g01 g02 g11 g12 ...")
-    parser.add_argument("--state", type=float, nargs="+",
-                        help="initial jet vector (4n+2 entries)")
-    parser.add_argument("--t-end", dest="t_end", type=float,
-                        help="last grid time (simulate, deform)")
-    parser.add_argument("--dt", type=float,
-                        help="grid spacing (simulate, deform); the RK4 step (deform)")
-    parser.add_argument("--potential", type=json.loads,
-                        help='JSON: {"degree":d,"coeffs":[{"i":..,"j":..,"value":..}]}')
-    parser.add_argument("--seed", type=int, help="random seed (verify)")
-    parser.add_argument("--n-max", dest="n_max", type=int,
-                        help="largest n checked, capped per check (verify)")
-    parser.add_argument("--trials", type=int,
-                        help="random draws per n, capped per check (verify)")
+    for key, (kind, nargs, _, _, about) in OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, nargs=nargs,
+                            help=about)
     parser.add_argument("--out", help="output path (default stdout)")
     return parser
 
@@ -332,7 +313,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _merged_config(args)
-        return COMMANDS[args.command](cfg, args.out)
+        return COMMANDS[args.command][0](cfg, args.out)
     except DegeneracyError as exc:
         print("error: degenerate structure: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE

@@ -92,8 +92,10 @@ def _antisymmetric(omega: np.ndarray) -> np.ndarray:
 
 
 def structure_rank(omega: np.ndarray) -> int:
-    """Numerical rank of a structure matrix, at tolerance
-    1e-8 * max(max |Omega|, 1)."""
+    """Numerical rank at tolerance 1e-8 * max(max |Omega|, 1).  Callers
+    pass the canonical block form T Omega T^T (T = ``canonical_map``,
+    invertible): on the raw Omega, whose entries span many orders, the
+    rule undercounts from n = 5."""
     scale = max(np.abs(omega).max(), 1.0)
     return int(np.linalg.matrix_rank(omega, tol=1e-8 * scale))
 

@@ -32,7 +32,7 @@ import numpy as np
 GAP_FLOOR = 1e-6
 
 #: The table holds P_{2k} for k up to max(n, P_TABLE_DEGREE): the
-#: ``spectrum`` report and ``verify_identities`` read P up to 6,
+#: ``spectrum`` report and ``verify_identities`` read P up to it,
 #: ``dirac_structure`` up to n.
 P_TABLE_DEGREE = 6
 
@@ -279,7 +279,7 @@ def verify_identities(spec: FrequencySpectrum) -> dict:
                 yield sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (s, p)
 
     def id2():
-        for k in range(-n + 1, 7):
+        for k in range(-n + 1, P_TABLE_DEGREE + 1):
             terms = [(-1.0) ** (n - 1) * (-1.0) ** s * w[s] ** (2 * n + 2 * k - 2) * rhos[s]
                      for s in range(n)]
             rhs = complete_homog(spec, k)

@@ -38,6 +38,15 @@ def random_gamma(rng, spec: spectrum.FrequencySpectrum) -> poisson.GammaWeights:
             return g
 
 
+def _draws(seed, n_max, trials):
+    """(rng, spectrum) for ``trials`` random spectra per n = 1..n_max, drawn
+    lazily from one seeded generator that callers also draw from."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, n_max + 1):
+        for _ in range(trials):
+            yield rng, random_spectrum(rng, n)
+
+
 def _result(name, worst, tol, extra=None):
     out = {"worst_residual": float(worst), "tolerance": tol, "pass": bool(worst <= tol)}
     if extra:
@@ -47,47 +56,38 @@ def _result(name, worst, tol, extra=None):
 
 def check_identities(n_max=6, trials=20, seed=42) -> dict:
     """Criterion 1: identity suite, relative residuals <= 1e-8."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in range(1, n_max + 1):
-        for _ in range(trials):
-            spec = random_spectrum(rng, n)
-            report = spectrum.verify_identities(spec)
-            worst = max(worst, max(r["max_residual"] for r in report.values()))
+    for _, spec in _draws(seed, n_max, trials):
+        report = spectrum.verify_identities(spec)
+        worst = max(worst, max(r["max_residual"] for r in report.values()))
     return _result("identities", worst, 1e-8)
 
 
 def check_hamilton_closure(n_max=4, trials=20, seed=42) -> dict:
     """Criterion 2: Omega A_H reproduces the companion matrix, both
     structures, relative 1e-9."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in range(1, n_max + 1):
-        for _ in range(trials):
-            spec = random_spectrum(rng, n)
-            M = dynamics.companion_matrix(spec)
-            scale = np.abs(M).max()
-            Om = poisson.dirac_structure(spec)
-            H = canonical.energy_observable(spec)
-            worst = max(worst, np.abs(Om @ H.A - M).max() / scale)
-            g = random_gamma(rng, spec)
-            Omg = poisson.alt_structure(spec, g)
-            Hg = canonical.alt_hamiltonian_observable(spec, g)
-            worst = max(worst, np.abs(Omg @ Hg.A - M).max() / scale)
+    for rng, spec in _draws(seed, n_max, trials):
+        M = dynamics.companion_matrix(spec)
+        scale = np.abs(M).max()
+        field = poisson.hamiltonian_vector_field(poisson.dirac_structure(spec),
+                                                 canonical.energy_observable(spec))
+        worst = max(worst, np.abs(field - M).max() / scale)
+        g = random_gamma(rng, spec)
+        field = poisson.hamiltonian_vector_field(poisson.alt_structure(spec, g),
+                                                 canonical.alt_hamiltonian_observable(spec, g))
+        worst = max(worst, np.abs(field - M).max() / scale)
     return _result("hamilton_closure", worst, 1e-9)
 
 
 def check_dirac_recovery(n_max=5, trials=20, seed=42) -> dict:
     """Criterion 3: the alternative family at the alternating unit weights
     equals the Dirac structure entrywise, relative 1e-9."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in range(1, n_max + 1):
-        for _ in range(trials):
-            spec = random_spectrum(rng, n)
-            dirac = poisson.dirac_structure(spec)
-            alt = poisson.alt_structure(spec, poisson.dirac_equivalent_gamma(n))
-            worst = max(worst, np.abs(alt - dirac).max() / np.abs(dirac).max())
+    for _, spec in _draws(seed, n_max, trials):
+        dirac = poisson.dirac_structure(spec)
+        alt = poisson.alt_structure(spec, poisson.dirac_equivalent_gamma(spec.n))
+        worst = max(worst, np.abs(alt - dirac).max() / np.abs(dirac).max())
     return _result("dirac_recovery", worst, 1e-9)
 
 
@@ -97,30 +97,28 @@ def check_canonical_form(n_max=4, trials=20, seed=42) -> dict:
     alternating oscillator sum, equals the jet-space Noether form
     sum_k (-1)^{k+1} eps_{ij} dx_{k,i} ddx_{k,j} pointwise (1e-10
     relative)."""
-    rng = np.random.default_rng(seed)
     worst_block = 0.0
     worst_energy = 0.0
-    for n in range(1, n_max + 1):
+    for rng, spec in _draws(seed, n_max, trials):
+        n = spec.n
         J = np.kron(np.eye(2 * n + 1), dynamics.J2)   # (q, p) pairs, then (z, pi)
-        for _ in range(trials):
-            spec = random_spectrum(rng, n)
-            g = random_gamma(rng, spec)
-            T = canonical.scaled_canonical_map(spec, g)
-            Om = poisson.alt_structure(spec, g)
-            worst_block = max(worst_block, np.abs(T @ Om @ T.T - J).max())
-            # Dirac structure under the unscaled map, same block target
-            Tc = canonical.canonical_map(spec)
-            Omd = poisson.dirac_structure(spec)
-            worst_block = max(worst_block, np.abs(Tc @ Omd @ Tc.T - J).max())
-            H = canonical.energy_observable(spec)
-            osc = canonical.oscillator_map(spec)
-            for u in rng.uniform(-1, 1, size=(100 // trials + 1, spec.jet_dim)):
-                # the independent side: the jet-space Noether form
-                x = (osc @ u).reshape(n, 3, 2)      # x[k, order, i - 1]
-                noether = sum((-1.0) ** (k + 1) * (x[k, 1, 0] * x[k, 2, 1]
-                                                   - x[k, 1, 1] * x[k, 2, 0]) for k in range(n))
-                worst_energy = max(worst_energy,
-                                   abs(H.value(u) - noether) / max(1.0, abs(noether)))
+        g = random_gamma(rng, spec)
+        T = canonical.scaled_canonical_map(spec, g)
+        Om = poisson.alt_structure(spec, g)
+        worst_block = max(worst_block, np.abs(T @ Om @ T.T - J).max())
+        # Dirac structure under the unscaled map, same block target
+        Tc = canonical.canonical_map(spec)
+        Omd = poisson.dirac_structure(spec)
+        worst_block = max(worst_block, np.abs(Tc @ Omd @ Tc.T - J).max())
+        H = canonical.energy_observable(spec)
+        osc = canonical.oscillator_map(spec)
+        for u in rng.uniform(-1, 1, size=(100 // trials + 1, spec.jet_dim)):
+            # the independent side: the jet-space Noether form
+            x = (osc @ u).reshape(n, 3, 2)      # x[k, order, i - 1]
+            noether = sum((-1.0) ** (k + 1) * (x[k, 1, 0] * x[k, 2, 1]
+                                               - x[k, 1, 1] * x[k, 2, 0]) for k in range(n))
+            worst_energy = max(worst_energy,
+                               abs(H.value(u) - noether) / max(1.0, abs(noether)))
     out = _result("canonical_block_form", worst_block, 1e-9)
     out.update(_result("energy_oscillator_sum", worst_energy, 1e-10))
     return out
@@ -129,39 +127,34 @@ def check_canonical_form(n_max=4, trials=20, seed=42) -> dict:
 def check_conservation(n_max=4, trials=3, seed=42) -> dict:
     """Criterion 5: H, the gamma Hamiltonian, and every J_{k,i} drift at
     most 1e-9 * (1 + |value at t=0|) over t in [0, 100], 1000 samples."""
-    rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 100.0, 1000)
     worst = 0.0
-    for n in range(1, n_max + 1):
-        for _ in range(trials):
-            spec = random_spectrum(rng, n)
-            g = random_gamma(rng, spec)
-            observables = ([("H", canonical.energy_observable(spec)),
-                            ("Hcal", canonical.alt_hamiltonian_observable(spec, g))]
-                           + [("J_%d_%d" % ki, obs)
-                              for ki, obs in canonical.mode_integrals(spec)])
-            state = dynamics.PhaseState(rng.uniform(-1, 1, size=spec.jet_dim))
-            flow = dynamics.ModalSolution(spec, state)
-            table = dynamics.trajectory(flow, state, grid, observables)
-            v0 = table.observable_values[0]
-            drift = np.abs(table.observable_values - v0).max(axis=0)
-            worst = max(worst, float((drift / (1.0 + np.abs(v0))).max()))
+    for rng, spec in _draws(seed, n_max, trials):
+        observables = canonical.conserved_observables(spec, random_gamma(rng, spec))
+        state = dynamics.PhaseState(rng.uniform(-1, 1, size=spec.jet_dim))
+        flow = dynamics.ModalSolution(spec, state)
+        table = dynamics.trajectory(flow, state, grid, observables)
+        v0 = table.observable_values[0]
+        drift = np.abs(table.observable_values - v0).max(axis=0)
+        worst = max(worst, float((drift / (1.0 + np.abs(v0))).max()))
     return _result("conservation", worst, 1e-9)
 
 
 def check_degeneracy_rank(n_max=4, trials=10, seed=42) -> dict:
-    """Criterion 6: rank 4n at s = 0 (all-equal weights), 4n+2 otherwise."""
-    rng = np.random.default_rng(seed)
+    """Criterion 6: rank 4n at s = 0 (all-equal weights), 4n+2 otherwise,
+    read off the canonical block form T Omega T^T, whose z-block
+    s (w_0...w_{n-1})^2 J2 vanishes exactly when the structure degenerates."""
     failures = []
-    for n in range(1, n_max + 1):
-        spec = random_spectrum(rng, n)
+    for rng, spec in _draws(seed, n_max, 1):
+        n = spec.n
+        T = canonical.canonical_map(spec)
         flat = poisson.GammaWeights(tuple((1.0, 1.0) for _ in range(n)))
-        r = poisson.structure_rank(poisson.alt_structure(spec, flat))
+        r = poisson.structure_rank(T @ poisson.alt_structure(spec, flat) @ T.T)
         if r != 4 * n:
             failures.append(("degenerate", n, r))
         for _ in range(trials):
             g = random_gamma(rng, spec)
-            r = poisson.structure_rank(poisson.alt_structure(spec, g))
+            r = poisson.structure_rank(T @ poisson.alt_structure(spec, g) @ T.T)
             if r != 4 * n + 2:
                 failures.append(("nondegenerate", n, r))
     return {"degeneracy_rank": {"failures": failures, "pass": not failures}}
@@ -208,27 +201,25 @@ def check_deformation(n_max=3, trials=10, seed=42) -> dict:
     60-digit null space of C the invariant directions are good to 2e-15
     at n <= 3, but the pivoted basis of the rounded C is off by up to
     3e-11 where C is ill-conditioned."""
-    rng = np.random.default_rng(seed)
     failures = []
     worst_angle = 0.0
-    for n in range(1, n_max + 1):
-        for _ in range(trials):
-            spec = random_spectrum(rng, n)
-            g = random_gamma(rng, spec)
-            C = deformation.deformation_system(spec, g)
-            rank, basis = deformation.null_space_complete_pivot(C)
-            if rank != 4 * n or basis.shape[0] != 2:
-                failures.append((n, rank, basis.shape[0]))
-                continue
-            v = np.vstack(deformation.invariant_directions(spec, g))
-            residual = float(np.abs(C @ v.T).max() / np.abs(C).max())
-            gap = _subspace_gap(basis, v)
-            if not (residual <= 1e-12 and gap <= 1e-9):
-                failures.append((n, "invariant_directions", residual, gap))
-            if n == 1:
-                closed = np.array([deformation.closed_form_direction_n1(spec, g, i)
-                                   for i in (1, 2)])
-                worst_angle = max(worst_angle, _subspace_gap(basis, closed))
+    for rng, spec in _draws(seed, n_max, trials):
+        n = spec.n
+        g = random_gamma(rng, spec)
+        C = deformation.deformation_system(spec, g)
+        rank, basis = deformation.null_space_complete_pivot(C)
+        if rank != 4 * n or basis.shape[0] != 2:
+            failures.append((n, rank, basis.shape[0]))
+            continue
+        v = np.vstack(deformation.invariant_directions(spec, g))
+        residual = float(np.abs(C @ v.T).max() / np.abs(C).max())
+        gap = _subspace_gap(basis, v)
+        if not (residual <= 1e-12 and gap <= 1e-9):
+            failures.append((n, "invariant_directions", residual, gap))
+        if n == 1:
+            closed = np.array([deformation.closed_form_direction_n1(spec, g, i)
+                               for i in (1, 2)])
+            worst_angle = max(worst_angle, _subspace_gap(basis, closed))
     # order-4 signature of the conserved total energy
     spec1 = spectrum.FrequencySpectrum((1.0,))
     g1 = poisson.GammaWeights(((1.0, -1.0),))
@@ -255,37 +246,40 @@ def check_deformation(n_max=3, trials=10, seed=42) -> dict:
 def check_eom_fidelity(n_max=4, trials=10, seed=42) -> dict:
     """Criterion 9: the companion matrix satisfies its characteristic
     polynomial and exact trajectories satisfy the (2n+1)-order EOM."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in range(1, n_max + 1):
-        for _ in range(trials):
-            spec = random_spectrum(rng, n)
-            M = dynamics.companion_matrix(spec)
-            sigma = spec.table.sigma
-            terms = []
-            acc = np.zeros_like(M)
-            power = M.copy()          # M^1
-            M2 = M @ M
-            for k in range(n + 1):
-                term = sigma[k] * power
-                terms.append(np.abs(term).max())
-                acc += term
-                power = power @ M2
-            worst = max(worst, np.abs(acc).max() / max(terms))
-            # trajectory spot-check of the scalar EOM
-            state = dynamics.PhaseState(rng.uniform(-1, 1, size=spec.jet_dim))
-            sol = dynamics.ModalSolution(spec, state)
-            for t in rng.uniform(0.0, 20.0, size=5):
-                stacks = sol.derivatives(t, 2 * n + 1)
-                for i in (0, 1):
-                    tvals = [sigma[k] * stacks[2 * k + 1, i] for k in range(n + 1)]
-                    scale = max(max(abs(v) for v in tvals), 1e-30)
-                    worst = max(worst, abs(sum(tvals)) / scale)
+    for rng, spec in _draws(seed, n_max, trials):
+        n = spec.n
+        M = dynamics.companion_matrix(spec)
+        sigma = spec.table.sigma
+        terms = []
+        acc = np.zeros_like(M)
+        power = M.copy()          # M^1
+        M2 = M @ M
+        for k in range(n + 1):
+            term = sigma[k] * power
+            terms.append(np.abs(term).max())
+            acc += term
+            power = power @ M2
+        worst = max(worst, np.abs(acc).max() / max(terms))
+        # trajectory spot-check of the scalar EOM
+        state = dynamics.PhaseState(rng.uniform(-1, 1, size=spec.jet_dim))
+        sol = dynamics.ModalSolution(spec, state)
+        for t in rng.uniform(0.0, 20.0, size=5):
+            stacks = sol.derivatives(t, 2 * n + 1)
+            for i in (0, 1):
+                tvals = [sigma[k] * stacks[2 * k + 1, i] for k in range(n + 1)]
+                scale = max(max(abs(v) for v in tvals), 1e-30)
+                worst = max(worst, abs(sum(tvals)) / scale)
     return _result("eom_fidelity", worst, 1e-8)
 
 
 def run_all(n_max=6, trials=20, seed=42) -> dict:
-    """Run every suite (capped per criterion) and summarize."""
+    """Run every suite (capped per criterion) and summarize.  These are
+    the defaults ``oddpu verify`` runs at."""
+    if n_max < 1 or trials < 1:
+        raise ValueError("n_max and trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     checks = {}
     checks.update(check_identities(min(6, n_max), trials, seed))
     checks.update(check_hamilton_closure(min(4, n_max), trials, seed))

@@ -115,6 +115,21 @@ class TestStructureCommand:
         assert payload["rank"] == 4
         assert payload["degeneracy_scalar"] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rank_agrees_with_degenerate(self, capsys, n):
+        # read off the raw matrix, the rank undercounted on these draws from n = 4 up
+        rng = np.random.default_rng(700 + n)
+        spec = verify.random_spectrum(rng, n)
+        omegas = ["--omegas", *map(repr, spec.omegas)]
+        drawn = [repr(v) for pair in verify.random_gamma(rng, spec).gamma for v in pair]
+        for gamma, degenerate in (([], False), (drawn, False), (["1"] * (2 * n), True)):
+            code, out, _ = run(["structure", *omegas] + (["--gamma", *gamma] if gamma else []),
+                               capsys)
+            payload = json.loads(out)
+            assert code == 0
+            assert payload["degenerate"] is degenerate
+            assert payload["rank"] == 4 * n + 2 - 2 * degenerate, gamma
+
     def test_wrong_gamma_count(self, capsys):
         code, _, _ = run(["structure", "--omegas", "1", "--gamma", "1"], capsys)
         assert code == 2
@@ -720,6 +735,13 @@ class TestVerifyCommand:
     def test_bad_arguments(self, capsys):
         code, _, _ = run(["verify", "--n-max", "0"], capsys)
         assert code == 2
+
+    def test_negative_seed_refused_by_name(self, capsys):
+        # numpy's own refusal did not name the option
+        code, out, err = run(["verify", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "seed must be >= 0")
 
 
 class TestVerificationFailure:

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from oddpu import (FrequencySpectrum, GammaWeights,
+from oddpu import (FrequencySpectrum, GammaWeights, verify,
                    QuadraticObservable, alt_structure, bracket, companion_matrix,
                    degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                    dirac_structure, gamma_is_degenerate, hamiltonian_vector_field,
                    jet_index, rho, structure_rank)
 from oddpu.canonical import (_antisymmetric_basis, alt_hamiltonian_observable,
-                             energy_observable, quadratic_ansatz_observable)
+                             canonical_map, energy_observable, quadratic_ansatz_observable)
 from oddpu.dynamics import J2
 from oddpu.poisson import DegeneracyError, _antisymmetric
 from oddpu.verify import random_gamma, random_spectrum
@@ -139,6 +139,28 @@ class TestDegeneracy:
         assert structure_rank(alt_structure(spec, g)) == 4 * n + 2
         flat = GammaWeights(tuple((1.0, 1.0) for _ in range(n)))
         assert structure_rank(alt_structure(spec, flat)) == 4 * n
+
+
+class TestBlockFormRank:
+    """Criterion 6 reads rank off the canonical block form T Omega T^T."""
+
+    def test_seed_4_passes(self):
+        # the raw-matrix rule read 12 for the flat weights and 14 or 16
+        # for the nondegenerate draws at n = 4
+        payload = verify.check_degeneracy_rank(4, 10, seed=4)["degeneracy_rank"]
+        assert payload["pass"], payload
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_zeroed_top_order_reads_4n(self, n):
+        # the congruence must not add rank: with the jet order-2n rows and
+        # columns zeroed, a nondegenerate Omega has rank 4n
+        rng = np.random.default_rng(900 + n)
+        for _ in range(3):
+            spec = random_spectrum(rng, n)
+            omega = np.array(alt_structure(spec, random_gamma(rng, spec)))
+            omega[-2:] = omega[:, -2:] = 0.0
+            T = canonical_map(spec)
+            assert structure_rank(T @ omega @ T.T) == 4 * n
 
 
 class TestObservableValue:
