@@ -18,8 +18,6 @@ A = T^T diag(D) T is built only when a bracket or vector field asks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import J2, ModalSolution, PhaseState, block_view, companion_matrix
@@ -79,11 +77,22 @@ def _canonical_map(spec: FrequencySpectrum) -> np.ndarray:
     for i in (1, 2):
         qp[:, i - 1, 0] = np.sqrt(1.0 / (2 * w)) * (dx1 + (-1.0) ** i / w * ddx2)
         qp[:, i - 1, 1] = sign_k * np.sqrt(w / 2.0) * (dx2 + (-1.0) ** (i + 1) / w * ddx1)
-    wprod = float(np.prod(spec.omegas))
+    wprod = _omega_product(spec)
     sigma = np.array(spec.table.sigma)
     for i in (1, 2):
         T[4 * n + i - 1, i - 1::4] = (-1.0) ** i / wprod * sigma   # at x_i^{(2k)}
     return _read_only(T)
+
+
+def _omega_product(spec: FrequencySpectrum) -> float:
+    """w_0 w_1 ... w_{n-1}, the product that scales the z rows."""
+    return float(np.prod(spec.omegas))
+
+
+def _pair_weights(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
+    """kappa_{k,i} = (-1)^{k+i+1} gamma_{k,i} = 1 / c_{k,i}, shape (n, 2)."""
+    k, i = np.arange(spec.n)[:, None], np.array([1, 2])
+    return (-1.0) ** (k + i + 1) * np.array(g.gamma)
 
 
 def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
@@ -98,14 +107,23 @@ def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray
     if gamma_is_degenerate(spec, g):
         raise DegeneracyError("degenerate gamma weights: scalar s vanishes")
     s = degeneracy_scalar(spec, g)
-    gam = np.array(g.gamma)                             # (k, i - 1)
-    k, i = np.arange(spec.n)[:, None], np.array([1, 2])
-    root = np.sqrt(np.abs(gam))
-    sign = (-1.0) ** (k + i + 1) * np.sign(gam)
-    scale = 1.0 / (float(np.prod(spec.omegas)) * np.sqrt(abs(s)))
-    d = np.concatenate((np.stack((root, sign * root), axis=-1).ravel(),
+    kappa = _pair_weights(spec, g)                      # (k, i - 1)
+    root = np.sqrt(np.abs(kappa))
+    scale = 1.0 / (_omega_product(spec) * np.sqrt(abs(s)))
+    d = np.concatenate((np.stack((root, np.sign(kappa) * root), axis=-1).ravel(),
                         [scale, np.sign(s) * scale]))
     return _read_only(d[:, None] * canonical_map(spec))
+
+
+def structure_rank(spec: FrequencySpectrum, omega: np.ndarray) -> int:
+    """Rank of Omega read off its canonical block form B = T Omega T^T
+    (T = ``canonical_map``, invertible): the numerical rank of B at
+    tolerance 1e-8 * max(max |B|, 1).  B's z-block s (w_0...w_{n-1})^2 J2
+    vanishes exactly when the structure degenerates."""
+    T = canonical_map(spec)
+    B = T @ omega @ T.T
+    scale = max(np.abs(B).max(), 1.0)
+    return int(np.linalg.matrix_rank(B, tol=1e-8 * scale))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -162,12 +180,6 @@ def conserved_observables(spec: FrequencySpectrum, g: GammaWeights | None = None
     return pairs + [("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec)]
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    conserved_residual: float
-    structure_residual: float
-
-
 def quadratic_ansatz_observable(omega0: float, b: float, c: float, f: float) -> QuadraticObservable:
     """W = b (ddx_i + w0^2 x_i)^2 + c (dx_i^2 - 2 x_i ddx_i - w0^2 x_i^2)
     + f eps_{ij} dx_i ddx_j, summed over i, on the n = 1 jet space."""
@@ -210,8 +222,9 @@ def _antisymmetric_basis():
     return mats
 
 
-def uniqueness_check(omega0: float, b: float, c: float, f: float) -> UniquenessReport:
-    """Third-order uniqueness analysis for a candidate Hamiltonian W.
+def uniqueness_check(omega0: float, b: float, c: float, f: float) -> dict:
+    """Third-order uniqueness analysis for a candidate Hamiltonian W, as
+    the plain dict {"conserved_residual", "structure_residual"}.
 
     ``conserved_residual``: worst drift of W along exact trajectories,
     normalized by 1 + |W(0)| (always near zero: W is a combination of
@@ -242,4 +255,4 @@ def uniqueness_check(omega0: float, b: float, c: float, f: float) -> UniquenessR
     rhs = M.ravel()
     coef, *_ = np.linalg.lstsq(K, rhs, rcond=None)
     resid = float(np.linalg.norm(K @ coef - rhs) / np.linalg.norm(rhs))
-    return UniquenessReport(float(drift), resid)
+    return {"conserved_residual": float(drift), "structure_residual": resid}

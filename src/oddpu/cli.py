@@ -200,7 +200,6 @@ def cmd_structure(cfg, out_path) -> int:
         omega, weights = poisson.dirac_structure(spec), poisson.dirac_equivalent_gamma(spec.n)
     else:
         omega, weights = poisson.alt_structure(spec, gamma), gamma
-    T = canonical.canonical_map(spec)
     payload = {
         "n": spec.n,
         "omegas": list(spec.omegas),
@@ -208,7 +207,7 @@ def cmd_structure(cfg, out_path) -> int:
         "matrix": omega.tolist(),
         "degeneracy_scalar": poisson.degeneracy_scalar(spec, weights),
         "provenance": "dirac" if gamma is None else "alternative",
-        "rank": poisson.structure_rank(T @ omega @ T.T),
+        "rank": canonical.structure_rank(spec, omega),
         "degenerate": poisson.gamma_is_degenerate(spec, weights),
     }
     _emit_json(payload, out_path)

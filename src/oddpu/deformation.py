@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import alt_hamiltonian_observable, canonical_map
+from .canonical import (_omega_product, _pair_weights, alt_hamiltonian_observable,
+                        canonical_map)
 from .dynamics import J2, block_view
 from .poisson import GammaWeights, alt_structure, degeneracy_scalar
 from .spectrum import FrequencySpectrum
@@ -115,12 +116,11 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     n = spec.n
     s = degeneracy_scalar(spec, g)
     T = canonical_map(spec)
-    k, i = np.arange(n)[:, None], np.array([1, 2])
-    coef = (-s * (-1.0) ** (k + i + 1) * np.array(g.gamma)).ravel()
+    coef = (-s * _pair_weights(spec, g)).ravel()
     K = np.zeros((spec.jet_dim, spec.jet_dim))
     pairs = block_view(K)              # pair 2k + i - 1 is rows q[k][i], p[k][i] of T_c
     pairs[range(2 * n), range(2 * n)] = coef[:, None, None] * J2
-    pairs[2 * n, 2 * n] = -J2 / float(np.prod(spec.omegas)) ** 2
+    pairs[2 * n, 2 * n] = -J2 / _omega_product(spec) ** 2
     plane = T.T @ (K @ T[:, 4 * n:])
     N1 = plane @ np.linalg.solve(plane[:2], [1.0, 0.0])
     v1 = N1 / np.linalg.norm(N1)
@@ -160,26 +160,20 @@ class PotentialSpec:
         terms = tuple((int(i), int(j), float(v)) for i, j, v in self.terms)
         if not terms:
             raise ValueError("potential needs at least one term")
-        if self.degree_of(terms) < 1:
-            raise ValueError("potential degree must be >= 1")
-        if self.degree_of(terms) > MAX_POTENTIAL_DEGREE:
-            raise ValueError("potential degree capped at %d" % MAX_POTENTIAL_DEGREE)
         object.__setattr__(self, "terms", terms)
-        # value and gradient monomials (coefficient, power of w1, power of
-        # w2), with the coefficient products v * i and v * j taken once
-        object.__setattr__(self, "_value_monomials",
-                           tuple((v, i, j) for i, j, v in terms))
+        if self.degree < 1:
+            raise ValueError("potential degree must be >= 1")
+        if self.degree > MAX_POTENTIAL_DEGREE:
+            raise ValueError("potential degree capped at %d" % MAX_POTENTIAL_DEGREE)
+        # gradient monomials (power of w1, power of w2, coefficient) in the
+        # order of the terms, with the products v * i and v * j taken once
         object.__setattr__(self, "_grad_monomials", (
-            tuple((v * i, i - 1, j) for i, j, v in terms if i > 0),
-            tuple((v * j, i, j - 1) for i, j, v in terms if j > 0)))
-
-    @staticmethod
-    def degree_of(terms) -> int:
-        return max(i + j for i, j, _ in terms)
+            tuple((i - 1, j, v * i) for i, j, v in terms if i > 0),
+            tuple((i, j - 1, v * j) for i, j, v in terms if j > 0)))
 
     @property
     def degree(self) -> int:
-        return self.degree_of(self.terms)
+        return max(i + j for i, j, _ in self.terms)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PotentialSpec":
@@ -211,7 +205,7 @@ class PotentialSpec:
 
     def value(self, w1: float, w2: float) -> float:
         try:
-            return float(_sum_monomials(self._value_monomials, w1, w2))
+            return float(_sum_monomials(self.terms, w1, w2))
         except OverflowError:
             return np.inf
 
@@ -253,11 +247,11 @@ def _is_exponent(value) -> bool:
 
 
 def _sum_monomials(monomials, w1, w2):
-    """Sum of c * w1 ** a * w2 ** b over the monomials, added left to right
-    from an int 0 as ``sum`` adds, so a -0.0 total reads 0.0.  A factor
-    w ** 0 is 1.0 and x * 1.0 == x, so it is skipped."""
+    """Sum of c * w1 ** a * w2 ** b over the (a, b, c) monomials, added left
+    to right from an int 0 as ``sum`` adds, so a -0.0 total reads 0.0.  A
+    factor w ** 0 is 1.0 and x * 1.0 == x, so it is skipped."""
     total = 0
-    for c, a, b in monomials:
+    for a, b, c in monomials:
         if a:
             c = c * w1 ** a
         if b:

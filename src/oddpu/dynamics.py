@@ -175,13 +175,17 @@ def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
     return u_next
 
 
+def _require_positive_step(h: float):
+    if not h > 0.0:     # refuses nan too
+        raise ValueError("step size must be positive")
+
+
 def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
     """One classical fourth-order Runge-Kutta step; local error O(h^5).
 
     ``field(t, u)`` returns du/dt.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    _require_positive_step(h)
     with np.errstate(over="ignore", invalid="ignore"):
         u_next = _rk4_update(field, state.t, state.u, h)
     return PhaseState(u_next, state.t + h)
@@ -197,8 +201,7 @@ class RK4Flow:
     """
 
     def __init__(self, field, h: float):
-        if not h > 0.0:
-            raise ValueError("step size must be positive")
+        _require_positive_step(h)
         self.field = field
         self.h = h
 

@@ -12,11 +12,12 @@ eps = ``dynamics.J2``).  Two families are built:
   nonzero constants gamma_{k,i}, which renders the positive-definite
   Hamiltonians canonical.
 
-``bracket`` and ``hamiltonian_vector_field`` take Omega directly, and
-``structure_rank`` applies the rank rule.  Because the matrices are
-constant, the Jacobi identity holds identically; the interesting checks
-are antisymmetry, rank, and closure of Hamilton's equations, which live
-in :mod:`oddpu.verify`.
+``bracket`` and ``hamiltonian_vector_field`` take Omega directly; the
+rank of a structure is read off its canonical block form by
+``canonical.structure_rank``.  Because the matrices are constant, the
+Jacobi identity holds identically; the interesting checks are
+antisymmetry, rank, and closure of Hamilton's equations, which live in
+:mod:`oddpu.verify`.
 """
 
 from __future__ import annotations
@@ -91,15 +92,6 @@ def _antisymmetric(omega: np.ndarray) -> np.ndarray:
     return omega
 
 
-def structure_rank(omega: np.ndarray) -> int:
-    """Numerical rank at tolerance 1e-8 * max(max |Omega|, 1).  Callers
-    pass the canonical block form T Omega T^T (T = ``canonical_map``,
-    invertible): on the raw Omega, whose entries span many orders, the
-    rule undercounts from n = 5."""
-    scale = max(np.abs(omega).max(), 1.0)
-    return int(np.linalg.matrix_rank(omega, tol=1e-8 * scale))
-
-
 def dirac_structure(spec: FrequencySpectrum) -> np.ndarray:
     """Structure with {x_i^{(s)}, x_j^{(m)}} = 0 for s+m odd and
     (-1)^{(s-m)/2 + n + 1} P_{s+m-2n} eps_{ij} for s+m even."""
@@ -159,7 +151,7 @@ def _degeneracy_terms(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     _require_sizes_match(spec, g)
     t = spec.table
     with np.errstate(over="ignore"):
-        terms = np.array(t.rho) * g.alpha_minus / np.array(t.omega_sq)
+        terms = np.array(t.rho) * g.alpha_minus / np.array(spec.omega_sq)
         if not np.isfinite(np.sum(np.abs(terms))):
             raise ValueError("degeneracy scalar out of float64 range")
     return terms

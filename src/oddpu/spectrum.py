@@ -20,6 +20,7 @@ quantities satisfy and reports worst-case residuals.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,7 +52,6 @@ class SpectrumTable:
     ``rho(k)`` and ``P[k]`` is P_{2k} for k = 0..max(n, 6).
     """
 
-    omega_sq: tuple
     sigma: tuple
     reduced: tuple
     rho: tuple
@@ -63,15 +63,11 @@ class SpectrumTable:
         sigma = tuple(_elementary_coeffs(w2)[::-1].tolist())
         reduced, rhos = [], []
         for k in range(n):
-            rest = [v for idx, v in enumerate(w2) if idx != k]
+            rest = w2[:k] + w2[k + 1:]          # every w^2 except w_k^2
             reduced.append(tuple(_elementary_coeffs(rest)[::-1].tolist()))
-            prod = 1.0
-            for m in range(n):
-                if m != k:
-                    prod *= w2[m] - w2[k]
-            rhos.append((-1.0) ** k / prod)
+            rhos.append((-1.0) ** k / math.prod(v - w2[k] for v in rest))
         P = tuple(_complete_homogeneous_pass(w2, max(n, P_TABLE_DEGREE)))
-        return cls(w2, sigma, tuple(reduced), tuple(rhos), P)
+        return cls(sigma, tuple(reduced), tuple(rhos), P)
 
 
 @dataclass(frozen=True)
@@ -212,10 +208,8 @@ def complete_homogeneous(values, k: int) -> float:
 def complete_homog(spec: FrequencySpectrum, k: int) -> float:
     """P_{2k}(w_0^2, ..., w_{n-1}^2); zero for k < 0.  Read from the
     table up to degree max(n, 6), computed past it."""
-    if k < 0:
-        return 0.0
     P = spec.table.P
-    return P[k] if k < len(P) else complete_homogeneous(spec.omega_sq, k)
+    return P[k] if 0 <= k < len(P) else complete_homogeneous(spec.omega_sq, k)
 
 
 def _worst(checks) -> dict:
@@ -256,7 +250,7 @@ def verify_identities(spec: FrequencySpectrum) -> dict:
     n = spec.n
     w = spec.omegas
     table = spec.table
-    w2 = table.omega_sq
+    w2 = spec.omega_sq
     rhos = table.rho
     red = table.reduced
 

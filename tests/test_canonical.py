@@ -433,17 +433,17 @@ class TestModeIntegrals:
 class TestUniqueness:
     def test_ansatz_is_conserved_combination(self):
         report = uniqueness_check(1.5, 0.4, 0.4 * 1.5 ** 2, -0.7)
-        assert report.conserved_residual <= 1e-9
+        assert report["conserved_residual"] <= 1e-9
 
     def test_structure_exists_on_constraint_line(self):
         for w0, b, f in ((1.0, 0.3, 0.7), (2.0, -0.5, 0.2)):
             report = uniqueness_check(w0, b, b * w0 ** 2, f)
-            assert report.structure_residual <= 1e-10
+            assert report["structure_residual"] <= 1e-10
 
     def test_structure_fails_off_constraint_line(self):
         report = uniqueness_check(1.0, 0.3, 0.3 + 0.1, 0.7)
-        assert report.conserved_residual <= 1e-9
-        assert report.structure_residual >= 1e-3
+        assert report["conserved_residual"] <= 1e-9
+        assert report["structure_residual"] >= 1e-3
 
     def test_gamma_parameter_match(self):
         # b = (g1+g2)/(4 w0), f = -(g1-g2)/2 reproduces the weighted sum

@@ -273,10 +273,11 @@ class TestRK4:
         assert err.value.t == 2.0
 
     def test_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            rk4_step(lambda t, u: u, PhaseState(np.zeros(6)), 0.0)
-        with pytest.raises(ValueError):
-            RK4Flow(lambda t, u: u, 0.0)
+        for h in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="^step size must be positive$"):
+                rk4_step(lambda t, u: u, PhaseState(np.zeros(6)), h)
+            with pytest.raises(ValueError, match="^step size must be positive$"):
+                RK4Flow(lambda t, u: u, h)
 
 
 class TestRK4Flow:
