@@ -14,6 +14,11 @@ weights too, in one stated basis: w_1 is the invariant whose position
 part is x_1, w_2 its rotation, whose position part is x_2.
 ``deformation_system`` and ``null_space_complete_pivot`` remain as the
 oracle ``verify`` checks the closed form against.
+
+``deformed_field`` is written in companion form: its lower 4n rows copy
+the jet, du_{(s,i)}/dt = u_{(s+1,i)} exactly, and only the top two rows
+carry the companion equation plus a rank-2 force F (g1, g2), with the
+2x2 F = Omega_alt[-2:] [v1 v2] read off the same closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .canonical import (_omega_product, _pair_weights, alt_hamiltonian_observable,
                         canonical_map)
-from .dynamics import J2, block_view
+from .dynamics import J2, block_view, companion_matrix
 from .poisson import GammaWeights, alt_structure, degeneracy_scalar
 from .spectrum import FrequencySpectrum
 
@@ -113,6 +118,22 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     gamma = (1, -1) this gives w_a = x_a, so the README's potential
     0.05 w1^4 acts on x_1.
     """
+    v1, v2, _ = _invariant_plane(spec, g)
+    return v1, v2
+
+
+def _invariant_plane(spec: FrequencySpectrum, g: GammaWeights):
+    """(v1, v2, (a, b)): the basis of ``invariant_directions`` and the top
+    two entries of Omega_alt v1, the only nonzero ones.
+
+    Omega_alt T_c^T K T_c = s I, so N_1 = (T_c^T K T_c)[:, 4n:] c_1, with
+    c_1 the 2x2 solve that fixes its position part, has Omega_alt N_1 =
+    s c_1 on the top coordinates.  (a, b) = s c_1 / |N_1| is read off that
+    solve, within 3e-15 relative of its 60-digit value at n = 1..8 on
+    random spectra; the product Omega_alt v1 loses it to cancellation, by
+    up to 2e-6 at n = 8.  By rotation covariance Omega_alt v2 has top
+    entries (-b, a).
+    """
     n = spec.n
     s = degeneracy_scalar(spec, g)
     T = canonical_map(spec)
@@ -122,11 +143,13 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     pairs[range(2 * n), range(2 * n)] = coef[:, None, None] * J2
     pairs[2 * n, 2 * n] = -J2 / _omega_product(spec) ** 2
     plane = T.T @ (K @ T[:, 4 * n:])
-    N1 = plane @ np.linalg.solve(plane[:2], [1.0, 0.0])
-    v1 = N1 / np.linalg.norm(N1)
+    c1 = np.linalg.solve(plane[:2], [1.0, 0.0])
+    N1 = plane @ c1
+    norm = np.linalg.norm(N1)
+    v1 = N1 / norm
     v2 = np.empty_like(v1)
     v2[0::2], v2[1::2] = -v1[1::2], v1[0::2]
-    return v1, v2
+    return v1, v2, tuple((s * c1 / norm).tolist())
 
 
 def closed_form_direction_n1(spec: FrequencySpectrum, g: GammaWeights, i: int) -> np.ndarray:
@@ -262,27 +285,44 @@ def _sum_monomials(monomials, w1, w2):
 
 def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: PotentialSpec = None):
     """State-derivative function of the deformed flow
-    du/dt = Omega_alt (A_H u + grad U(u)).
+    du/dt = Omega_alt (A_H u + grad U(u)), in companion form.
 
-    grad U lies in the constraint null space, so the lower chain equations
-    du_{(s,i)}/dt = u_{(s+1,i)} (s < 2n) survive exactly; only the top
-    derivative acquires the force term.  Returns (field, v1, v2).  With no
-    potential the field is the linear one, Omega_alt A_H u, and v1, v2
-    are None: the null space is not needed.
+    Omega_alt A_H is the companion matrix M, and grad U = g1 v1 + g2 v2
+    lies in the constraint null space, so the lower chain equations
+    du_{(s,i)}/dt = u_{(s+1,i)} (s < 2n) hold exactly: the field copies
+    u[2:] into its lower 4n rows.  Only the top two rows carry the
+    force, M[-2:] u + F (g1, g2) with F = Omega_alt[-2:] [v1 v2] =
+    [[a, -b], [b, a]] from ``invariant_directions``' own solve.  One
+    product of the stacked rows (v1, v2, M[-2:]) with u gives w1, w2 and
+    M[-2:] u; the force is four scalar multiply-adds.
+
+    Returns (field, v1, v2); the field returns a fresh array per call.
+    With no potential the field is the linear one, M u, and v1, v2 are
+    None: the null space is not needed.
     """
-    omega_dot = alt_structure(spec, g).dot
-    A_dot = alt_hamiltonian_observable(spec, g).A.dot
+    top = companion_matrix(spec)[-2:]
+    dim = spec.jet_dim
     if potential is None:
+        top_dot = top.dot
+
         def field(_t, u):
-            return omega_dot(A_dot(u))
+            du = np.empty(dim)
+            du[:-2] = u[2:]
+            du[-2:] = top_dot(u)
+            return du
 
         return field, None, None
-    v1, v2 = invariant_directions(spec, g)
-    v1_dot, v2_dot, grad = v1.dot, v2.dot, potential.grad
+    v1, v2, (a, b) = _invariant_plane(spec, g)
+    rows_dot, grad = np.vstack((v1, v2, top)).dot, potential.grad
 
     def field(_t, u):
-        g1, g2 = grad(float(v1_dot(u)), float(v2_dot(u)))
-        return omega_dot(A_dot(u) + g1 * v1 + g2 * v2)
+        w1, w2, m1, m2 = rows_dot(u).tolist()
+        g1, g2 = grad(w1, w2)
+        du = np.empty(dim)
+        du[:-2] = u[2:]
+        du[-2] = m1 + (a * g1 - b * g2)
+        du[-1] = m2 + (b * g1 + a * g2)
+        return du
 
     return field, v1, v2
 

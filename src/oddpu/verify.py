@@ -276,10 +276,10 @@ def run_all(n_max=6, trials=20, seed=42) -> dict:
     if seed < 0:
         raise ValueError("seed must be >= 0")
     checks = {}
-    checks.update(check_identities(min(6, n_max), trials, seed))
-    checks.update(check_hamilton_closure(min(4, n_max), trials, seed))
-    checks.update(check_dirac_recovery(min(5, n_max), trials, seed))
-    checks.update(check_canonical_form(min(4, n_max), trials, seed))
+    checks.update(check_identities(min(6, n_max), min(20, trials), seed))
+    checks.update(check_hamilton_closure(min(4, n_max), min(20, trials), seed))
+    checks.update(check_dirac_recovery(min(5, n_max), min(20, trials), seed))
+    checks.update(check_canonical_form(min(4, n_max), min(20, trials), seed))
     checks.update(check_conservation(min(4, n_max), min(3, trials), seed))
     checks.update(check_degeneracy_rank(min(4, n_max), min(10, trials), seed))
     checks.update(check_uniqueness())

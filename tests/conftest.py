@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +63,126 @@ def within_factored_bound(obs, states, values, offsets=None, slack=0.0, coords=N
         coords = exact_coordinates(obs.T, states)
     errors = factored_errors(obs, coords, values, offsets)
     return errors <= factored_value_bound(obs, states) + slack
+
+
+def _sign(k):
+    """(-1)^k as an int, for any integer k."""
+    return -1 if k % 2 else 1
+
+
+def exact_alt_structure(omegas, gamma):
+    """Omega_alt of the float inputs in exact rational arithmetic, entry by
+    entry from the formula of ``poisson.alt_structure``: rows of Fractions.
+    ``gamma`` is the flat (gamma_{0,1}, gamma_{0,2}, gamma_{1,1}, ...)."""
+    w = [Fraction(x) for x in omegas]
+    g = [Fraction(x) for x in gamma]
+    n = len(w)
+    rho = [Fraction(_sign(k)) / math.prod(w[j] ** 2 - w[k] ** 2 for j in range(n) if j != k)
+           for k in range(n)]
+    ap = [(1 / g[2 * k] + 1 / g[2 * k + 1]) / 2 for k in range(n)]
+    am = [(1 / g[2 * k] - 1 / g[2 * k + 1]) / 2 for k in range(n)]
+    omega = [[Fraction(0)] * (4 * n + 2) for _ in range(4 * n + 2)]
+    for s in range(2 * n + 1):
+        for m in range(2 * n + 1):
+            if s == m == 0:
+                continue
+            e = s + m - 2
+            if (s + m) % 2 == 1:
+                c = _sign((s - m + 1) // 2) * sum(r * x ** e * a for r, x, a in zip(rho, w, ap))
+                omega[2 * s][2 * m] = omega[2 * s + 1][2 * m + 1] = c
+            else:
+                c = _sign((s - m) // 2) * sum(r * x ** e * a for r, x, a in zip(rho, w, am))
+                omega[2 * s][2 * m + 1], omega[2 * s + 1][2 * m] = c, -c
+    return omega
+
+
+def exact_null_vector(omega):
+    """N_1 of ``deformation.invariant_directions`` in exact arithmetic: the
+    vector annihilated by the lower 4n rows of ``omega`` (Fractions) whose
+    position part is (1, 0), by Gauss-Jordan elimination on the other 4n
+    entries."""
+    rows = len(omega) - 2
+    # augmented system C[:, 2:] x = -C[:, 0]
+    A = [row[2:] + [-row[0]] for row in omega[:rows]]
+    for col in range(rows):
+        pivot = next(r for r in range(col, rows) if A[r][col] != 0)
+        A[col], A[pivot] = A[pivot], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(rows):
+            if r != col and A[r][col] != 0:
+                A[r] = [x - A[r][col] * y for x, y in zip(A[r], A[col])]
+    return [Fraction(1), Fraction(0)] + [A[r][-1] for r in range(rows)]
+
+
+def exact_invariant_plane(omega, digits=50):
+    """(v1, v2, (a, b)) of ``deformation._invariant_plane`` for the exact
+    ``omega`` (Fractions), as Decimals to ``digits`` significant digits:
+    v1 = N_1 / |N_1|, v2 its rotation, (a, b) the top entries of
+    Omega_alt v1."""
+    N1 = exact_null_vector(omega)
+    top = [sum(o * x for o, x in zip(row, N1)) for row in omega[-2:]]
+    with localcontext() as ctx:
+        ctx.prec = digits
+        sq = sum(x * x for x in N1)
+        norm = (Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt()
+        v1 = [Decimal(x.numerator) / Decimal(x.denominator) / norm for x in N1]
+        force = tuple(Decimal(x.numerator) / Decimal(x.denominator) / norm for x in top)
+    v2 = [None] * len(v1)
+    v2[0::2], v2[1::2] = [-x for x in v1[1::2]], v1[0::2]
+    return v1, v2, force
+
+
+def exact_deformed_rk4(omegas, gamma, terms, u0, times, h, digits=50):
+    """Classical RK4 of the exact-model deformed field over a time grid, in
+    ``digits``-digit Decimal arithmetic: rows of Decimals, row 0 = u0.
+
+    The field is the companion form of Omega_alt (A_H u + grad U): the
+    lower rows copy u[2:], the top rows are -sum_k sigma_k x_i^(2k+1) plus
+    (a g1 - b g2, b g1 + a g2), with sigma_k the coefficients of
+    prod_k (z + w_k^2), (a, b) from ``exact_invariant_plane`` and
+    (g1, g2) the gradient of sum c w1^i w2^j over ``terms`` ((i, j, c),
+    empty for the linear flow) at w_a = v_a . u.  Each grid interval is
+    split into steps as ``dynamics.RK4Flow`` splits it."""
+    n = len(omegas)
+    sigma = [Fraction(1)]             # coefficients of prod (z + w_k^2), low to high
+    for w in omegas:
+        w2 = Fraction(w) ** 2
+        sigma = [w2 * c + (sigma[k - 1] if k else 0) for k, c in enumerate(sigma + [0])]
+    with localcontext() as ctx:
+        ctx.prec = digits
+        sig = [Decimal(c.numerator) / Decimal(c.denominator) for c in sigma[:n]]
+        if terms:
+            v1, v2, (a, b) = exact_invariant_plane(exact_alt_structure(omegas, gamma), digits)
+            terms = [(i, j, Decimal(c)) for i, j, c in terms]
+
+        def field(u):
+            top = [-sum(c * u[2 * (2 * k + 1) + i] for k, c in enumerate(sig)) for i in (0, 1)]
+            if terms:
+                w1 = sum(x * y for x, y in zip(v1, u))
+                w2 = sum(x * y for x, y in zip(v2, u))
+                g1 = sum(c * i * w1 ** (i - 1) * w2 ** j for i, j, c in terms if i)
+                g2 = sum(c * j * w1 ** i * w2 ** (j - 1) for i, j, c in terms if j)
+                top = [top[0] + a * g1 - b * g2, top[1] + b * g1 + a * g2]
+            return u[2:] + top
+
+        def axpy(x, k, y):
+            return [p + x * q for p, q in zip(y, k)]
+
+        u = [Decimal(x) for x in u0]
+        out = [u]
+        for t0, t1 in zip(times[:-1], times[1:]):
+            span = Decimal(t1) - Decimal(t0)
+            steps = max(1, math.ceil((t1 - t0) / h - 1e-12))
+            dt = span / steps
+            for _ in range(steps):
+                k1 = field(u)
+                k2 = field(axpy(dt / 2, k1, u))
+                k3 = field(axpy(dt / 2, k2, u))
+                k4 = field(axpy(dt, k3, u))
+                u = [x + dt / 6 * (p + 2 * q + 2 * r + s)
+                     for x, p, q, r, s in zip(u, k1, k2, k3, k4)]
+            out.append(u)
+    return out
 
 
 @pytest.fixture

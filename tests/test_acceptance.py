@@ -102,3 +102,8 @@ class TestAcceptance:
         print("full verify run: %.2f s, pass=%s" % (elapsed, summary["pass"]))
         assert summary["pass"], summary
         assert elapsed <= 60.0, "full suite took %.2f s" % elapsed
+
+    def test_trials_capped_per_check(self):
+        # every check caps trials at or below the default 20, so asking for
+        # more reruns the default suite: same draws, same residuals
+        assert verify.run_all(trials=400)["checks"] == verify.run_all()["checks"]

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals)
 from oddpu.cli import MAX_GRID_ROWS, build_parser, main
 
-from conftest import exact_coordinates
+from conftest import exact_coordinates, exact_deformed_rk4
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -614,6 +615,46 @@ class TestOutputIdentity:
         assert factored_bound_check(hcal, states, values["Hcal"][0], coords=coords).all()
         assert np.all(values["U"][0] == 0.0)
         assert factored_bound_check(hcal, states, values["Htot"][0], coords=coords).all()
+
+    @staticmethod
+    def within_exact_rk4(csv_text, omegas, gamma, potential):
+        """True if the state columns of a ``deform`` table are within
+        64 eps max|u| of the same RK4 steps taken in 50-digit arithmetic on
+        the exact-model field (``conftest.exact_deformed_rk4``)."""
+        rows = list(csv.reader(io.StringIO(csv_text)))[1:]
+        dim = 4 * len(omegas) + 2
+        states = [[float(x) for x in r[1:1 + dim]] for r in rows]
+        terms = (PotentialSpec.from_json_dict(json.loads(potential)).terms
+                 if potential is not None else ())
+        reference = exact_deformed_rk4(omegas, gamma, terms, states[0],
+                                       [float(r[0]) for r in rows], 0.01)
+        error = max(abs(Decimal(x) - y) for row, ref in zip(states, reference)
+                    for x, y in zip(row, ref))
+        scale = max(abs(y) for ref in reference for y in ref)
+        return error <= 64 * Decimal(np.finfo(float).eps) * scale
+
+    @pytest.mark.parametrize("fixture, omegas, gamma, potential", [
+        ("deform_quartic.csv", (1.0,), (1.0, -1.0), TestDeformCommand.POT),
+        ("deform_linear_n1.csv", (1.0,), (1.0, -1.0), None),
+        ("deform_linear_n2.csv", (1.0, 2.0), (1.0, -1.0, -1.0, 1.0), None),
+    ], ids=["quartic", "linear_n1", "linear_n2"])
+    def test_deform_states_near_exact_rk4(self, fixture, omegas, gamma, potential):
+        # the pinned states; sigma, Omega_alt and the invariant directions
+        # are rational at these inputs
+        assert self.within_exact_rk4((DATA / fixture).read_text(), omegas, gamma, potential)
+
+    def test_deform_n6_states_near_exact_rk4(self, capsys):
+        # n = 6 at the Dirac-equivalent weights, the deform call of CI, where
+        # |Omega_alt| |A_H| is large enough that rounding in the lower rows
+        # of the field would show
+        omegas = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+        gamma = (1.0, -1.0, -1.0, 1.0) * 3
+        potential = '{"degree": 4, "coeffs": [{"i": 4, "j": 0, "value": 0.05}]}'
+        code, out, _ = run(["deform", "--omegas", *map(str, omegas), "--gamma", *map(str, gamma),
+                            "--state", *["0.1"] * 26, "--t-end", "1", "--dt", "0.01",
+                            "--potential", potential], capsys)
+        assert code == 0
+        assert self.within_exact_rk4(out, omegas, gamma, potential)
 
     def test_deform(self, capsys, factored_bound_check):
         code, out, _ = run(TestDeformCommand.ARGS

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from oddpu import (FrequencySpectrum, GammaWeights, PhaseState,
-                   PotentialObservable, PotentialSpec, RK4Flow, alt_hamiltonian_observable,
-                   alt_structure, closed_form_direction_n1, deformation_system,
-                   deformed_energy, deformed_field, invariant_directions,
-                   null_space_complete_pivot)
+                   PotentialObservable, PotentialSpec, RK4Flow, closed_form_direction_n1,
+                   companion_matrix, deformation_system, deformed_energy, deformed_field,
+                   invariant_directions, null_space_complete_pivot)
 from oddpu.verify import _subspace_gap, random_gamma, random_spectrum
+
+from conftest import exact_alt_structure, exact_invariant_plane
 
 S1 = FrequencySpectrum((1.0,))
 DIRAC1 = GammaWeights(((1.0, -1.0),))
@@ -320,9 +321,38 @@ class TestDeformedFlow:
             du = field(0.0, u)
             for s in range(2 * spec.n):
                 for i in (1, 2):
-                    lhs = du[2 * s + i - 1]
-                    rhs = u[2 * (s + 1) + i - 1]
-                    assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
+                    assert du[2 * s + i - 1] == u[2 * (s + 1) + i - 1]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lower_rows_copy_the_jet(self, n):
+        # the model's chain equations are exact, so the lower 4n rows are
+        # u[2:] bit for bit, with and without a potential, at every n
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            spec = random_spectrum(rng, n)
+            g = random_gamma(rng, spec)
+            for potential in (None, self.QUARTIC):
+                field, _, _ = deformed_field(spec, g, potential)
+                for u in rng.uniform(-1, 1, size=(4, spec.jet_dim)):
+                    u[2] = -0.0
+                    assert field(0.0, u)[:-2].tobytes() == u[2:].tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_force_matches_exact_top_rows(self, n):
+        # U = w1 has grad U = (1, 0), so at u = 0 the top rows of the field
+        # read (a, b), the top entries of Omega_alt v1, held against their
+        # value from the exact structure and null vector
+        rng = np.random.default_rng(60 + n)
+        eps = np.finfo(float).eps
+        for _ in range(3):
+            spec = random_spectrum(rng, n)
+            g = random_gamma(rng, spec)
+            field, _, _ = deformed_field(spec, g, PotentialSpec(((1, 0, 1.0),)))
+            top = field(0.0, np.zeros(spec.jet_dim))[-2:]
+            _, _, exact = exact_invariant_plane(
+                exact_alt_structure(spec.omegas, np.ravel(g.gamma).tolist()))
+            exact = np.array([float(x) for x in exact])
+            assert np.abs(top - exact).max() <= 32 * eps * np.abs(exact).max()
 
     def test_energy_conserved_under_rk4(self):
         spec = S1
@@ -335,22 +365,33 @@ class TestDeformedFlow:
         assert abs(total(u) - e0) <= 1e-8 * (1 + abs(e0))
 
     def test_no_potential_is_linear_field(self, monkeypatch):
-        # the linear field needs no null space, so none is built
+        # the linear field is the companion matrix, in its two parts; it
+        # needs no null space, so none is built
         import oddpu.deformation as deformation
 
         def refuse(*_):
-            raise AssertionError("invariant_directions called")
+            raise AssertionError("null space built")
 
         monkeypatch.setattr(deformation, "invariant_directions", refuse)
+        monkeypatch.setattr(deformation, "_invariant_plane", refuse)
         rng = np.random.default_rng(3)
         spec = random_spectrum(rng, 2)
         g = random_gamma(rng, spec)
         field, v1, v2 = deformed_field(spec, g, None)
         assert v1 is None and v2 is None
-        omega, A = alt_structure(spec, g), alt_hamiltonian_observable(spec, g).A
         u = rng.uniform(-1, 1, size=spec.jet_dim)
-        u[0] = -0.0
-        assert field(0.0, u).tobytes() == (omega @ (A @ u)).tobytes()
+        u[2] = -0.0
+        du = field(0.0, u)
+        assert du[:-2].tobytes() == u[2:].tobytes()
+        assert du[-2:].tobytes() == (companion_matrix(spec)[-2:] @ u).tobytes()
+
+    def test_field_returns_a_fresh_array(self):
+        for potential in (None, self.QUARTIC):
+            field, _, _ = deformed_field(S1, DIRAC1, potential)
+            u = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.25])
+            first = field(0.0, u)
+            assert field(0.0, u) is not first
+            assert not np.shares_memory(first, u)
 
     def test_potential_observable_rows_match_single_states(self):
         v1, v2 = invariant_directions(S1, DIRAC1)
@@ -366,7 +407,6 @@ class TestDeformedFlow:
         # tiny coefficients: flow matches the linear one to first order
         small = PotentialSpec(((2, 0, 1e-12),))
         field, _, _ = deformed_field(S1, DIRAC1, small)
-        from oddpu import companion_matrix
         M = companion_matrix(S1)
         u = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.25])
         assert np.abs(field(0.0, u) - M @ u).max() <= 1e-11
