@@ -3,8 +3,7 @@
 from .spectrum import (FrequencySpectrum, complete_homog, complete_homogeneous,
                        elementary_sigma, reduced_sigma, rho, verify_identities)
 from .dynamics import (IntegrationError, ModalSolution, PhaseState, RK4Flow,
-                       TrajectoryTable, companion_matrix, jet_index, rk4_step,
-                       trajectory)
+                       TrajectoryTable, companion_matrix, rk4_step, trajectory)
 from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
                       QuadraticObservable, alt_structure, bracket,
                       degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,

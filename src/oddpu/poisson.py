@@ -1,9 +1,9 @@
 """Poisson structures on the jet phase space.
 
 A structure is its constant antisymmetric matrix Omega, a plain
-(4n+2, 4n+2) float64 array in the layout of ``dynamics.jet_index``, built
-from 2x2 blocks a_{sm} delta_ij or d_{sm} eps_ij (``dynamics.block_view``,
-eps = ``dynamics.J2``).  Two families are built:
+(4n+2, 4n+2) float64 array in the jet layout: x_i^{(s)} at index
+2s + i - 1.  It is built from 2x2 blocks a_{sm} delta_ij or d_{sm} eps_ij
+(``dynamics.block_view``, eps = ``dynamics.J2``).  Two families are built:
 
 * ``dirac_structure``  -- the bracket inherited from the constrained
   first-order formulation, with entries built from the complete

@@ -65,6 +65,11 @@ def within_factored_bound(obs, states, values, offsets=None, slack=0.0, coords=N
     return errors <= factored_value_bound(obs, states) + slack
 
 
+def jet_index(s, i):
+    """Index of x_i^{(s)} in the jet vector, i in {1, 2}."""
+    return 2 * s + i - 1
+
+
 def _sign(k):
     """(-1)^k as an int, for any integer k."""
     return -1 if k % 2 else 1
@@ -94,6 +99,31 @@ def exact_alt_structure(omegas, gamma):
                 c = _sign((s - m) // 2) * sum(r * x ** e * a for r, x, a in zip(rho, w, am))
                 omega[2 * s][2 * m + 1], omega[2 * s + 1][2 * m] = c, -c
     return omega
+
+
+def exact_modal_amplitudes(omegas, u):
+    """The amplitudes (c, a_0, b_0, a_1, ...) x (component 1, 2) of
+    ``dynamics.ModalSolution`` for the float inputs, in exact rational
+    arithmetic: rows of Fractions.  Gauss-Jordan solve of the t = 0 fit
+    B0 amps = d, with d[s] = (x_1^{(s)}(0), x_2^{(s)}(0)) and B0[s] the s-th
+    derivative at t = 0 of the basis (1, cos(w_0 t), sin(w_0 t), ...)."""
+    w = [Fraction(x) for x in omegas]
+    dim = 2 * len(w) + 1
+    cos_cycle, sin_cycle = (1, 0, -1, 0), (0, 1, 0, -1)
+    A = []
+    for s in range(dim):
+        row = [Fraction(int(s == 0))]
+        for x in w:
+            row += [cos_cycle[s % 4] * x ** s, sin_cycle[s % 4] * x ** s]
+        A.append(row + [Fraction(v) for v in u[2 * s:2 * s + 2]])
+    for col in range(dim):
+        pivot = next(r for r in range(col, dim) if A[r][col] != 0)
+        A[col], A[pivot] = A[pivot], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(dim):
+            if r != col and A[r][col] != 0:
+                A[r] = [x - A[r][col] * y for x, y in zip(A[r], A[col])]
+    return [row[dim:] for row in A]
 
 
 def exact_null_vector(omega):

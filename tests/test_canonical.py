@@ -5,14 +5,15 @@ import pytest
 
 from oddpu import (DegeneracyError, FrequencySpectrum, GammaWeights, ModalSolution,
                    PhaseState, alt_structure, bracket, companion_matrix,
-                   degeneracy_scalar, dirac_equivalent_gamma, dirac_structure,
-                   jet_index)
+                   degeneracy_scalar, dirac_equivalent_gamma, dirac_structure)
 from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals, oscillator_map,
                              quadratic_ansatz_observable, scaled_canonical_map,
                              uniqueness_check)
 from oddpu.poisson import FactoredObservable
 from oddpu.verify import random_gamma, random_spectrum
+
+from conftest import jet_index
 
 S1 = FrequencySpectrum((1.0,))
 S12 = FrequencySpectrum((1.0, 2.0))

@@ -307,6 +307,16 @@ class TestSimulateCommand:
         assert out == ""
         assert_one_error_line(err, "must be finite")
 
+    def test_overflowing_amplitudes_print_no_warning(self, capsys):
+        # the mode-0 amplitude is about rho_0 x2'''' / w_0^2 = 1e310: the fit
+        # overflows
+        argv = ["simulate", "--omegas", "1e-152", "1e-3", "--state", *["0"] * 9, "1",
+                "--t-end", "1", "--dt", "0.5"]
+        code, out, err = run_strict(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "jet vector entries must be finite")
+
 
 class TestFloatOptions:
     @pytest.mark.parametrize("flag", ["--omegas", "--gamma", "--state", "--t-end", "--dt"])

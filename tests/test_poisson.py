@@ -7,12 +7,14 @@ from oddpu import (FrequencySpectrum, GammaWeights, verify,
                    QuadraticObservable, alt_structure, bracket, companion_matrix,
                    degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                    dirac_structure, gamma_is_degenerate, hamiltonian_vector_field,
-                   jet_index, rho, structure_rank)
+                   rho, structure_rank)
 from oddpu.canonical import (_antisymmetric_basis, alt_hamiltonian_observable,
                              energy_observable, quadratic_ansatz_observable)
 from oddpu.dynamics import J2
 from oddpu.poisson import DegeneracyError, _antisymmetric
 from oddpu.verify import random_gamma, random_spectrum
+
+from conftest import jet_index
 
 S1 = FrequencySpectrum((1.0,))
 
