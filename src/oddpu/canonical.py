@@ -89,12 +89,6 @@ def _omega_product(spec: FrequencySpectrum) -> float:
     return float(np.prod(spec.omegas))
 
 
-def _pair_weights(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
-    """kappa_{k,i} = (-1)^{k+i+1} gamma_{k,i} = 1 / c_{k,i}, shape (n, 2)."""
-    k, i = np.arange(spec.n)[:, None], np.array([1, 2])
-    return (-1.0) ** (k + i + 1) * np.array(g.gamma)
-
-
 def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     """Gamma-scaled canonical coordinates for the alternative structure: the
     rows of ``canonical_map`` times sqrt|gamma_{k,i}| at q_{k,i},
@@ -107,7 +101,8 @@ def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray
     if gamma_is_degenerate(spec, g):
         raise DegeneracyError("degenerate gamma weights: scalar s vanishes")
     s = degeneracy_scalar(spec, g)
-    kappa = _pair_weights(spec, g)                      # (k, i - 1)
+    k, i = np.arange(spec.n)[:, None], np.array([1, 2])
+    kappa = (-1.0) ** (k + i + 1) * np.array(g.gamma)   # (-1)^{k+i+1} gamma_{k,i}
     root = np.sqrt(np.abs(kappa))
     scale = 1.0 / (_omega_product(spec) * np.sqrt(abs(s)))
     d = np.concatenate((np.stack((root, np.sign(kappa) * root), axis=-1).ravel(),

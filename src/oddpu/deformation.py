@@ -8,17 +8,18 @@ on the 4n+2 gradient components whose null space is two-dimensional;
 potentials are polynomials in the two resulting invariant scalars
 w_a = v_a . u.
 
-``invariant_directions`` writes the null space in closed form from the
-canonical block form of the structure, at every n and for degenerate
-weights too, in one stated basis: w_1 is the invariant whose position
-part is x_1, w_2 its rotation, whose position part is x_2.
-``deformation_system`` and ``null_space_complete_pivot`` remain as the
-oracle ``verify`` checks the closed form against.
+``invariant_directions`` writes the null space in closed form, in the
+residues rho_k reduced_sigma of the spectrum table: the alternative
+structure is a direct sum of 2n one-dimensional oscillators.  It holds at
+every n and for degenerate weights too, in one stated basis: w_1 is the
+invariant whose position part is x_1, w_2 its rotation, whose position
+part is x_2.  ``deformation_system`` and ``null_space_complete_pivot``
+remain as the oracle ``verify`` checks the closed form against.
 
 ``deformed_field`` is written in companion form: its lower 4n rows copy
 the jet, du_{(s,i)}/dt = u_{(s+1,i)} exactly, and only the top two rows
-carry the companion equation plus a rank-2 force F (g1, g2), with the
-2x2 F = Omega_alt[-2:] [v1 v2] read off the same closed form.
+carry the companion equation plus the force b (-g2, g1), since
+Omega_alt v1 is b times the last unit vector.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (_omega_product, _pair_weights, alt_hamiltonian_observable,
-                        canonical_map)
-from .dynamics import J2, block_view, companion_matrix
-from .poisson import GammaWeights, alt_structure, degeneracy_scalar
+from .canonical import alt_hamiltonian_observable
+from .dynamics import J2, companion_matrix
+from .poisson import GammaWeights, alt_structure
 from .spectrum import FrequencySpectrum
 
 MAX_POTENTIAL_DEGREE = 8
@@ -92,64 +92,57 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     """Unit basis (v1, v2) of the constraint null space, in closed form.
 
     Potentials built over w_a = v_a . u leave the lower jet-chain
-    equations intact.  The canonical map T_c puts the alternative
-    structure into block form,
+    equations intact.  In oscillator coordinates the alternative
+    structure is a direct sum of 2n one-dimensional oscillators, so the
+    null space is written in the residues R of the spectrum table
+    (``SpectrumTable.residues``).  With
 
-      T_c Omega_alt T_c^T = blockdiag(c_{k,i} J2 per (q_{k,i}, p_{k,i}),
-                                      s (w_0...w_{n-1})^2 J2 for (z_1, z_2))
+      t   = sum_m rho_m alpha_m^- reduced_sigma(0, m)   (= s sigma_0),
+      c_k = (-1)^{k+1} t,
+      A_k = (gamma_{k,2} - gamma_{k,1}) c_k / 2,
+      B_k = (gamma_{k,1} + gamma_{k,2}) c_k / 2,
 
-    with c_{k,i} = (-1)^{k+i+1} / gamma_{k,i}, s the degeneracy scalar and
-    J2 = [[0, 1], [-1, 0]] (``dynamics.J2``).  So s Omega_alt^{-1} = T_c^T K T_c
-    with K written pair by pair on the diagonal of ``dynamics.block_view(K)``,
-
-      K = blockdiag(-s (-1)^{k+i+1} gamma_{k,i} J2, -(w_0...w_{n-1})^{-2} J2),
-
-    which stays finite at s = 0.  The constraint rows are the lower 4n
-    rows of Omega_alt, so the null space is spanned by the columns of
-    T_c^T K T_c at the top jet indices 4n, 4n+1; at s = 0 these are
-    combinations of the z rows, which span the kernel of Omega_alt.  No
-    rank is decided and no tolerance is used.
+    the vector N_1 with x_1 = 1, x_1^{(2j+2)} = sum_k R[k, j] (1 - A_k) / w_k^2,
+    x_2^{(2j+1)} = sum_k R[k, j] B_k / w_k (j < n) and zeros elsewhere is
+    annihilated by the lower 4n rows of Omega_alt, and v1 = N_1 / |N_1|.
+    No rank is decided, no system is solved and no tolerance is used; the
+    form holds at every n and at degenerate weights (t = 0) too.
 
     Basis convention: N_1 is the vector of the null space whose position
-    part (jet entries x_1, x_2) is (1, 0), and v1 = N_1 / |N_1|.  The
-    system is invariant under the rotation R: x_1^(s) -> x_2^(s),
-    x_2^(s) -> -x_1^(s), so v2 = R v1 is the unit vector of the plane
-    with position part along x_2, and v1 . v2 = 0.  At w = 1,
-    gamma = (1, -1) this gives w_a = x_a, so the README's potential
-    0.05 w1^4 acts on x_1.
+    part (jet entries x_1, x_2) is (1, 0).  The system is invariant under
+    the rotation x_1^(s) -> x_2^(s), x_2^(s) -> -x_1^(s), so v2, the
+    rotation of v1, is the unit vector of the plane with position part
+    along x_2, and v1 . v2 = 0.  At gamma = (1, -1) and n = 1, A_0 = 1 and
+    B_0 = 0 exactly, so v1 = x_1 and w_a = x_a at every w: the README's
+    potential 0.05 w1^4 acts on x_1.
     """
     v1, v2, _ = _invariant_plane(spec, g)
     return v1, v2
 
 
 def _invariant_plane(spec: FrequencySpectrum, g: GammaWeights):
-    """(v1, v2, (a, b)): the basis of ``invariant_directions`` and the top
-    two entries of Omega_alt v1, the only nonzero ones.
-
-    Omega_alt T_c^T K T_c = s I, so N_1 = (T_c^T K T_c)[:, 4n:] c_1, with
-    c_1 the 2x2 solve that fixes its position part, has Omega_alt N_1 =
-    s c_1 on the top coordinates.  (a, b) = s c_1 / |N_1| is read off that
-    solve, within 3e-15 relative of its 60-digit value at n = 1..8 on
-    random spectra; the product Omega_alt v1 loses it to cancellation, by
-    up to 2e-6 at n = 8.  By rotation covariance Omega_alt v2 has top
-    entries (-b, a).
-    """
-    n = spec.n
-    s = degeneracy_scalar(spec, g)
-    T = canonical_map(spec)
-    coef = (-s * _pair_weights(spec, g)).ravel()
-    K = np.zeros((spec.jet_dim, spec.jet_dim))
-    pairs = block_view(K)              # pair 2k + i - 1 is rows q[k][i], p[k][i] of T_c
-    pairs[range(2 * n), range(2 * n)] = coef[:, None, None] * J2
-    pairs[2 * n, 2 * n] = -J2 / _omega_product(spec) ** 2
-    plane = T.T @ (K @ T[:, 4 * n:])
-    c1 = np.linalg.solve(plane[:2], [1.0, 0.0])
-    N1 = plane @ c1
-    norm = np.linalg.norm(N1)
+    """(v1, v2, b): the basis of ``invariant_directions`` and the force
+    coefficient b = t / |N_1|.  Omega_alt v1 is b at x_2^{(2n)} and zero
+    elsewhere, and by rotation Omega_alt v2 is -b at x_1^{(2n)}.  t is
+    summed over R[:, 0] with no w^2 divided out: the product s sigma_0
+    would leave an ulp in 1 - A_k, which 1 / w_k^2 amplifies at small w."""
+    R = spec.table.residues
+    sign = (-1.0) ** np.arange(spec.n)
+    t = float((sign * g.alpha_minus) @ R[:, 0])
+    gamma = np.array(g.gamma)
+    c = -sign * t
+    A = (gamma[:, 1] - gamma[:, 0]) * c / 2
+    B = (gamma[:, 0] + gamma[:, 1]) * c / 2
+    N1 = np.zeros(spec.jet_dim)
+    d = N1.reshape(-1, 2)              # d[s, i - 1] = x_i^{(s)}
+    d[0, 0] = 1.0
+    d[2::2, 0] = ((1.0 - A) / np.array(spec.omega_sq)) @ R
+    d[1:-1:2, 1] = (B / np.array(spec.omegas)) @ R
+    norm = float(np.linalg.norm(N1))
     v1 = N1 / norm
     v2 = np.empty_like(v1)
     v2[0::2], v2[1::2] = -v1[1::2], v1[0::2]
-    return v1, v2, tuple((s * c1 / norm).tolist())
+    return v1, v2, t / norm
 
 
 def closed_form_direction_n1(spec: FrequencySpectrum, g: GammaWeights, i: int) -> np.ndarray:
@@ -291,10 +284,10 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
     lies in the constraint null space, so the lower chain equations
     du_{(s,i)}/dt = u_{(s+1,i)} (s < 2n) hold exactly: the field copies
     u[2:] into its lower 4n rows.  Only the top two rows carry the
-    force, M[-2:] u + F (g1, g2) with F = Omega_alt[-2:] [v1 v2] =
-    [[a, -b], [b, a]] from ``invariant_directions``' own solve.  One
-    product of the stacked rows (v1, v2, M[-2:]) with u gives w1, w2 and
-    M[-2:] u; the force is four scalar multiply-adds.
+    force, a rotation: M[-2:] u + b (-g2, g1), with b read off the
+    residue form of ``invariant_directions``.  One product of the
+    stacked rows (v1, v2, M[-2:]) with u gives w1, w2 and M[-2:] u; the
+    force is two scalar multiply-adds.
 
     Returns (field, v1, v2); the field returns a fresh array per call.
     With no potential the field is the linear one, M u, and v1, v2 are
@@ -312,7 +305,7 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
             return du
 
         return field, None, None
-    v1, v2, (a, b) = _invariant_plane(spec, g)
+    v1, v2, b = _invariant_plane(spec, g)
     rows_dot, grad = np.vstack((v1, v2, top)).dot, potential.grad
 
     def field(_t, u):
@@ -320,8 +313,8 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
         g1, g2 = grad(w1, w2)
         du = np.empty(dim)
         du[:-2] = u[2:]
-        du[-2] = m1 + (a * g1 - b * g2)
-        du[-1] = m2 + (b * g1 + a * g2)
+        du[-2] = m1 - b * g2
+        du[-1] = m2 + b * g1
         return du
 
     return field, v1, v2

@@ -100,14 +100,14 @@ class ModalSolution:
 
     x_i(t) = c_i + sum_k (a_{k,i} cos(w_k t) + b_{k,i} sin(w_k t)); ``amps``
     holds rows (c, a_0, b_0, a_1, ...), one column per component.  Each
-    amplitude is a residue of the spectrum table: with R[k, m] =
-    (-1)^k rho_k reduced_sigma(m, k) and x^{(j)} the stack x^{(2m+j)}(0),
-    m < n, a_k = -(R x^{(2)})_k / w_k^2, b_k = (R x^{(1)})_k / w_k and
-    c = x(0) - sum_k a_k.  Measured within 2e-15 of an exact rational fit,
-    relative to its largest amplitude, at n <= 14.  Evaluation at any time
-    is then exact per mode, so a long trajectory accumulates no round-off
-    from step to step.  ``eval`` gives one state, ``states`` the jet vectors
-    at many times, and ``grid_states`` a whole grid for ``trajectory``.
+    amplitude is a residue of the spectrum table: with R its ``residues``
+    and x^{(j)} the stack x^{(2m+j)}(0), m < n, a_k = -(R x^{(2)})_k / w_k^2,
+    b_k = (R x^{(1)})_k / w_k and c = x(0) - sum_k a_k.  Measured within
+    2e-15 of an exact rational fit, relative to its largest amplitude, at
+    n <= 14.  Evaluation at any time is then exact per mode, so a long
+    trajectory accumulates no round-off from step to step.  ``eval`` gives
+    one state, ``states`` the jet vectors at many times, and
+    ``grid_states`` a whole grid for ``trajectory``.
     """
 
     def __init__(self, spec: FrequencySpectrum, state: PhaseState):
@@ -116,7 +116,7 @@ class ModalSolution:
         self.spec = spec
         self.t0 = state.t
         d = state.u.reshape(-1, 2)          # d[s, i - 1] = x_i^{(s)}(0)
-        R = ((-1.0) ** np.arange(spec.n) * spec.table.rho)[:, None] * spec.table.reduced
+        R = spec.table.residues
         self.amps = amps = np.empty_like(d)
         # overflow shows as non-finite states, which callers check
         with np.errstate(over="ignore", invalid="ignore"):

@@ -69,6 +69,15 @@ class SpectrumTable:
         P = tuple(_complete_homogeneous_pass(w2, max(n, P_TABLE_DEGREE)))
         return cls(sigma, tuple(reduced), tuple(rhos), P)
 
+    @cached_property
+    def residues(self) -> np.ndarray:
+        """The read-only n x n matrix R[k, m] = (-1)^k rho_k reduced[k][m],
+        the inverse of V[m, k] = (-w_k^2)^m (``id1_second``): R reads the
+        mode weights y_k off the stack sum_k (-w_k^2)^m y_k, m < n."""
+        R = ((-1.0) ** np.arange(len(self.rho)) * self.rho)[:, None] * self.reduced
+        R.setflags(write=False)
+        return R
+
 
 @dataclass(frozen=True)
 class FrequencySpectrum:

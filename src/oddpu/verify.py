@@ -193,9 +193,9 @@ def check_deformation(n_max, trials, seed) -> dict:
     flow.
 
     The gap bound is the one the n = 1 closed form is held to: against a
-    60-digit null space of C the invariant directions are good to 2e-15
-    at n <= 3, but the pivoted basis of the rounded C is off by up to
-    3e-11 where C is ill-conditioned."""
+    50-digit null space of C the invariant directions are good to 1.4e-15
+    at n <= 3 (the draws of seeds 0, 5, ..., 95), but the pivoted basis of
+    the rounded C is off by up to 3e-11 where C is ill-conditioned."""
     failures = []
     worst_angle = 0.0
     for rng, spec in _draws(seed, n_max, trials):

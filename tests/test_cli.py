@@ -455,6 +455,20 @@ class TestDeformCommand:
                 tol = h * h / 3 * third + 64 * eps * np.abs(x).max() / h
                 assert np.abs(central - dx[1:-1]).max() <= tol, (s, i)
 
+    def test_readme_call_at_small_frequency(self, capsys):
+        # the README call at w = 1e-12: w_a = x_a still, so U(0) is
+        # 0.05 * 0.4^4, and the force bends x2 off the free flow's
+        # x2(1) = 0.2 + 0.32 - 0.24 / 2 = 0.4
+        argv = ["deform", "--omegas", "1e-12", "--gamma", "1", "-1",
+                "--state", "0.4", "0.2", "-0.12", "0.32", "0.08", "-0.24",
+                "--t-end", "10", "--dt", "0.01", "--potential",
+                json.dumps({"degree": 4, "coeffs": [{"i": 4, "j": 0, "value": 0.05}]})]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        data = np.genfromtxt(io.StringIO(out), delimiter=",", skip_header=1)
+        assert abs(data[0, 8] - 0.00128) <= 4 * np.spacing(0.00128)
+        assert data[100, 0] == 1.0 and abs(data[100, 2] - 0.4) > 1e-3
+
     def test_gamma_required(self, capsys):
         argv = [a for a in self.ARGS if a not in ("--gamma", "1", "-1")]
         argv = ["deform", "--omegas", "1",
