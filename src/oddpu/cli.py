@@ -250,7 +250,7 @@ def cmd_deform(cfg, out_path) -> int:
     observables = [("Hcal", canonical.alt_hamiltonian_observable(spec, gamma))]
     if potential is not None:
         observables.append(("U", deformation.PotentialObservable(potential, v1, v2)))
-    flow = dynamics.RK4Flow(field, float(cfg["dt"]))
+    flow = dynamics.RK4Flow(field)
     table = dynamics.trajectory(flow, state, grid, observables)
     hcal_col = table.observable_values[:, 0]
     u_col = (table.observable_values[:, 1] if potential is not None

@@ -3,7 +3,7 @@
 The model's (2n+1)-order equation of motion is realized as a linear
 first-order system ``du/dt = M u`` on the jet vector of all derivatives.
 Linear flows are propagated exactly by fitting modal amplitudes; nonlinear
-(deformed) flows use a fixed-step classical RK4 integrator.
+(deformed) flows use classical RK4, one step per grid interval.
 """
 
 from __future__ import annotations
@@ -175,35 +175,29 @@ def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
     return u_next
 
 
-def _require_positive_step(h: float):
-    if not h > 0.0:     # refuses nan too
-        raise ValueError("step size must be positive")
-
-
 def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
     """One classical fourth-order Runge-Kutta step; local error O(h^5).
 
     ``field(t, u)`` returns du/dt.
     """
-    _require_positive_step(h)
+    if not h > 0.0:     # refuses nan too
+        raise ValueError("step size must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         u_next = _rk4_update(field, state.t, state.u, h)
     return PhaseState(u_next, state.t + h)
 
 
 class RK4Flow:
-    """Fixed-step RK4 flow of ``field(t, u)``: each interval [a, b] is
-    split into max(1, ceil((b - a)/h)) equal steps, so no step exceeds h.
+    """Classical RK4 flow of ``field(t, u)`` along a time grid: the grid is
+    the step schedule, one step of size t_r - t_{r-1} per interval.
 
     ``grid_states`` advances along a whole grid on raw arrays, building no
-    PhaseState per step; ``grid_states(state, [state.t, t])[-1]`` is the
-    state at one later time t.
+    PhaseState per step; ``grid_states(state, [state.t, t])[-1]`` is one
+    step to a later time t.
     """
 
-    def __init__(self, field, h: float):
-        _require_positive_step(h)
+    def __init__(self, field):
         self.field = field
-        self.h = h
 
     def grid_states(self, state: PhaseState, grid) -> np.ndarray:
         """Jet vectors at each time of a strictly increasing grid that
@@ -216,19 +210,13 @@ class RK4Flow:
         out = np.empty((len(times), state.u.size))
         u = state.u
         out[0] = u
-        field, h = self.field, self.h
-        start = state.t
+        field = self.field
+        t = state.t
         with np.errstate(over="ignore", invalid="ignore"):
             for r in range(1, len(times)):
-                span = times[r] - start
-                steps = max(1, math.ceil(span / h - 1e-12))
-                dt = span / steps
-                t = start
-                for _ in range(steps):
-                    u = _rk4_update(field, t, u, dt)
-                    t = t + dt
+                u = _rk4_update(field, t, u, times[r] - t)
                 out[r] = u
-                start = times[r]
+                t = times[r]
         return out
 
 

@@ -163,7 +163,7 @@ def exact_invariant_plane(omega, digits=50):
     return v1, v2, force
 
 
-def exact_deformed_rk4(omegas, gamma, terms, u0, times, h, digits=50):
+def exact_deformed_rk4(omegas, gamma, terms, u0, times, digits=50):
     """Classical RK4 of the exact-model deformed field over a time grid, in
     ``digits``-digit Decimal arithmetic: rows of Decimals, row 0 = u0.
 
@@ -173,7 +173,7 @@ def exact_deformed_rk4(omegas, gamma, terms, u0, times, h, digits=50):
     prod_k (z + w_k^2), (a, b) from ``exact_invariant_plane`` and
     (g1, g2) the gradient of sum c w1^i w2^j over ``terms`` ((i, j, c),
     empty for the linear flow) at w_a = v_a . u.  Each grid interval is
-    split into steps as ``dynamics.RK4Flow`` splits it."""
+    one step, as in ``dynamics.RK4Flow``."""
     n = len(omegas)
     sigma = [Fraction(1)]             # coefficients of prod (z + w_k^2), low to high
     for w in omegas:
@@ -202,16 +202,13 @@ def exact_deformed_rk4(omegas, gamma, terms, u0, times, h, digits=50):
         u = [Decimal(x) for x in u0]
         out = [u]
         for t0, t1 in zip(times[:-1], times[1:]):
-            span = Decimal(t1) - Decimal(t0)
-            steps = max(1, math.ceil((t1 - t0) / h - 1e-12))
-            dt = span / steps
-            for _ in range(steps):
-                k1 = field(u)
-                k2 = field(axpy(dt / 2, k1, u))
-                k3 = field(axpy(dt / 2, k2, u))
-                k4 = field(axpy(dt, k3, u))
-                u = [x + dt / 6 * (p + 2 * q + 2 * r + s)
-                     for x, p, q, r, s in zip(u, k1, k2, k3, k4)]
+            dt = Decimal(t1) - Decimal(t0)
+            k1 = field(u)
+            k2 = field(axpy(dt / 2, k1, u))
+            k3 = field(axpy(dt / 2, k2, u))
+            k4 = field(axpy(dt, k3, u))
+            u = [x + dt / 6 * (p + 2 * q + 2 * r + s)
+                 for x, p, q, r, s in zip(u, k1, k2, k3, k4)]
             out.append(u)
     return out
 

@@ -651,7 +651,7 @@ class TestOutputIdentity:
         terms = (PotentialSpec.from_json_dict(json.loads(potential)).terms
                  if potential is not None else ())
         reference = exact_deformed_rk4(omegas, gamma, terms, states[0],
-                                       [float(r[0]) for r in rows], 0.01)
+                                       [float(r[0]) for r in rows])
         error = max(abs(Decimal(x) - y) for row, ref in zip(states, reference)
                     for x, y in zip(row, ref))
         scale = max(abs(y) for ref in reference for y in ref)

@@ -249,7 +249,8 @@ class TestRK4:
         exact = ModalSolution(spec, st).eval(1.0)
         errs = []
         for h in (0.02, 0.01, 0.005):
-            u = RK4Flow(field, h).grid_states(st, [st.t, 1.0])[-1]
+            grid = np.linspace(0.0, 1.0, round(1.0 / h) + 1)
+            u = RK4Flow(field).grid_states(st, grid)[-1]
             errs.append(np.abs(u - exact.u).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.8
@@ -291,13 +292,10 @@ class TestRK4:
         for h in (0.0, float("nan")):
             with pytest.raises(ValueError, match="^step size must be positive$"):
                 rk4_step(lambda t, u: u, PhaseState(np.zeros(6)), h)
-            with pytest.raises(ValueError, match="^step size must be positive$"):
-                RK4Flow(lambda t, u: u, h)
 
 
 class TestRK4Flow:
     QUARTIC = PotentialSpec(((4, 0, 0.05), (2, 2, 0.1), (0, 4, 0.05)))
-    # intervals of 3, 1, 4, 1 and 3 steps at h = 0.1
     GRID = np.array([0.0, 0.25, 0.3, 0.7, 0.75, 1.0])
 
     def field(self):
@@ -313,15 +311,11 @@ class TestRK4Flow:
             return deformed(t, u) + 0.1 * np.sin(t)
 
         st = PhaseState(2.0 * np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
-        table = trajectory(RK4Flow(field, 0.1), st, self.GRID)
+        table = trajectory(RK4Flow(field), st, self.GRID)
         rows = [st.u]
         current = st
         for t in self.GRID[1:]:
-            span = t - current.t
-            steps = max(1, int(np.ceil(span / 0.1 - 1e-12)))
-            for _ in range(steps):
-                current = rk4_step(field, current, span / steps)
-            current = PhaseState(current.u, t)
+            current = PhaseState(rk4_step(field, current, t - current.t).u, t)
             rows.append(current.u)
         assert table.states.tobytes() == np.array(rows).tobytes()
 
@@ -333,11 +327,25 @@ class TestRK4Flow:
     ])
     def test_nonfinite_inside_grid(self, field, what):
         with pytest.raises(IntegrationError) as err:
-            trajectory(RK4Flow(field, 0.1), PhaseState(np.zeros(6)), self.GRID)
+            trajectory(RK4Flow(field), PhaseState(np.zeros(6)), self.GRID)
         assert what in str(err.value)
         assert "t=" in str(err.value)
-        # the step that starts near t = 0.5, inside the fourth interval
-        assert 0.45 < err.value.t < 0.75
+        # the step over [0.3, 0.7] is the first with a stage past t = 0.5:
+        # an infinite slope fails it; a 1e308 slope leaves its update finite
+        # and overflows the next step's
+        assert err.value.t == {"vector field": 0.3, "state after the step": 0.7}[what]
+
+    def test_one_step_per_interval(self):
+        # the intervals of a long grid are not all exactly 0.005 in floating
+        # point; each still takes one step of four field calls
+        calls = []
+
+        def field(t, u):
+            calls.append(t)
+            return -u
+
+        RK4Flow(field).grid_states(PhaseState(np.ones(6)), np.arange(20001) * 0.005)
+        assert len(calls) == 4 * 20000
 
     @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
     def test_non_increasing_grid_rejected_before_stepping(self, grid):
@@ -348,7 +356,7 @@ class TestRK4Flow:
             return np.zeros(6)
 
         with pytest.raises(ValueError):
-            trajectory(RK4Flow(field, 0.1), PhaseState(np.zeros(6)), grid)
+            trajectory(RK4Flow(field), PhaseState(np.zeros(6)), grid)
         assert calls == []
 
 
