@@ -5,10 +5,9 @@ from .spectrum import (FrequencySpectrum, complete_homog, complete_homogeneous,
 from .dynamics import (IntegrationError, ModalSolution, PhaseState, RK4Flow,
                        TrajectoryTable, companion_matrix, rk4_step, trajectory)
 from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
-                      QuadraticObservable, alt_structure, bracket,
-                      degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
-                      dirac_structure, gamma_is_degenerate,
-                      hamiltonian_vector_field)
+                      QuadraticObservable, alt_structure, degeneracy_scalar,
+                      degeneracy_scale, dirac_equivalent_gamma, dirac_structure,
+                      gamma_is_degenerate, hamiltonian_vector_field)
 from .canonical import (alt_hamiltonian_observable, canonical_map, energy_observable,
                         mode_integrals, oscillator_map, scaled_canonical_map,
                         structure_rank, uniqueness_check)

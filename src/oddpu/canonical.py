@@ -13,7 +13,7 @@ gamma-weighted Hamiltonian and each mode integral J_{k,i} is a
 ``poisson.FactoredObservable``, (1/2) sum_j D_j (T u)_j^2 over the shared
 canonical map T, differing only in the weight vector D.  Its value is a
 weighted sum of p^2 + w^2 q^2; the dense jet-space matrix
-A = T^T diag(D) T is built only when a bracket or vector field asks.
+A = T^T diag(D) T is built only when a vector field or a check asks.
 """
 
 from __future__ import annotations

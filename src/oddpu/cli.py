@@ -15,8 +15,9 @@ any other key is refused.  Each command is declared once, in
 Exit codes: 0 pass, 1 verification failure, 2 bad input (an argument
 error or a refused config key or value included; one ``error:`` line on
 stderr), 3 degenerate structure requested where nondegeneracy is needed,
-4 a trajectory turned non-finite: an RK4 state or slope, or an
-observable column of ``simulate`` or ``deform`` (the error line gives t).
+4 a trajectory turned non-finite: an RK4 state or slope, a modal state
+of ``simulate``, or an observable column of ``simulate`` or ``deform``
+(the error line gives t).
 A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.

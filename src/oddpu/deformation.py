@@ -13,13 +13,14 @@ residues rho_k reduced_sigma of the spectrum table: the alternative
 structure is a direct sum of 2n one-dimensional oscillators.  It holds at
 every n and for degenerate weights too, in one stated basis: w_1 is the
 invariant whose position part is x_1, w_2 its rotation, whose position
-part is x_2.  ``deformation_system`` and ``null_space_complete_pivot``
-remain as the oracle ``verify`` checks the closed form against.
+part is x_2.  It also returns the force coefficient b, Omega_alt v1 = b
+times the last unit vector.  ``deformation_system`` and
+``null_space_complete_pivot`` remain as the oracle ``verify`` checks the
+closed form against.
 
 ``deformed_field`` is written in companion form: its lower 4n rows copy
 the jet, du_{(s,i)}/dt = u_{(s+1,i)} exactly, and only the top two rows
-carry the companion equation plus the force b (-g2, g1), since
-Omega_alt v1 is b times the last unit vector.
+carry the companion equation plus the force b (-g2, g1).
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def deformation_system(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
 
 
 def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
-    """Unit basis (v1, v2) of the constraint null space, in closed form.
+    """(v1, v2, b): unit basis of the constraint null space and the force
+    coefficient b, in closed form.
 
     Potentials built over w_a = v_a . u leave the lower jet-chain
     equations intact.  In oscillator coordinates the alternative
@@ -106,7 +108,9 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     x_2^{(2j+1)} = sum_k R[k, j] B_k / w_k (j < n) and zeros elsewhere is
     annihilated by the lower 4n rows of Omega_alt, and v1 = N_1 / |N_1|.
     No rank is decided, no system is solved and no tolerance is used; the
-    form holds at every n and at degenerate weights (t = 0) too.
+    form holds at every n and at degenerate weights (t = 0) too.  t is
+    summed over R[:, 0] with no w^2 divided out: the product s sigma_0
+    would leave an ulp in 1 - A_k, which 1 / w_k^2 amplifies at small w.
 
     Basis convention: N_1 is the vector of the null space whose position
     part (jet entries x_1, x_2) is (1, 0).  The system is invariant under
@@ -115,17 +119,10 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     along x_2, and v1 . v2 = 0.  At gamma = (1, -1) and n = 1, A_0 = 1 and
     B_0 = 0 exactly, so v1 = x_1 and w_a = x_a at every w: the README's
     potential 0.05 w1^4 acts on x_1.
+
+    b = t / |N_1|: Omega_alt v1 is b at x_2^{(2n)} and zero elsewhere, and
+    by rotation Omega_alt v2 is -b at x_1^{(2n)}.
     """
-    v1, v2, _ = _invariant_plane(spec, g)
-    return v1, v2
-
-
-def _invariant_plane(spec: FrequencySpectrum, g: GammaWeights):
-    """(v1, v2, b): the basis of ``invariant_directions`` and the force
-    coefficient b = t / |N_1|.  Omega_alt v1 is b at x_2^{(2n)} and zero
-    elsewhere, and by rotation Omega_alt v2 is -b at x_1^{(2n)}.  t is
-    summed over R[:, 0] with no w^2 divided out: the product s sigma_0
-    would leave an ulp in 1 - A_k, which 1 / w_k^2 amplifies at small w."""
     R = spec.table.residues
     sign = (-1.0) ** np.arange(spec.n)
     t = float((sign * g.alpha_minus) @ R[:, 0])
@@ -211,10 +208,6 @@ class PotentialSpec:
                 raise ValueError("declared degree %r does not match terms" % obj["degree"])
         return pot
 
-    def to_json_dict(self) -> dict:
-        return {"degree": self.degree,
-                "coeffs": [{"i": i, "j": j, "value": v} for i, j, v in self.terms]}
-
     # Python's float ** raises OverflowError where float * gives inf; both
     # methods return inf instead, so that a blown-up state reaches the
     # integrator's finiteness check.
@@ -284,10 +277,10 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
     lies in the constraint null space, so the lower chain equations
     du_{(s,i)}/dt = u_{(s+1,i)} (s < 2n) hold exactly: the field copies
     u[2:] into its lower 4n rows.  Only the top two rows carry the
-    force, a rotation: M[-2:] u + b (-g2, g1), with b read off the
-    residue form of ``invariant_directions``.  One product of the
-    stacked rows (v1, v2, M[-2:]) with u gives w1, w2 and M[-2:] u; the
-    force is two scalar multiply-adds.
+    force, a rotation: M[-2:] u + b (-g2, g1), with v1, v2 and b from
+    ``invariant_directions``.  One product of the stacked rows
+    (v1, v2, M[-2:]) with u gives w1, w2 and M[-2:] u; the force is two
+    scalar multiply-adds.
 
     Returns (field, v1, v2); the field returns a fresh array per call.
     With no potential the field is the linear one, M u, and v1, v2 are
@@ -305,7 +298,7 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
             return du
 
         return field, None, None
-    v1, v2, b = _invariant_plane(spec, g)
+    v1, v2, b = invariant_directions(spec, g)
     rows_dot, grad = np.vstack((v1, v2, top)).dot, potential.grad
 
     def field(_t, u):

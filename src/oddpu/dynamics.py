@@ -142,11 +142,15 @@ class ModalSolution:
 
     def grid_states(self, state: PhaseState, grid) -> np.ndarray:
         """Jet vectors at each time of a grid starting at state.t, from one
-        evaluation; (T, 4n+2), row 0 = state.u."""
-        later = self.states(np.asarray(grid, dtype=float)[1:])
-        if not np.isfinite(later).all():
-            raise ValueError("jet vector entries must be finite")
-        return np.vstack((state.u, later))
+        evaluation; (T, 4n+2), row 0 = state.u.  A non-finite state raises
+        IntegrationError at the first grid time that has one."""
+        grid = np.asarray(grid, dtype=float)
+        out = self.states(grid)
+        out[0] = state.u
+        if not np.isfinite(out).all():
+            t = float(grid[~np.isfinite(out).all(axis=1)][0])
+            raise IntegrationError("non-finite state at t=%g" % t, t=t)
+        return out
 
     def eval(self, t: float) -> PhaseState:
         """The state at absolute time t."""

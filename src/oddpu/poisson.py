@@ -12,8 +12,8 @@ A structure is its constant antisymmetric matrix Omega, a plain
   nonzero constants gamma_{k,i}, which renders the positive-definite
   Hamiltonians canonical.
 
-``bracket`` and ``hamiltonian_vector_field`` take Omega directly; the
-rank of a structure is read off its canonical block form by
+``hamiltonian_vector_field`` takes Omega directly; the rank of a
+structure is read off its canonical block form by
 ``canonical.structure_rank``.  Because the matrices are constant, the
 Jacobi identity holds identically; the interesting checks are
 antisymmetry, rank, and closure of Hamilton's equations, which live in
@@ -220,7 +220,7 @@ class FactoredObservable:
     state, so both agree to the last bit.
 
     ``A`` = T^T diag(D) T, symmetrized and built on first access, is what
-    ``bracket`` and ``hamiltonian_vector_field`` read, as they read a
+    ``hamiltonian_vector_field`` reads, as it reads a
     ``QuadraticObservable``'s.
     """
 
@@ -274,15 +274,6 @@ class FactoredObservable:
     def value(self, u):
         v = self.from_coordinates(self.coordinates(u))
         return float(v) if v.ndim == 0 else v
-
-
-def bracket(omega: np.ndarray, f: QuadraticObservable,
-            g: QuadraticObservable) -> QuadraticObservable:
-    """{f, g} = grad(f) . Omega . grad(g); closes on quadratic observables."""
-    if f.dim != len(omega) or g.dim != len(omega):
-        raise ValueError("observable dimensions do not match the structure")
-    A = f.A @ omega @ g.A - g.A @ omega @ f.A
-    return QuadraticObservable(0.5 * (A + A.T))
 
 
 def hamiltonian_vector_field(omega: np.ndarray, H: QuadraticObservable) -> np.ndarray:

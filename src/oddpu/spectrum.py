@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -95,7 +95,6 @@ class FrequencySpectrum:
     """
 
     omegas: tuple
-    was_sorted: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         om = tuple(float(w) for w in self.omegas)

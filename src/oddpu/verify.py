@@ -206,7 +206,7 @@ def check_deformation(n_max, trials, seed) -> dict:
         if rank != 4 * n or basis.shape[0] != 2:
             failures.append((n, rank, basis.shape[0]))
             continue
-        v = np.vstack(deformation.invariant_directions(spec, g))
+        v = np.vstack(deformation.invariant_directions(spec, g)[:2])
         residual = float(np.abs(C @ v.T).max() / np.abs(C).max())
         gap = _subspace_gap(basis, v)
         if not (residual <= 1e-12 and gap <= 1e-9):

@@ -148,8 +148,8 @@ def exact_invariant_plane(omega, digits=50):
     """(v1, v2, (a, b)) for the exact ``omega`` (Fractions), as Decimals to
     ``digits`` significant digits: v1 = N_1 / |N_1|, v2 its rotation and
     (a, b) the top entries of Omega_alt v1, the product taken here, where
-    ``deformation._invariant_plane`` reads b = t / |N_1| off its closed
-    form and has a = 0."""
+    ``deformation.invariant_directions`` returns b = t / |N_1|, read off
+    its closed form, and has a = 0."""
     N1 = exact_null_vector(omega)
     top = [sum(o * x for o, x in zip(row, N1)) for row in omega[-2:]]
     with localcontext() as ctx:

@@ -224,6 +224,20 @@ class TestExactPropagate:
         with pytest.raises(ValueError):
             ModalSolution(spec, PhaseState(np.zeros(6)))
 
+    @pytest.mark.parametrize("omegas, state, grid, row", [
+        # w t overflows from the tenth grid time, 9e307, on
+        ((2.0,), [0, 0, 1, 0, 0, 0], np.arange(18) * 1e307, 9),
+        # the mode-0 amplitude, about 1e310, overflows in the fit
+        ((1e-152, 1e-3), [0] * 9 + [1], [0.0, 0.5, 1.0], 1),
+    ])
+    def test_nonfinite_state_names_first_time(self, omegas, state, grid, row):
+        spec = FrequencySpectrum(omegas)
+        st = PhaseState(np.array(state, dtype=float))
+        with pytest.raises(IntegrationError) as err:
+            ModalSolution(spec, st).grid_states(st, grid)
+        assert err.value.t == grid[row]
+        assert "non-finite state at t=%g" % grid[row] in str(err.value)
+
 
 class TestRK4:
     def test_zero_field(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oddpu import (FrequencySpectrum, GammaWeights, verify,
-                   QuadraticObservable, alt_structure, bracket, companion_matrix,
+                   QuadraticObservable, alt_structure, companion_matrix,
                    degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
                    dirac_structure, gamma_is_degenerate, hamiltonian_vector_field,
                    rho, structure_rank)
@@ -191,26 +191,6 @@ class TestObservableValue:
 
 
 class TestBracket:
-    def test_antisymmetry_in_arguments(self):
-        rng = np.random.default_rng(1)
-        spec = random_spectrum(rng, 2)
-        S = dirac_structure(spec)
-        A = rng.uniform(-1, 1, size=(10, 10))
-        f = QuadraticObservable(A + A.T)
-        B = rng.uniform(-1, 1, size=(10, 10))
-        g = QuadraticObservable(B + B.T)
-        fg = bracket(S, f, g)
-        gf = bracket(S, g, f)
-        assert np.abs(fg.A + gf.A).max() <= 1e-12
-
-    def test_self_bracket_vanishes(self):
-        rng = np.random.default_rng(2)
-        S = dirac_structure(S1)
-        A = rng.uniform(-1, 1, size=(6, 6))
-        f = QuadraticObservable(A + A.T)
-        ff = bracket(S, f, f)
-        assert np.abs(ff.A).max() <= 1e-12
-
     def test_velocity_coordinates_bracket(self):
         # {dx_1, dx_2} = 1: the bracket of two coordinates is an entry of Omega
         S = dirac_structure(S1)
@@ -223,24 +203,6 @@ class TestBracket:
         expected = np.zeros(6)
         expected[jet_index(1, 1)] = 1.0
         assert hamiltonian_vector_field(S, H)[jet_index(0, 1)] == pytest.approx(expected)
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(4)
-        S = dirac_structure(S1)
-
-        def rand_obs():
-            A = rng.uniform(-1, 1, size=(6, 6))
-            return QuadraticObservable(A + A.T)
-
-        f, g, h = rand_obs(), rand_obs(), rand_obs()
-        lhs = bracket(S, QuadraticObservable(f.A + 2.0 * g.A), h)
-        rhs = bracket(S, f, h).A + 2.0 * bracket(S, g, h).A
-        assert np.abs(lhs.A - rhs).max() <= 1e-12
-
-    def test_dimension_mismatch(self):
-        S = dirac_structure(S1)
-        with pytest.raises(ValueError):
-            bracket(S, QuadraticObservable(np.eye(10)), QuadraticObservable(np.eye(10)))
 
 
 class TestHamiltonianVectorField:

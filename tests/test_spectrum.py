@@ -49,6 +49,11 @@ class TestFrequencySpectrum:
         assert spec.was_sorted
         assert not FrequencySpectrum((1.0, 2.0)).was_sorted
 
+    def test_was_sorted_is_not_a_parameter(self):
+        # the flag is derived from the input order, never passed in
+        with pytest.raises(TypeError):
+            FrequencySpectrum((2.0, 1.0), was_sorted=False)
+
     def test_jet_dim(self):
         assert FrequencySpectrum((1.0, 2.0, 3.0)).jet_dim == 14
 
