@@ -201,6 +201,8 @@ def cmd_structure(cfg, out_path) -> int:
         omega, weights = poisson.dirac_structure(spec), poisson.dirac_equivalent_gamma(spec.n)
     else:
         omega, weights = poisson.alt_structure(spec, gamma), gamma
+    # the structure loses rank 2, in the z-sector, exactly where s vanishes
+    degenerate = poisson.gamma_is_degenerate(spec, weights)
     payload = {
         "n": spec.n,
         "omegas": list(spec.omegas),
@@ -208,8 +210,8 @@ def cmd_structure(cfg, out_path) -> int:
         "matrix": omega.tolist(),
         "degeneracy_scalar": poisson.degeneracy_scalar(spec, weights),
         "provenance": "dirac" if gamma is None else "alternative",
-        "rank": canonical.structure_rank(spec, omega),
-        "degenerate": poisson.gamma_is_degenerate(spec, weights),
+        "rank": spec.jet_dim - 2 * degenerate,
+        "degenerate": degenerate,
     }
     _emit_json(payload, out_path)
     return EXIT_OK
@@ -309,9 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser every ``main`` call uses, built once at import: parsing
+#: leaves it unchanged, so repeated calls in one process share it.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         cfg = _merged_config(args)
         return COMMANDS[args.command][0](cfg, args.out)
     except DegeneracyError as exc:

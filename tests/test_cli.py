@@ -131,6 +131,20 @@ class TestStructureCommand:
             assert payload["degenerate"] is degenerate
             assert payload["rank"] == 4 * n + 2 - 2 * degenerate, gamma
 
+    @pytest.mark.parametrize("argv", [
+        # s = 5e-10 at unit scale: nondegenerate, but the block form's
+        # z-block fell under its absolute rank tolerance (rank 4)
+        ["--omegas", "1", "--gamma", "1", "1.000000001"],
+        # T Omega T^T loses its accuracy below about 1e-40 (rank 2)
+        ["--omegas", "1e-50"],
+    ])
+    def test_rank_follows_degenerate_where_block_form_rank_fails(self, capsys, argv):
+        code, out, _ = run(["structure", *argv], capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["degenerate"] is False
+        assert payload["rank"] == 6
+
     def test_wrong_gamma_count(self, capsys):
         code, _, _ = run(["structure", "--omegas", "1", "--gamma", "1"], capsys)
         assert code == 2
@@ -396,6 +410,49 @@ class TestParser:
         assert code == 2
         assert out == ""
         assert_one_error_line(err, fragment)
+
+
+class TestSharedParser:
+    """``main`` parses with ``cli.PARSER``, built once at import; nothing
+    one call parses reaches the next."""
+
+    SIMULATE = ["simulate", "--omegas", "1", "2", "--state", "1", "0", "0", "1", "0", "0",
+                "0", "0", "0", "0", "--t-end", "1", "--dt", "0.25"]
+    GAMMA = ["--gamma", "1", "-1", "-1", "1"]
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out, _ = run(["spectrum", "--omegas", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["n"] == 1
+
+    def test_no_state_crosses_calls(self, capsys, tmp_path):
+        # the call run alone, in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(oddpu.__file__).parents[1]))
+        alone = subprocess.run([sys.executable, "-m", "oddpu.cli", *self.SIMULATE],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert alone.returncode == 0
+        assert "Hcal" not in alone.stdout.splitlines()[0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": [2.0, -1.0, -1.0, 2.0], "dt": 0.5}))
+        for before, before_code in ((self.SIMULATE + self.GAMMA, 0),
+                                    (self.SIMULATE + ["--bogus"], 2),
+                                    (self.SIMULATE + ["--config", str(cfg)], 0)):
+            assert run(before, capsys)[0] == before_code
+            assert run(self.SIMULATE, capsys) == (0, alone.stdout, "")
+
+    def test_help_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["-h"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: oddpu ")
 
 
 class TestDeformCommand:
