@@ -14,13 +14,17 @@ gamma-weighted Hamiltonian and each mode integral J_{k,i} is a
 canonical map T, differing only in the weight vector D.  Its value is a
 weighted sum of p^2 + w^2 q^2; the dense jet-space matrix
 A = T^T diag(D) T is built only when a vector field or a check asks.
+Along a linear flow each p^2 + w^2 q^2 is a constant of the modal
+amplitudes, and ``conserved_values`` reads the columns off those, with
+no map and no per-state product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import J2, ModalSolution, PhaseState, block_view, companion_matrix
+from .dynamics import (J2, IntegrationError, ModalSolution, PhaseState, block_view,
+                       companion_matrix)
 from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
                       QuadraticObservable, _require_sizes_match, degeneracy_scalar,
                       dirac_equivalent_gamma, gamma_is_degenerate)
@@ -166,13 +170,76 @@ def mode_integrals(spec: FrequencySpectrum):
     return [((j // 2, j % 2 + 1), FactoredObservable(T, D[j])) for j in range(2 * n)]
 
 
+def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
+    """The conserved columns of ``conserved_observables(sol.spec, g)`` along
+    the flow sol, as (name, value) pairs in the same order: constants of
+    its amplitudes a_{k,i}, b_{k,i} (``ModalSolution.amps``), one value
+    per run.  With f_k = w_k^3 / (2 rho_k),
+
+      J_{k,1} = f_k ((b_{k,1} + a_{k,2})^2 + (b_{k,2} - a_{k,1})^2)
+      J_{k,2} = f_k ((b_{k,1} - a_{k,2})^2 + (a_{k,1} + b_{k,2})^2)
+
+    and (1/2) sum gamma_{k,i} J_{k,i}, written so that no J cancels
+    against another, is
+
+      (1/2) sum_k f_k [(gamma_{k,1} + gamma_{k,2}) (a_{k,1}^2 + a_{k,2}^2
+                       + b_{k,1}^2 + b_{k,2}^2)
+                      + 2 (gamma_{k,1} - gamma_{k,2}) (a_{k,2} b_{k,1} - a_{k,1} b_{k,2})]
+
+    for Hcal, and for H at ``dirac_equivalent_gamma``.  A value whose
+    terms overflow, with every amplitude finite, is evaluated again at
+    amps / 2^e, max |amps / 2^e| in [1, 2), and scaled back by 2^e twice,
+    as ``FactoredObservable.from_coordinates`` does.  A value still
+    non-finite raises IntegrationError at the flow's start time.
+    """
+    spec = sol.spec
+    weights = [dirac_equivalent_gamma(spec.n).gamma]
+    if g is not None:
+        _require_sizes_match(spec, g)
+        weights.append(g.gamma)
+    weights = np.array(weights)
+    amps = sol.amps[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _amplitude_integrals(spec, amps, weights)
+        redo = ~np.isfinite(values)
+        if redo.any() and np.isfinite(amps).all():
+            scale = np.ldexp(1.0, np.frexp(np.abs(amps).max())[1] - 1)
+            again = _amplitude_integrals(spec, amps / scale, weights)
+            values[redo] = again[redo] * scale * scale
+    names = _column_names(spec.n, g is not None)
+    if not np.isfinite(values).all():
+        name = names[int(np.argmin(np.isfinite(values)))]
+        raise IntegrationError("non-finite observable %s at t=%g" % (name, sol.t0), t=sol.t0)
+    return list(zip(names, values.tolist()))
+
+
+def _amplitude_integrals(spec: FrequencySpectrum, amps: np.ndarray, weights: np.ndarray):
+    """The Hamiltonians at each (n, 2) slice of ``weights``, then every
+    J_{k,i}, from amps = ``ModalSolution.amps[1:]`` (rows a_0, b_0, a_1, ...)."""
+    a, b = amps[0::2], amps[1::2]                       # (n, 2): [k, i - 1]
+    f = np.array(spec.omegas) ** 3 / (2 * np.array(spec.table.rho))
+    squares = (amps * amps).reshape(spec.n, 4).sum(axis=1)
+    cross = a[:, 1] * b[:, 0] - a[:, 0] * b[:, 1]
+    g1, g2 = weights[..., 0], weights[..., 1]
+    hams = 0.5 * (f * ((g1 + g2) * squares + 2 * (g1 - g2) * cross)).sum(axis=-1)
+    J = f[:, None] * np.stack(((b[:, 0] + a[:, 1]) ** 2 + (b[:, 1] - a[:, 0]) ** 2,
+                               (b[:, 0] - a[:, 1]) ** 2 + (a[:, 0] + b[:, 1]) ** 2), axis=1)
+    return np.concatenate((hams, J.ravel()))
+
+
+def _column_names(n: int, with_hcal: bool) -> list:
+    return (["H"] + ["Hcal"] * with_hcal
+            + ["J_%d_%d" % (k, i) for k in range(n) for i in (1, 2)])
+
+
 def conserved_observables(spec: FrequencySpectrum, g: GammaWeights | None = None) -> list:
     """The conserved columns as (name, observable) pairs: H, then Hcal when
     weights are given, then each J_k_i."""
-    pairs = [("H", energy_observable(spec))]
+    observables = [energy_observable(spec)]
     if g is not None:
-        pairs.append(("Hcal", alt_hamiltonian_observable(spec, g)))
-    return pairs + [("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec)]
+        observables.append(alt_hamiltonian_observable(spec, g))
+    observables += [obs for _, obs in mode_integrals(spec)]
+    return list(zip(_column_names(spec.n, g is not None), observables))
 
 
 def quadratic_ansatz_observable(omega0: float, b: float, c: float, f: float) -> QuadraticObservable:

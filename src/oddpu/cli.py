@@ -2,8 +2,10 @@
 
 Commands: ``spectrum`` (polynomial tables and identity report),
 ``structure`` (Poisson matrix as JSON), ``simulate`` (exact trajectory as
-CSV), ``deform`` (RK4 trajectory of a deformed system as CSV), ``verify``
-(full property suite).  Every command takes the same options, before or
+CSV; its conserved columns H, Hcal and J_k_i are constants of the modal
+fit, computed and formatted once per run and repeated on every row),
+``deform`` (RK4 trajectory of a deformed system as CSV), ``verify`` (full
+property suite).  Every command takes the same options, before or
 after the command name; a list option (``--omegas``, ``--gamma``,
 ``--state``) placed before the command name is ended by ``--``.
 
@@ -17,7 +19,8 @@ error or a refused config key or value included; one ``error:`` line on
 stderr), 3 degenerate structure requested where nondegeneracy is needed,
 4 a trajectory turned non-finite: an RK4 state or slope, a modal state
 of ``simulate``, or an observable column of ``simulate`` or ``deform``
-(the error line gives t).
+(the error line gives t; a ``simulate`` column is a run constant, so it
+is reported at the first grid time).
 A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.
@@ -66,17 +69,20 @@ def _emit_json(obj, out_path):
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_csv(header, table: np.ndarray, out_path):
-    """Write a float table as CSV, one block of rows at a time.
+def _emit_csv(header, table: np.ndarray, out_path, constants=()):
+    """Write a float table as CSV, one block of rows at a time, with the
+    run constants ``constants`` as its last columns: formatted once and
+    appended to every row, the same bytes as columns of repeated values.
 
     Floats are written in shortest round-trip form (``repr``), so the
     output is deterministic.
     """
+    suffix = "".join("," + repr(float(v)) for v in constants) + "\n"
     with _output(out_path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block))
+            fh.write("".join(",".join(map(repr, row)) + suffix for row in block))
 
 
 def _is_number(value) -> bool:
@@ -229,12 +235,11 @@ def cmd_simulate(cfg, out_path) -> int:
     state = _state_from(cfg, spec)
     grid = _grid_from(cfg)
     gamma = _gamma_from(cfg, spec) if "gamma" in cfg else None
-    observables = canonical.conserved_observables(spec, gamma)
     flow = dynamics.ModalSolution(spec, state)
-    table = dynamics.trajectory(flow, state, grid, observables)
-    header = _state_header(spec.n) + list(table.observable_names)
-    _emit_csv(header, np.column_stack((table.times, table.states,
-                                       table.observable_values)), out_path)
+    table = dynamics.trajectory(flow, state, grid)
+    names, values = zip(*canonical.conserved_values(flow, gamma))
+    _emit_csv(_state_header(spec.n) + list(names),
+              np.column_stack((table.times, table.states)), out_path, values)
     return EXIT_OK
 
 

@@ -126,6 +126,42 @@ def exact_modal_amplitudes(omegas, u):
     return [row[dim:] for row in A]
 
 
+def exact_mode_integrals(omegas, u):
+    """Every J_{k,i} of the jet vector u, in the column order of
+    ``canonical.conserved_observables`` (J_0_1, J_0_2, J_1_1, ...), in
+    exact rational arithmetic from the jet definition:
+    J_{k,i} = (w_k / 2) rho_k [(D_1 + (-1)^i DD_2 / w_k)^2 + (D_2 - (-1)^i DD_1 / w_k)^2],
+    with D = sum_m r_{m,k} x^{(2m+1)}, DD = sum_m r_{m,k} x^{(2m+2)}, r_{m,k}
+    the coefficient of z^m in prod_{j != k} (z + w_j^2) and
+    rho_k = (-1)^k / prod_{j != k} (w_j^2 - w_k^2)."""
+    w = [Fraction(x) for x in omegas]
+    u = [Fraction(x) for x in u]
+    n = len(w)
+    out = []
+    for k in range(n):
+        r = [Fraction(1)]               # coefficients of prod_{j != k} (z + w_j^2), low to high
+        for j in range(n):
+            if j != k:
+                r = [w[j] ** 2 * c + (r[m - 1] if m else 0) for m, c in enumerate(r + [0])]
+        rho = _sign(k) / math.prod(w[j] ** 2 - w[k] ** 2 for j in range(n) if j != k)
+        D = [sum(r[m] * u[jet_index(2 * m + 1, i)] for m in range(n)) for i in (1, 2)]
+        DD = [sum(r[m] * u[jet_index(2 * m + 2, i)] for m in range(n)) for i in (1, 2)]
+        for i in (1, 2):
+            out.append(w[k] / 2 * rho * ((D[0] + _sign(i) * DD[1] / w[k]) ** 2
+                                         + (D[1] - _sign(i) * DD[0] / w[k]) ** 2))
+    return out
+
+
+def exact_hamiltonians(J, gamma=None):
+    """(H, Hcal) from exact mode integrals J (``exact_mode_integrals``):
+    H = (1/2) sum_k (-1)^k (J_{k,1} - J_{k,2}) and, given the flat weights
+    gamma, Hcal = (1/2) sum gamma_{k,i} J_{k,i} (None without them)."""
+    H = sum(_sign(j // 2 + j % 2) * x for j, x in enumerate(J)) / 2
+    if gamma is None:
+        return H, None
+    return H, sum(Fraction(g) * x for g, x in zip(gamma, J)) / 2
+
+
 def exact_null_vector(omega):
     """N_1 of ``deformation.invariant_directions`` in exact arithmetic: the
     vector annihilated by the lower 4n rows of ``omega`` (Fractions) whose

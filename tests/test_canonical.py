@@ -1,19 +1,22 @@
 """Oscillator/canonical coordinate maps, Hamiltonians, and uniqueness."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from oddpu import (DegeneracyError, FrequencySpectrum, GammaWeights, ModalSolution,
-                   PhaseState, alt_structure, companion_matrix,
+from oddpu import (DegeneracyError, FrequencySpectrum, GammaWeights, IntegrationError,
+                   ModalSolution, PhaseState, alt_structure, companion_matrix,
                    degeneracy_scalar, dirac_equivalent_gamma, dirac_structure)
 from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
+                             conserved_observables, conserved_values,
                              energy_observable, mode_integrals, oscillator_map,
                              quadratic_ansatz_observable, scaled_canonical_map,
                              uniqueness_check)
 from oddpu.poisson import FactoredObservable
 from oddpu.verify import random_gamma, random_spectrum
 
-from conftest import jet_index
+from conftest import exact_hamiltonians, exact_mode_integrals, jet_index
 
 S1 = FrequencySpectrum((1.0,))
 S12 = FrequencySpectrum((1.0, 2.0))
@@ -429,6 +432,45 @@ class TestModeIntegrals:
         for _, J in mode_integrals(spec):
             for _ in range(20):
                 assert J.value(rng.uniform(-1, 1, size=10)) >= 0.0
+
+
+class TestConservedValues:
+    """``conserved_values``: the conserved columns read off the modal
+    amplitudes, against the jet definition in exact arithmetic."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_near_exact_invariants_in_column_order(self, n):
+        # measured at most 1.4 eps sum J over these draws
+        rng = np.random.default_rng(640 + n)
+        eps = Fraction(np.finfo(float).eps)
+        for _ in range(4):
+            spec = random_spectrum(rng, n)
+            g = random_gamma(rng, spec)
+            u = rng.uniform(-1, 1, spec.jet_dim)
+            pairs = conserved_values(ModalSolution(spec, PhaseState(u)), g)
+            assert [name for name, _ in pairs] == [name for name, _ in
+                                                   conserved_observables(spec, g)]
+            flat = [x for pair in g.gamma for x in pair]
+            J = exact_mode_integrals(spec.omegas, u)
+            exact = [*exact_hamiltonians(J, flat), *J]
+            weights = [1, Fraction(max(map(abs, flat)))] + [1] * len(J)
+            for (name, value), x, weight in zip(pairs, exact, weights):
+                assert abs(Fraction(value) - x) <= 16 * eps * weight * sum(J), name
+
+    def test_overflowing_terms_rescaled(self):
+        # b_{0,1} = 1e160: H = Hcal = 0 exactly, once its squares are
+        # rescaled; J_0_1 is out of range and raises at the start time
+        sol = ModalSolution(S1, PhaseState(np.array([0.0, 0.0, 1e160, 0.0, 0.0, 0.0]), 2.5))
+        with pytest.raises(IntegrationError, match="non-finite observable J_0_1 at t=2.5"):
+            conserved_values(sol, GammaWeights(((1.0, -1.0),)))
+        # at w = 1e-3, b_{0,1} = 1e155 and its square overflows, but
+        # J = f b^2 = w x'^2 / 2 = 5e300 does not
+        slow = FrequencySpectrum((1e-3,))
+        sol = ModalSolution(slow, PhaseState(np.array([0.0, 0.0, 1e152, 0.0, 0.0, 0.0])))
+        values = dict(conserved_values(sol, GammaWeights(((1.0, -1.0),))))
+        assert values["H"] == values["Hcal"] == 0.0
+        exact = float(Fraction(1e-3) * Fraction(1e152) ** 2 / 2)
+        assert values["J_0_1"] == values["J_0_2"] == pytest.approx(exact, rel=1e-15)
 
 
 class TestUniqueness:

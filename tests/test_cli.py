@@ -9,18 +9,20 @@ import subprocess
 import sys
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oddpu
-from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, cli, degeneracy_scalar,
-                   dirac_structure, invariant_directions, verify)
+from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, canonical, cli,
+                   degeneracy_scalar, dirac_structure, invariant_directions, verify)
 from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals)
-from oddpu.cli import MAX_GRID_ROWS, build_parser, main
+from oddpu.cli import CSV_BLOCK_ROWS, MAX_GRID_ROWS, build_parser, main
 
-from conftest import exact_coordinates, exact_deformed_rk4
+from conftest import (exact_coordinates, exact_deformed_rk4, exact_hamiltonians,
+                      exact_mode_integrals)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -331,6 +333,103 @@ class TestSimulateCommand:
         assert out == ""
         assert_one_error_line(err, "non-finite state at t=0.5")
 
+    @staticmethod
+    def constant_columns(out, dim):
+        """The conserved columns of a ``simulate`` table, name -> value,
+        each required to hold one value on every row."""
+        rows = list(csv.reader(io.StringIO(out)))
+        columns = {}
+        for c, name in enumerate(rows[0][1 + dim:], start=1 + dim):
+            values = {r[c] for r in rows[1:]}
+            assert len(values) == 1, name
+            columns[name] = Fraction(values.pop())
+        return columns
+
+    @pytest.mark.parametrize("gamma", [None, np.linspace(0.5, 2, 24) * np.tile([1, -1], 12)],
+                             ids=["dirac", "gamma"])
+    def test_columns_at_n12_near_exact_invariants(self, capsys, gamma):
+        # the n = 12 input whose columns, evaluated at each printed state,
+        # drifted by 1.35e-3 (1 + |H|): each is now one run constant within
+        # 16 eps sum_k,i J_{k,i} (times max |gamma| for Hcal) of the exact
+        # invariant of the initial jet; measured 0.3 eps there
+        omegas = np.linspace(1, 3, 12).tolist()
+        state = np.linspace(-0.5, 0.5, 50).tolist()
+        argv = ["simulate", "--omegas", *map(repr, omegas), "--state", *map(repr, state),
+                "--t-end", "100", "--dt", "0.1"]
+        flat = None if gamma is None else gamma.tolist()
+        if flat is not None:
+            argv += ["--gamma", *map(repr, flat)]
+        code, out, err = run_strict(argv, capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 1001
+        J = exact_mode_integrals(omegas, state)
+        H, Hcal = exact_hamiltonians(J, flat)
+        exact = {"H": H, "Hcal": Hcal}
+        exact.update(("J_%d_%d" % (j // 2, j % 2 + 1), x) for j, x in enumerate(J))
+        columns = self.constant_columns(out, 50)
+        assert set(columns) == {name for name, x in exact.items() if x is not None}
+        bound = 16 * Fraction(np.finfo(float).eps) * sum(J)
+        for name, value in columns.items():
+            weight = Fraction(np.abs(gamma).max()) if name == "Hcal" else 1
+            assert abs(value - exact[name]) <= weight * bound, name
+
+    def test_columns_at_small_frequency(self, capsys):
+        # at n = 1, H = Hcal = x1'' x2' - x2'' x1' at every w, about -0.0032
+        # here; at w = 1e-12 the sum of the two J ~ 3.2e10 gave -0.0031967,
+        # the per-row form -0.0032014846801757812.  Each product is now
+        # rounded a few times, so H is held to 4 eps of the two products'
+        # sizes (measured 0.3 eps).  The states here stay wrong (ROADMAP
+        # item 8)
+        state = (0.4, 0.2, -0.12, 0.32, 0.08, -0.24)
+        argv = ["simulate", "--omegas", "1e-12", "--gamma", "1", "-1",
+                "--state", *map(repr, state), "--t-end", "1", "--dt", "0.5"]
+        code, out, _ = run_strict(argv, capsys)
+        assert code == 0
+        columns = self.constant_columns(out, 6)
+        x = [Fraction(v) for v in state]
+        exact = x[4] * x[3] - x[5] * x[2]
+        size = abs(x[4] * x[3]) + abs(x[5] * x[2])
+        assert columns["H"] == columns["Hcal"]
+        assert abs(columns["H"] - exact) <= 4 * Fraction(np.finfo(float).eps) * size
+
+    def test_builds_no_map_or_observable(self, capsys, monkeypatch):
+        # the columns come off the modal amplitudes: no canonical or
+        # oscillator map and no factored observable is built per call
+        def refuse(*args, **kwargs):
+            raise AssertionError("built per simulate call")
+
+        for name in ("canonical_map", "oscillator_map", "FactoredObservable"):
+            monkeypatch.setattr(canonical, name, refuse)
+        code, out, err = run(self.ARGS + ["--gamma", "1", "-1"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].endswith(",H,Hcal,J_0_1,J_0_2")
+
+
+class TestCsvConstants:
+    """``cli._emit_csv`` writes run constants as one formatted suffix: the
+    bytes of the same values as full table columns."""
+
+    CONSTANTS = (-0.0, 0.1, -2.5e-300, 5e-324, 1.7976931348623157e308, 1 / 3,
+                 np.float64(-0.0032000000000000006))
+
+    def test_suffix_bytes_equal_columns(self, tmp_path):
+        rows = CSV_BLOCK_ROWS + 37
+        table = np.random.default_rng(3).normal(size=(rows, 4)) * 10.0 ** np.arange(-3, 5, 2)
+        header = ["t", "a", "b", "c"] + ["k%d" % j for j in range(len(self.CONSTANTS))]
+        cli._emit_csv(header, table, tmp_path / "suffix.csv", self.CONSTANTS)
+        full = np.column_stack((table, np.tile(np.array(self.CONSTANTS, dtype=float), (rows, 1))))
+        cli._emit_csv(header, full, tmp_path / "columns.csv")
+        written = (tmp_path / "suffix.csv").read_bytes()
+        assert written == (tmp_path / "columns.csv").read_bytes()
+        assert len(written.splitlines()) == 1 + rows
+
+    def test_no_constants_leaves_rows_unchanged(self, tmp_path):
+        # the deform call: every column from the table, each cell its repr
+        table = np.array([[0.0, -1e-05, 0.1], [0.5, 2.0, -0.0]] * (CSV_BLOCK_ROWS // 2 + 1))
+        cli._emit_csv(["t", "x", "y"], table, tmp_path / "plain.csv")
+        expected = "t,x,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        assert (tmp_path / "plain.csv").read_text() == expected
+
 
 class TestFloatOptions:
     @pytest.mark.parametrize("flag", ["--omegas", "--gamma", "--state", "--t-end", "--dt"])
@@ -634,11 +733,13 @@ class TestOutputIdentity:
     """Outputs against CSV fixtures written by earlier implementations: the
     per-sample modal evaluation and the per-step RK4 loop.
 
-    The t and state columns must match byte for byte.  The observable
-    columns H, Hcal and J_{k,i} are now computed in factored form,
-    (1/2) sum_j D_j (T u)_j^2, so each is held to that formula's own
-    forward-error bound against its exact value on the fixture's states;
-    the fixtures' values came from the earlier jet-space forms u.A.u/2.
+    The t and state columns must match byte for byte.  The fixtures'
+    observable columns came from the earlier jet-space forms u.A.u/2.
+    ``deform``'s Hcal is now computed in factored form,
+    (1/2) sum_j D_j (T u)_j^2, and ``simulate``'s H, Hcal and J_{k,i} are
+    run constants of the modal amplitudes; each column is held, row by
+    row, to the factored formula's forward-error bound against its exact
+    value on the fixture's states.
     """
 
     SIMULATE_N2 = ["simulate", "--omegas", "1", "2",
