@@ -74,24 +74,40 @@ def companion_matrix(spec: FrequencySpectrum) -> np.ndarray:
     return M
 
 
+#: Times per basis block in ``ModalSolution.derivatives``: a block of the
+#: basis is (ROW_BLOCK, smax+1, 2n+1), 2.4 MB at n = 8, whatever the grid.
+ROW_BLOCK = 1024
+
+
 def _basis_derivatives(spec: FrequencySpectrum, taus, smax: int) -> np.ndarray:
     """B[r, s, j] = s-th time derivative, at taus[r], of the j-th basis
     function of the solution space {1, cos(w_k t), sin(w_k t)}.
 
-    The factors w ** s stay Python powers: numpy's vectorized power rounds
-    differently, which would change the last digits of the states.
+    Every mode runs the same derivative cycle: the s-th derivative of
+    cos(w t) is w^s (cos, -sin, -cos, sin)[s % 4], of sin(w t) w^s (sin,
+    cos, -sin, -cos)[s % 4].  So cos and sin are taken once over the (n,
+    rows) array w_k t, the sign of each order is folded into its factor
+    +-w^s, and each derivative parity and family is one broadcast product,
+    written with the rows innermost.  The factors stay Python powers with
+    Python int exponents: numpy's power rounds differently, which would
+    change the last digits of the states.
     """
     taus = np.asarray(taus, dtype=float)
+    wt = np.multiply.outer(spec.omegas, taus)
+    cos, sin = np.cos(wt), np.sin(wt)
+    # signed[s][k] = +-w_k^s, the factor of cos's s-th derivative, on cos
+    # at even s and on sin at odd s; sin's odd orders take the opposite sign
+    signed = [[(w ** s if s % 4 in (0, 3) else -(w ** s)) for w in spec.omegas]
+              for s in range(smax + 1)]
+    even = np.array(signed[0::2]).reshape(-1, spec.n, 1)
+    odd = np.array(signed[1::2]).reshape(-1, spec.n, 1)
     B = np.zeros((taus.size, smax + 1, 2 * spec.n + 1))
-    B[:, 0, 0] = 1.0
-    order = np.arange(smax + 1)
-    for k, w in enumerate(spec.omegas):
-        c, s = np.cos(w * taus), np.sin(w * taus)
-        # the s-th derivative of cos is cycle[s % 4], of sin cycle[(s + 3) % 4]
-        cycle = np.stack((c, -s, -c, s), axis=1)
-        factors = np.array([w ** sder for sder in range(smax + 1)])
-        B[:, :, 2 * k + 1] = cycle[:, order % 4] * factors
-        B[:, :, 2 * k + 2] = cycle[:, (order + 3) % 4] * factors
+    Bt = B.transpose(1, 2, 0)           # (order, basis function, row)
+    Bt[0, 0] = 1.0
+    np.multiply(even, cos, out=Bt[0::2, 1::2])
+    np.multiply(even, sin, out=Bt[0::2, 2::2])
+    np.multiply(odd, sin, out=Bt[1::2, 1::2])
+    np.multiply(-odd, cos, out=Bt[1::2, 2::2])
     return B
 
 
@@ -126,13 +142,23 @@ class ModalSolution:
 
     def derivatives(self, t, smax: int) -> np.ndarray:
         """Derivative stacks up to order smax at absolute time t; (smax+1, 2)
-        for a scalar t, (T, smax+1, 2) for an array of T times."""
+        for a scalar t, (T, smax+1, 2) for an array of T times.
+
+        The stacks are filled in blocks of ROW_BLOCK times, so the basis
+        held at once is one block's, whatever T; only the result grows
+        with T.
+        """
         t = np.asarray(t, dtype=float)
+        taus = t.ravel()
+        stacks = np.empty((taus.size, smax + 1, 2))
         # overflow in w t shows as non-finite entries, which callers check
         with np.errstate(over="ignore", invalid="ignore"):
-            # one small product per time: a single 2-D product over all
-            # times would round differently
-            stacks = _basis_derivatives(self.spec, t.ravel() - self.t0, smax) @ self.amps
+            for lo in range(0, taus.size, ROW_BLOCK):
+                block = taus[lo:lo + ROW_BLOCK] - self.t0
+                # one small product per time: a single 2-D product over all
+                # times would round differently
+                np.matmul(_basis_derivatives(self.spec, block, smax), self.amps,
+                          out=stacks[lo:lo + ROW_BLOCK])
         return stacks.reshape(t.shape + stacks.shape[1:])
 
     def states(self, times) -> np.ndarray:

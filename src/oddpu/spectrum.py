@@ -59,12 +59,17 @@ class SpectrumTable:
 
     @classmethod
     def build(cls, w2: tuple) -> "SpectrumTable":
+        """The table of the squared frequencies w2, in the spectrum's
+        ascending order.  Built in Python floats, in a fixed order: sigma
+        and each reduced row by ``_elementary_coeffs``, rho as one product
+        per mode, P by ``_complete_homogeneous_pass``.  No BLAS call
+        enters, so the table has the same bits under every BLAS kernel."""
         n = len(w2)
-        sigma = tuple(_elementary_coeffs(w2)[::-1].tolist())
+        sigma = tuple(_elementary_coeffs(w2)[::-1])
         reduced, rhos = [], []
         for k in range(n):
             rest = w2[:k] + w2[k + 1:]          # every w^2 except w_k^2
-            reduced.append(tuple(_elementary_coeffs(rest)[::-1].tolist()))
+            reduced.append(tuple(_elementary_coeffs(rest)[::-1]))
             rhos.append((-1.0) ** k / math.prod(v - w2[k] for v in rest))
         P = tuple(_complete_homogeneous_pass(w2, max(n, P_TABLE_DEGREE)))
         return cls(sigma, tuple(reduced), tuple(rhos), P)
@@ -148,11 +153,15 @@ class FrequencySpectrum:
         return store[key]
 
 
-def _elementary_coeffs(w2) -> np.ndarray:
-    """Coefficients of prod (X + v) over v in w2, highest degree first."""
-    c = np.array([1.0])
-    for v in w2:
-        c = np.convolve(c, [1.0, v])
+def _elementary_coeffs(w2) -> list:
+    """Coefficients of prod (X + v) over v in w2, highest degree first, as
+    Python floats.  One factor at a time, by c_i <- c_i + v c_{i-1} from the
+    top degree down: a fixed order of IEEE operations, with no BLAS call,
+    that gives the bits of chaining ``np.convolve(c, [1, v])``."""
+    c = [1.0] + [0.0] * len(w2)
+    for j, v in enumerate(w2, 1):
+        for i in range(j, 0, -1):
+            c[i] += v * c[i - 1]
     return c
 
 

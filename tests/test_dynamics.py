@@ -1,5 +1,7 @@
 """Companion matrix, exact modal propagation, and the RK4 stepper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from oddpu import (FrequencySpectrum, IntegrationError, ModalSolution,
                    PotentialSpec, RK4Flow, rk4_step, trajectory)
 from oddpu.canonical import alt_hamiltonian_observable, energy_observable, mode_integrals
 from oddpu.deformation import deformed_field
-from oddpu.dynamics import J2, _basis_derivatives, block_view
+from oddpu.dynamics import J2, ROW_BLOCK, _basis_derivatives, block_view
 from oddpu.poisson import FactoredObservable, GammaWeights
 from oddpu.verify import random_spectrum
 
@@ -181,21 +183,52 @@ class TestExactPropagate:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("rows", [1, 11, 12801])
     def test_basis_matches_per_order_loop(self, n, rows):
-        # one column assignment per derivative order and family, with the
-        # Python power w ** d, as the basis was built before it was
-        # vectorized over the order; each entry is the same product
+        # one column assignment per mode, derivative order and family, with
+        # the Python power w ** d, as the basis was built before it was
+        # vectorized over the modes and orders; each entry is the same
+        # product, at every frequency scale
         rng = np.random.default_rng(400 + n)
-        spec = random_spectrum(rng, n)
+        omegas = random_spectrum(rng, n).omegas
         taus = np.arange(rows) / 128.0
         smax = 2 * n
-        B = np.zeros((rows, smax + 1, 2 * n + 1))
-        B[:, 0, 0] = 1.0
-        for k, w in enumerate(spec.omegas):
-            c, s = np.cos(w * taus), np.sin(w * taus)
-            for d in range(smax + 1):
-                B[:, d, 2 * k + 1] = w ** d * (c, -s, -c, s)[d % 4]
-                B[:, d, 2 * k + 2] = w ** d * (s, c, -s, -c)[d % 4]
-        assert np.array_equal(_basis_derivatives(spec, taus, smax), B)
+        for scale in (0.1, 1.0, 1000.0):
+            spec = FrequencySpectrum(tuple(scale * w for w in omegas))
+            B = np.zeros((rows, smax + 1, 2 * n + 1))
+            B[:, 0, 0] = 1.0
+            for k, w in enumerate(spec.omegas):
+                c, s = np.cos(w * taus), np.sin(w * taus)
+                for d in range(smax + 1):
+                    B[:, d, 2 * k + 1] = w ** d * (c, -s, -c, s)[d % 4]
+                    B[:, d, 2 * k + 2] = w ** d * (s, c, -s, -c)[d % 4]
+            assert np.array_equal(_basis_derivatives(spec, taus, smax), B)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                      2 * ROW_BLOCK + 3])
+    def test_row_blocks_equal_per_time_states(self, n, rows):
+        # states evaluates in blocks of ROW_BLOCK times; every row, on
+        # either side of a block edge, has the bits of its own evaluation
+        rng = np.random.default_rng(600 + n)
+        spec = random_spectrum(rng, n)
+        st = PhaseState(rng.uniform(-1, 1, size=spec.jet_dim), 0.37)
+        sol = ModalSolution(spec, st)
+        grid = st.t + np.arange(rows) / 64.0
+        per_time = np.array([sol.states([t])[0] for t in grid])
+        assert np.array_equal(sol.states(grid), per_time)
+
+    def test_states_memory_is_about_the_result(self):
+        # the basis is held one row block at a time, so a long grid costs
+        # about its output; holding it whole took 9.7 times the result here
+        spec = FrequencySpectrum(tuple(np.linspace(1.0, 3.0, 8)))
+        sol = ModalSolution(spec, PhaseState(np.linspace(-0.5, 0.5, spec.jet_dim)))
+        grid = np.arange(100_001) / 128.0
+        tracemalloc.start()
+        try:
+            out = sol.states(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 14])
     def test_amplitudes_match_exact_fit(self, n):

@@ -271,6 +271,22 @@ class TestSpectrumTable:
                 assert complete_homog(spec, k) == numpy_complete_homogeneous(
                     spec.omega_sq, k)
 
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_coeffs_equal_convolve_oracle_over_six_decades(self, n):
+        # the table's Python-float recursion against the chained
+        # np.convolve it replaced, with w^2 spread over 1e-3 .. 1e3
+        rng = np.random.default_rng(950 + n)
+        for _ in range(20):
+            w2 = np.sort(10.0 ** rng.uniform(-3.0, 3.0, size=n))
+            if np.diff(w2).min() < 1e-5:
+                continue
+            spec = FrequencySpectrum(tuple(np.sqrt(w2)))
+            for k in range(n + 1):
+                assert elementary_sigma(spec, k) == percall_sigma(spec, k)
+            for k in range(n):
+                for m in range(n):
+                    assert reduced_sigma(spec, m, k) == percall_reduced_sigma(spec, m, k)
+
     def test_reads_are_python_floats(self):
         spec = next(seeded_spectra(3))
         values = ([elementary_sigma(spec, 0), reduced_sigma(spec, 0, 0), rho(spec, 0)]
