@@ -24,6 +24,15 @@ is reported at the first grid time).
 A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.
+
+CSV tables are written in blocks of ``CSV_BLOCK_ROWS`` rows.  Where a
+table has more than one block and the process may run on more than one
+CPU, one formatter process is forked once all numbers are computed: it
+formats the odd blocks and this process the even ones, and this process
+writes every block in order, so the bytes do not change.  No option
+selects this.  A formatter that fails ends the command with exit 2 and
+one ``error:`` line, like a failed write; it is killed if the command
+ends early and is always reaped.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import contextlib
 import json
 import os
 import re
+import signal
 import sys
 
 import numpy as np
@@ -69,20 +79,112 @@ def _emit_json(obj, out_path):
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_csv(header, table: np.ndarray, out_path, constants=()):
-    """Write a float table as CSV, one block of rows at a time, with the
-    run constants ``constants`` as its last columns: formatted once and
-    appended to every row, the same bytes as columns of repeated values.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _csv_block(columns, start, suffix) -> str:
+    """CSV text of the ``CSV_BLOCK_ROWS`` rows from ``start``: the rows of
+    ``columns`` side by side, each row ended by ``suffix``."""
+    block = np.column_stack([col[start:start + CSV_BLOCK_ROWS] for col in columns]).tolist()
+    return "".join(",".join(map(repr, row)) + suffix for row in block)
+
+
+def _receive(pipe) -> str:
+    """The next block the formatter sent: an 8-byte length, then the text."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    text = pipe.read(size)
+    if len(head) < 8 or len(text) < size:
+        raise OSError("CSV formatter closed its pipe early")
+    return text.decode("ascii")
+
+
+def _format_to_pipe(columns, starts, suffix, wfd):
+    """The forked formatter: send the blocks at ``starts`` down the pipe
+    end ``wfd`` in order, then leave through ``os._exit``, so that no
+    ``finally`` block or atexit handler of the caller runs here.  It first
+    closes every other descriptor, so that a reader of the caller's output
+    that closes its end, in the caller's process too, leaves it closed."""
+    status = 1
+    try:
+        os.closerange(0, wfd)
+        os.closerange(wfd + 1, os.sysconf("SC_OPEN_MAX"))
+        with os.fdopen(wfd, "wb") as pipe:
+            for start in starts:
+                text = _csv_block(columns, start, suffix).encode("ascii")
+                pipe.write(len(text).to_bytes(8, "little"))
+                pipe.write(text)
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _odd_block_formatter(fh, columns, starts, suffix):
+    """Fork one process that formats the odd blocks of ``starts`` and
+    yield the function that returns the next of them; yield None where
+    nothing is forked: no ``os.fork``, one usable CPU, one block, or a
+    fork the system refuses.  The formatter is killed if the caller
+    leaves early and reaped on every path; a formatter that fails raises
+    ``OSError``."""
+    if len(starts) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield None
+        return
+    fh.flush()                          # the child's copy of the buffer is empty
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:                     # no process to spare: format every block here
+        pid = None
+    if pid == 0:
+        _format_to_pipe(columns, starts[1::2], suffix, wfd)
+    os.close(wfd)
+    if pid is None:
+        os.close(rfd)
+        yield None
+        return
+    pipe = os.fdopen(rfd, "rb")
+    try:
+        yield lambda: _receive(pipe)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pipe.close()
+    if status:
+        raise OSError("CSV formatter exited with status %d" % status)
+
+
+def _emit_csv(header, columns, out_path, constants=()):
+    """Write float columns side by side as CSV, one block of
+    ``CSV_BLOCK_ROWS`` rows at a time, with the run constants
+    ``constants`` as its last columns: formatted once and appended to
+    every row, the same bytes as columns of repeated values.  Each of
+    ``columns`` is a 1-D column or a 2-D stack of them, all of one
+    length; only one block of them is stacked at a time.
 
     Floats are written in shortest round-trip form (``repr``), so the
-    output is deterministic.
+    output is deterministic.  A table of more than one block is formatted
+    on two CPUs where the process may use two: this process formats the
+    even blocks, one forked formatter the odd ones, and this process
+    writes every block in order, so the bytes are those of one process
+    formatting them all.  No option selects this.  A formatter that
+    fails raises ``OSError`` (``main``: exit 2).
     """
     suffix = "".join("," + repr(float(v)) for v in constants) + "\n"
+    starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
     with _output(out_path) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, row)) + suffix for row in block))
+        with _odd_block_formatter(fh, columns, starts, suffix) as receive:
+            for k, start in enumerate(starts):
+                fh.write(receive() if receive and k % 2 else _csv_block(columns, start, suffix))
 
 
 def _is_number(value) -> bool:
@@ -238,8 +340,8 @@ def cmd_simulate(cfg, out_path) -> int:
     flow = dynamics.ModalSolution(spec, state)
     table = dynamics.trajectory(flow, state, grid)
     names, values = zip(*canonical.conserved_values(flow, gamma))
-    _emit_csv(_state_header(spec.n) + list(names),
-              np.column_stack((table.times, table.states)), out_path, values)
+    _emit_csv(_state_header(spec.n) + list(names), (table.times, table.states), out_path,
+              values)
     return EXIT_OK
 
 
@@ -264,8 +366,8 @@ def cmd_deform(cfg, out_path) -> int:
     u_col = (table.observable_values[:, 1] if potential is not None
              else np.zeros_like(hcal_col))
     header = _state_header(spec.n) + ["Hcal", "U", "Htot"]
-    _emit_csv(header, np.column_stack((table.times, table.states, hcal_col, u_col,
-                                       hcal_col + u_col)), out_path)
+    _emit_csv(header, (table.times, table.states, hcal_col, u_col, hcal_col + u_col),
+              out_path)
     return EXIT_OK
 
 
@@ -336,7 +438,9 @@ def main(argv=None) -> int:
         # The reader closed stdout early (``oddpu simulate ... | head``):
         # not bad input.  Point stdout at devnull so that the interpreter's
         # final flush of the unwritten buffer cannot fail again at exit.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

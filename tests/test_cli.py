@@ -1,12 +1,15 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -416,9 +419,9 @@ class TestCsvConstants:
         rows = CSV_BLOCK_ROWS + 37
         table = np.random.default_rng(3).normal(size=(rows, 4)) * 10.0 ** np.arange(-3, 5, 2)
         header = ["t", "a", "b", "c"] + ["k%d" % j for j in range(len(self.CONSTANTS))]
-        cli._emit_csv(header, table, tmp_path / "suffix.csv", self.CONSTANTS)
+        cli._emit_csv(header, (table,), tmp_path / "suffix.csv", self.CONSTANTS)
         full = np.column_stack((table, np.tile(np.array(self.CONSTANTS, dtype=float), (rows, 1))))
-        cli._emit_csv(header, full, tmp_path / "columns.csv")
+        cli._emit_csv(header, (full,), tmp_path / "columns.csv")
         written = (tmp_path / "suffix.csv").read_bytes()
         assert written == (tmp_path / "columns.csv").read_bytes()
         assert len(written.splitlines()) == 1 + rows
@@ -426,9 +429,188 @@ class TestCsvConstants:
     def test_no_constants_leaves_rows_unchanged(self, tmp_path):
         # the deform call: every column from the table, each cell its repr
         table = np.array([[0.0, -1e-05, 0.1], [0.5, 2.0, -0.0]] * (CSV_BLOCK_ROWS // 2 + 1))
-        cli._emit_csv(["t", "x", "y"], table, tmp_path / "plain.csv")
+        cli._emit_csv(["t", "x", "y"], (table,), tmp_path / "plain.csv")
         expected = "t,x,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
         assert (tmp_path / "plain.csv").read_text() == expected
+
+
+def serial_csv(header, table, constants=()) -> str:
+    """The CSV of one process formatting every row of ``table`` in turn."""
+    suffix = "".join("," + repr(float(v)) for v in constants) + "\n"
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + suffix
+                                             for row in table.tolist())
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the CSV formatters forked during the test.  Any still
+    a child at teardown is reaped, and killed first if it is running, so a
+    failing test leaves no process behind."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    for pid in pids:
+        with contextlib.suppress(ChildProcessError):      # reaped by the code under test
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+class Hung(Exception):
+    """A call that the watchdog ended."""
+
+
+@pytest.fixture
+def watchdog():
+    """A call that does not return within 20 s raises ``Hung`` instead of
+    hanging the run."""
+    def expire(signum, frame):
+        raise Hung("no return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    """No child of this process is running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCsvFormatter:
+    """``_emit_csv`` with its formatter on (two usable CPUs) and off (one)
+    writes the bytes of one process formatting every row."""
+
+    CONSTANTS = (-0.0, 1 / 3, -2.5e-300, np.float64(5e-324))
+
+    @staticmethod
+    def columns(rows):
+        """A time column and a (rows, 10) stack over ten decades: about
+        200 KB of text a block, more than a pipe holds."""
+        rng = np.random.default_rng(rows)
+        return np.arange(rows) * 0.01, rng.normal(size=(rows, 10)) * 10.0 ** np.arange(-5, 5)
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "formatter"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    @pytest.mark.parametrize("constants", [(), CONSTANTS], ids=["plain", "constants"])
+    @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                      3 * CSV_BLOCK_ROWS + 5])
+    def test_bytes_equal_serial_rows(self, capsys, tmp_path, monkeypatch, forks, rows,
+                                     constants, to_file, cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        times, states = self.columns(rows)
+        header = ["t"] + ["x%d" % j for j in range(10)] + ["k%d" % j for j in range(len(constants))]
+        out = tmp_path / "table.csv" if to_file else None
+        cli._emit_csv(header, (times, states), out, constants)
+        written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+        assert written == serial_csv(header, np.column_stack((times, states)), constants).encode()
+        assert len(forks) == (cpus > 1 and rows > CSV_BLOCK_ROWS)
+        assert_no_child_left()
+
+    def test_refused_fork_formats_every_block_here(self, tmp_path, monkeypatch):
+        def refuse():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse)
+        times, states = self.columns(3 * CSV_BLOCK_ROWS + 5)
+        cli._emit_csv(["t"] + ["x"] * 10, (times, states), tmp_path / "table.csv")
+        expected = serial_csv(["t"] + ["x"] * 10, np.column_stack((times, states)))
+        assert (tmp_path / "table.csv").read_text() == expected
+
+
+class TestFormatterHygiene:
+    """The formatter is reaped on every path, and killed first where the
+    caller leaves before it has finished.  Without the wait a zombie is
+    left (``os.waitpid`` returns it); without the kill the caller waits
+    on a formatter blocked on its full pipe (the watchdog ends it)."""
+
+    # 5001 rows: five blocks of about 145 KB of text, the odd two formatted
+    # by the formatter
+    ARGS = ["simulate", "--omegas", "1", "--state", "0.3", "-0.2", "0.1", "0.4", "-0.5", "0.6",
+            "--t-end", "50", "--dt", "0.01"]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def test_multi_block_call_reaps_the_formatter(self, capsys, forks, watchdog):
+        code, out, err = run(self.ARGS, capsys)
+        assert (code, err, len(out.splitlines()), len(forks)) == (0, "", 5002, 1)
+        assert_no_child_left()
+
+    def test_reader_closing_early_leaves_no_process(self, monkeypatch, forks, watchdog):
+        # the reader is a thread of this process, so the formatter forked
+        # from it must not keep the read end open
+        def read_then_close(fd):
+            with os.fdopen(fd, "rb") as pipe:
+                # block 0, about 145 KB, overflows this and a pipe's 64 KB
+                # buffer, so the caller meets the closed pipe while writing it
+                pipe.read(50_000)
+
+        rfd, wfd = os.pipe()
+        reader = threading.Thread(target=read_then_close, args=(rfd,))
+        reader.start()
+        with os.fdopen(wfd, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(self.ARGS)
+        reader.join()
+        assert (code, len(forks)) == (0, 1)
+        assert_no_child_left()
+
+    def test_interrupt_kills_the_formatter(self, capsys, monkeypatch, forks, watchdog):
+        # the caller is interrupted at its second block (block 2), while
+        # the formatter waits to send block 3
+        caller, own_blocks = os.getpid(), []
+        csv_block = cli._csv_block
+
+        def interrupted(*args):
+            if os.getpid() == caller:
+                own_blocks.append(args[1])
+                if len(own_blocks) == 2:
+                    raise KeyboardInterrupt
+            return csv_block(*args)
+
+        monkeypatch.setattr(cli, "_csv_block", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.ARGS)
+        assert (own_blocks, len(forks)) == ([0, 2 * CSV_BLOCK_ROWS], 1)
+        assert_no_child_left()
+
+    def test_failing_formatter_is_one_error_line(self, capsys, monkeypatch, forks, watchdog):
+        caller = os.getpid()
+        csv_block = cli._csv_block
+
+        def failing(*args):
+            if os.getpid() != caller:
+                raise MemoryError("injected into the formatter")
+            return csv_block(*args)
+
+        monkeypatch.setattr(cli, "_csv_block", failing)
+        code, out, err = run(self.ARGS, capsys)
+        assert (code, len(forks)) == (2, 1)
+        assert_one_error_line(err, "CSV formatter closed its pipe early")
+        assert_no_child_left()
+
+    def test_formatter_exit_status_is_checked(self, capsys, monkeypatch, forks, watchdog):
+        # every block arrives, then the formatter exits 3
+        exit_now = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))
+        code, out, err = run(self.ARGS, capsys)
+        assert (code, len(out.splitlines()), len(forks)) == (2, 5002, 1)
+        assert_one_error_line(err, "CSV formatter exited with status 3")
+        assert_no_child_left()
 
 
 class TestFloatOptions:
@@ -996,16 +1178,23 @@ class TestVerificationFailure:
 
 class TestClosedStdout:
     def test_reader_closing_early_is_not_an_error(self):
-        # ~1 MB of CSV: far more than a pipe buffers, so the writer meets
-        # the closed pipe
+        # ~1 MB of CSV in five blocks of about 90 KB: far more than a pipe
+        # buffers, so the writer meets the closed pipe while the formatter
+        # still has blocks to send.  In its own session, so that a process
+        # left behind shows in the group.
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(oddpu.__file__).parents[1]))
         argv = [sys.executable, "-m", "oddpu.cli", "simulate", "--omegas", "1",
                 "--state", "0", "0", "1", "0", "0", "0", "--t-end", "50", "--dt", "0.01"]
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=env)
-        assert proc.stdout.readline().startswith(b"t,x1,x2,")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 0
-        assert err == b""
+                                env=env, start_new_session=True)
+        try:
+            assert proc.stdout.readline().startswith(b"t,x1,x2,")
+            proc.stdout.close()
+            err = proc.communicate(timeout=60)[1]
+            assert (proc.returncode, err) == (0, b"")
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
