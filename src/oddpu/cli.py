@@ -18,9 +18,9 @@ Exit codes: 0 pass, 1 verification failure, 2 bad input (an argument
 error or a refused config key or value included; one ``error:`` line on
 stderr), 3 degenerate structure requested where nondegeneracy is needed,
 4 a trajectory turned non-finite: an RK4 state or slope, a modal state
-of ``simulate``, or an observable column of ``simulate`` or ``deform``
-(the error line gives t; a ``simulate`` column is a run constant, so it
-is reported at the first grid time).
+of ``simulate``, or a column of ``simulate`` or ``deform``, whose Htot
+can overflow where Hcal and U do not (the error line gives t; a
+``simulate`` column is a run constant, reported at the first grid time).
 A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.
@@ -338,10 +338,10 @@ def cmd_simulate(cfg, out_path) -> int:
     grid = _grid_from(cfg)
     gamma = _gamma_from(cfg, spec) if "gamma" in cfg else None
     flow = dynamics.ModalSolution(spec, state)
-    table = dynamics.trajectory(flow, state, grid)
+    # a non-finite state is reported before a non-finite conserved column
+    states = flow.grid_states(state, grid)
     names, values = zip(*canonical.conserved_values(flow, gamma))
-    _emit_csv(_state_header(spec.n) + list(names), (table.times, table.states), out_path,
-              values)
+    _emit_csv(_state_header(spec.n) + list(names), (grid, states), out_path, values)
     return EXIT_OK
 
 
@@ -357,16 +357,21 @@ def cmd_deform(cfg, out_path) -> int:
     if "potential" in cfg:
         potential = deformation.PotentialSpec.from_json_dict(cfg["potential"])
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
-    observables = [("Hcal", canonical.alt_hamiltonian_observable(spec, gamma))]
-    if potential is not None:
-        observables.append(("U", deformation.PotentialObservable(potential, v1, v2)))
-    flow = dynamics.RK4Flow(field)
-    table = dynamics.trajectory(flow, state, grid, observables)
-    hcal_col = table.observable_values[:, 0]
-    u_col = (table.observable_values[:, 1] if potential is not None
-             else np.zeros_like(hcal_col))
-    header = _state_header(spec.n) + ["Hcal", "U", "Htot"]
-    _emit_csv(header, (table.times, table.states, hcal_col, u_col, hcal_col + u_col),
+    states = dynamics.RK4Flow(field).grid_states(state, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hcal = canonical.alt_hamiltonian_observable(spec, gamma).value(states)
+        u = (deformation.PotentialObservable(potential, v1, v2).value(states)
+             if potential is not None else np.zeros_like(hcal))
+        columns = {"Hcal": hcal, "U": u, "Htot": hcal + u}
+    # Htot is finite exactly where all three are: its first non-finite row
+    # is the first bad row, reported at its leftmost non-finite column
+    bad = ~np.isfinite(columns["Htot"])
+    if bad.any():
+        row = int(bad.argmax())
+        name = next(name for name, col in columns.items() if not np.isfinite(col[row]))
+        raise IntegrationError("non-finite observable %s at t=%g" % (name, grid[row]),
+                               t=float(grid[row]))
+    _emit_csv(_state_header(spec.n) + list(columns), (grid, states, *columns.values()),
               out_path)
     return EXIT_OK
 

@@ -252,50 +252,24 @@ class RK4Flow:
 
 @dataclass(frozen=True)
 class TrajectoryTable:
-    """Sampled states and named observable values along a flow."""
+    """Sampled states along a flow."""
 
     times: np.ndarray
     states: np.ndarray          # (len(times), 4n+2)
-    observable_names: tuple
-    observable_values: np.ndarray  # (len(times), len(names))
 
 
-def trajectory(flow, state: PhaseState, grid, observables=()) -> TrajectoryTable:
+def trajectory(flow, state: PhaseState, grid) -> TrajectoryTable:
     """Tabulate a flow on a strictly increasing grid starting at state.t.
 
     ``flow`` is a ModalSolution or an RK4Flow; either gives every grid
-    state in one ``grid_states`` call.  ``observables`` is a sequence of
-    (name, observable) pairs, one column each.  Factored observables
-    (``poisson.FactoredObservable``: H, Hcal, every J_{k,i}) that share a
-    map T share one T u per row, computed once per grid; each of their
-    columns is then a weighted sum of its squares.  Any other observable
-    (``deformation.PotentialObservable``, ``poisson.QuadraticObservable``)
-    gives its column from its ``value`` of the (rows, dim) stack of grid
-    states.  A non-finite observable value raises IntegrationError at the
-    first grid time that has one.
+    state in one ``grid_states`` call.  An observable's column is its
+    ``value`` of ``states``, the (rows, dim) stack of grid states.
     """
     grid = np.asarray(grid, dtype=float)
-    names = tuple(name for name, _ in observables)
     if grid.size == 0:
-        dim = state.u.size
-        return TrajectoryTable(grid, np.empty((0, dim)), names, np.empty((0, len(names))))
+        return TrajectoryTable(grid, np.empty((0, state.u.size)))
     if abs(grid[0] - state.t) > 1e-12:
         raise ValueError("grid must start at the state's time")
     if not (np.diff(grid) > 0).all():
         raise ValueError("time grid must be strictly increasing")
-    states = flow.grid_states(state, grid)
-    values = np.empty((grid.size, len(names)))
-    coords = {}                 # id(T) -> T u for each row, one per shared map
-    with np.errstate(over="ignore", invalid="ignore"):
-        for col, (_, obs) in enumerate(observables):
-            if not hasattr(obs, "from_coordinates"):
-                values[:, col] = obs.value(states)
-                continue
-            if id(obs.T) not in coords:
-                coords[id(obs.T)] = obs.coordinates(states)
-            values[:, col] = obs.from_coordinates(coords[id(obs.T)])
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0]
-        raise IntegrationError("non-finite observable %s at t=%g" % (names[col], grid[row]),
-                               t=float(grid[row]))
-    return TrajectoryTable(grid, states, names, values)
+    return TrajectoryTable(grid, flow.grid_states(state, grid))

@@ -215,7 +215,7 @@ class FactoredObservable:
     ``value`` takes one state (a float) or a (rows, dim) stack (an array
     of rows values).  ``coordinates`` (T u) and ``from_coordinates`` are
     its two halves, so observables over one T can share T u (see
-    ``dynamics.trajectory``).  Each row is one row-by-matrix and one
+    ``verify.check_conservation``).  Each row is one row-by-matrix and one
     row-by-column product, the same kernels for a stack as for a single
     state, so both agree to the last bit.
 

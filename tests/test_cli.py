@@ -910,6 +910,25 @@ class TestDeformCommand:
         assert out == ""
         assert_one_error_line(err, "non-finite", "t=")
 
+    @pytest.mark.parametrize("state, t_end, coeff, message", [
+        # Hcal and U are each 1.44e308 at t = 0, and their sum overflows
+        (["1.2e154", "0", "0", "1.2e154", "1.2e154", "0"], "0.001",
+         {"i": 2, "j": 0, "value": 1}, "non-finite observable Htot at t=0"),
+        # U = 1e312 at t = 0 and Hcal overflows from t = 0.001: the first
+        # bad row is named, not the first bad column
+        (["1e39", "0", "0", "0", "0", "0"], "0.002",
+         {"i": 8, "j": 0, "value": 1}, "non-finite observable U at t=0"),
+    ])
+    def test_overflowing_energy_column(self, capsys, state, t_end, coeff, message):
+        argv = ["deform", "--omegas", "1", "--gamma", "1", "-1", "--state", *state,
+                "--t-end", t_end, "--dt", "0.001",
+                "--potential", json.dumps({"coeffs": [coeff]})]
+        code, out, err = run_strict(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert_one_error_line(err, message)
+        assert err.rstrip().endswith(message)
+
 
 class TestOutputIdentity:
     """Outputs against CSV fixtures written by earlier implementations: the
