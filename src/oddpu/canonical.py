@@ -9,11 +9,13 @@ in its builder's docstring; the oscillator and canonical maps are built
 once per spectrum instance and shared by every caller.
 
 Every conserved quadratic is diagonal in (q, p): the Noether energy, the
-gamma-weighted Hamiltonian and each mode integral J_{k,i} is a
-``poisson.FactoredObservable``, (1/2) sum_j D_j (T u)_j^2 over the shared
-canonical map T, differing only in the weight vector D.  Its value is a
-weighted sum of p^2 + w^2 q^2; the dense jet-space matrix
-A = T^T diag(D) T is built only when a vector field or a check asks.
+gamma-weighted Hamiltonian and each mode integral J_{k,i} is
+(1/2) sum_j D_j (T u)_j^2 over the shared canonical map T, a weighted sum
+of p^2 + w^2 q^2 that differs only in its weight vector D.  So each is
+its read-only D (``energy_observable``, ``alt_hamiltonian_observable``,
+the rows of ``mode_integrals``); ``oscillator_sums`` evaluates any stack
+of them at any stack of states, and ``quadratic_form`` builds the dense
+jet-space matrix A = T^T diag(D) T that a vector field Omega @ A needs.
 Along a linear flow each p^2 + w^2 q^2 is a constant of the modal
 amplitudes, and ``conserved_values`` reads the columns off those, with
 no map and no per-state product.
@@ -25,9 +27,9 @@ import numpy as np
 
 from .dynamics import (J2, IntegrationError, ModalSolution, PhaseState, block_view,
                        companion_matrix)
-from .poisson import (DegeneracyError, FactoredObservable, GammaWeights,
-                      QuadraticObservable, _require_sizes_match, degeneracy_scalar,
-                      dirac_equivalent_gamma, gamma_is_degenerate)
+from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
+                      _require_sizes_match, degeneracy_scalar, dirac_equivalent_gamma,
+                      gamma_is_degenerate)
 from .spectrum import FrequencySpectrum
 
 
@@ -143,103 +145,134 @@ def _oscillator_weights(spec: FrequencySpectrum, weights) -> np.ndarray:
     return D
 
 
-def energy_observable(spec: FrequencySpectrum) -> FactoredObservable:
-    """The Noether energy sum_k (-1)^{k+1} eps_{ij} dx_{k,i} ddx_{k,j}: the
-    alternating sum of mode oscillators, ``alt_hamiltonian_observable`` at
-    the weights ``dirac_equivalent_gamma(n)``."""
-    return FactoredObservable(canonical_map(spec),
-                              _oscillator_weights(spec, dirac_equivalent_gamma(spec.n).gamma))
+def energy_observable(spec: FrequencySpectrum) -> np.ndarray:
+    """The weights D of the Noether energy sum_k (-1)^{k+1} eps_{ij} dx_{k,i}
+    ddx_{k,j}: the alternating sum of mode oscillators,
+    ``alt_hamiltonian_observable`` at ``dirac_equivalent_gamma(n)``."""
+    return _read_only(_oscillator_weights(spec, dirac_equivalent_gamma(spec.n).gamma))
 
 
-def alt_hamiltonian_observable(spec: FrequencySpectrum, g: GammaWeights) -> FactoredObservable:
-    """The gamma-weighted Hamiltonian
+def alt_hamiltonian_observable(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
+    """The weights D of the gamma-weighted Hamiltonian
     (1/2) sum_k [gamma_{k,1} (p_{k,1}^2 + w_k^2 q_{k,1}^2)
                  + gamma_{k,2} (p_{k,2}^2 + w_k^2 q_{k,2}^2)]."""
     _require_sizes_match(spec, g)
-    return FactoredObservable(canonical_map(spec), _oscillator_weights(spec, g.gamma))
+    return _read_only(_oscillator_weights(spec, g.gamma))
 
 
-def mode_integrals(spec: FrequencySpectrum):
-    """The 2n positive-semidefinite conserved integrals
-    J_{k,i} = p_{k,i}^2 + w_k^2 q_{k,i}^2, as ((k, i), observable) pairs:
-    the oscillator sum with weight 2 on mode (k, i) and 0 elsewhere, all
-    2n weight vectors from one stack."""
+def mode_integrals(spec: FrequencySpectrum) -> np.ndarray:
+    """The weights of the 2n positive-semidefinite conserved integrals
+    J_{k,i} = p_{k,i}^2 + w_k^2 q_{k,i}^2, one row each in the order
+    J_0_1, J_0_2, J_1_1, ...: weight 2 on mode (k, i) and 0 elsewhere."""
     n = spec.n
+    return _read_only(_oscillator_weights(spec, 2.0 * np.eye(2 * n).reshape(2 * n, n, 2)))
+
+
+def oscillator_sums(spec: FrequencySpectrum, D, u):
+    """(1/2) sum_j D_j (T u)_j^2 over T = ``canonical_map(spec)``, at one
+    state u or at each row of a (rows, dim) stack, for one weight vector D
+    or an (m, dim) stack of them: a float for one state and one D, else an
+    array of shape (rows,), (m,) or (rows, m).
+
+    T u is one row-by-matrix product per state, and each weight vector
+    one row-by-column product with its squares: the same kernels for a
+    stack as for a single state and a single D, so every entry has the
+    bits of its own single call.  A state whose value overflows with
+    every coordinate finite is evaluated again by ``_rescaled``: an
+    indefinite sum such as H = 0 at coordinates near 1e160 stays finite.
+    """
+    u = np.asarray(u, dtype=float)
+    D = np.asarray(D, dtype=float)
+    coords = (u[..., None, :] @ canonical_map(spec).T)[..., 0, :]
+    columns = D.reshape(-1, D.shape[-1])[:, :, None]
+
+    def sums(c):
+        squares = (c * c)[..., None, None, :]
+        return (0.5 * (squares @ columns)[..., 0, 0]).reshape(c.shape[:-1] + D.shape[:-1])
+
+    v = _rescaled(sums, coords)
+    return float(v) if v.ndim == 0 else v
+
+
+def quadratic_form(spec: FrequencySpectrum, D) -> np.ndarray:
+    """The dense jet-space matrix A = T^T diag(D) T, symmetrized, of
+    ``oscillator_sums(spec, D, u)`` = u.A.u/2."""
     T = canonical_map(spec)
-    D = _oscillator_weights(spec, 2.0 * np.eye(2 * n).reshape(2 * n, n, 2))
-    return [((j // 2, j % 2 + 1), FactoredObservable(T, D[j])) for j in range(2 * n)]
+    A = T.T @ np.diag(D) @ T
+    return 0.5 * (A + A.T)
+
+
+def _rescaled(f, x):
+    """f(x), with x one state or a stack of states along its last axis.
+
+    A value that overflows where every entry of its state is finite is
+    evaluated again at x / 2^e, max |x / 2^e| in [1, 2) per state, and
+    scaled back by 2^e twice, so only a value that is itself out of range
+    is non-finite.  Returns f(x) at once when every value is finite.
+    """
+    v = f(x)
+    if np.isfinite(v).all():
+        return v
+    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1] - 1)
+    lead = x.shape[:-1] + (1,) * (np.ndim(v) - x.ndim + 1)    # one per state, as v
+    back = scale.reshape(lead)
+    redo = ~np.isfinite(v) & np.isfinite(x).all(axis=-1).reshape(lead)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(redo, f(x / scale) * back * back, v)
 
 
 def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
-    """The conserved columns of ``conserved_observables(sol.spec, g)`` along
-    the flow sol, as (name, value) pairs in the same order: constants of
-    its amplitudes a_{k,i}, b_{k,i} (``ModalSolution.amps``), one value
-    per run.  With f_k = w_k^3 / (2 rho_k),
+    """The conserved columns H, then Hcal when weights are given, then each
+    J_k_i, along the flow sol, as (name, value) pairs: constants of its
+    amplitudes a_{k,i}, b_{k,i} (``ModalSolution.amps``), one value per
+    run.  With f_k = w_k^3 / (2 rho_k),
 
       J_{k,1} = f_k ((b_{k,1} + a_{k,2})^2 + (b_{k,2} - a_{k,1})^2)
       J_{k,2} = f_k ((b_{k,1} - a_{k,2})^2 + (a_{k,1} + b_{k,2})^2)
 
     and (1/2) sum gamma_{k,i} J_{k,i}, written so that no J cancels
-    against another, is
+    against another and with the weights halved first, h = gamma / 2, so
+    that no sum of two weights overflows, is
 
-      (1/2) sum_k f_k [(gamma_{k,1} + gamma_{k,2}) (a_{k,1}^2 + a_{k,2}^2
-                       + b_{k,1}^2 + b_{k,2}^2)
-                      + 2 (gamma_{k,1} - gamma_{k,2}) (a_{k,2} b_{k,1} - a_{k,1} b_{k,2})]
+      sum_k f_k [(h_{k,1} + h_{k,2}) (a_{k,1}^2 + a_{k,2}^2 + b_{k,1}^2 + b_{k,2}^2)
+                 + (h_{k,1} - h_{k,2}) 2 (a_{k,2} b_{k,1} - a_{k,1} b_{k,2})]
 
-    for Hcal, and for H at ``dirac_equivalent_gamma``.  A value whose
-    terms overflow, with every amplitude finite, is evaluated again at
-    amps / 2^e, max |amps / 2^e| in [1, 2), and scaled back by 2^e twice,
-    as ``FactoredObservable.from_coordinates`` does.  A value still
-    non-finite raises IntegrationError at the flow's start time.
+    for Hcal, and for H at ``dirac_equivalent_gamma``.  Values whose terms
+    overflow are evaluated again at rescaled amplitudes (``_rescaled``).
+    A value still non-finite raises IntegrationError at the flow's start
+    time.
     """
     spec = sol.spec
     weights = [dirac_equivalent_gamma(spec.n).gamma]
     if g is not None:
         _require_sizes_match(spec, g)
         weights.append(g.gamma)
-    weights = np.array(weights)
-    amps = sol.amps[1:]
+    halves = 0.5 * np.array(weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _amplitude_integrals(spec, amps, weights)
-        redo = ~np.isfinite(values)
-        if redo.any() and np.isfinite(amps).all():
-            scale = np.ldexp(1.0, np.frexp(np.abs(amps).max())[1] - 1)
-            again = _amplitude_integrals(spec, amps / scale, weights)
-            values[redo] = again[redo] * scale * scale
-    names = _column_names(spec.n, g is not None)
+        values = _rescaled(lambda amps: _amplitude_integrals(spec, amps, halves),
+                           sol.amps[1:].ravel())
+    names = (["H"] + ["Hcal"] * (g is not None)
+             + ["J_%d_%d" % (k, i) for k in range(spec.n) for i in (1, 2)])
     if not np.isfinite(values).all():
         name = names[int(np.argmin(np.isfinite(values)))]
         raise IntegrationError("non-finite observable %s at t=%g" % (name, sol.t0), t=sol.t0)
     return list(zip(names, values.tolist()))
 
 
-def _amplitude_integrals(spec: FrequencySpectrum, amps: np.ndarray, weights: np.ndarray):
-    """The Hamiltonians at each (n, 2) slice of ``weights``, then every
-    J_{k,i}, from amps = ``ModalSolution.amps[1:]`` (rows a_0, b_0, a_1, ...)."""
+def _amplitude_integrals(spec: FrequencySpectrum, amps: np.ndarray, halves: np.ndarray):
+    """The Hamiltonians at each (n, 2) slice of the halved weights
+    ``halves``, then every J_{k,i}, from the flat amplitudes
+    ``ModalSolution.amps[1:].ravel()`` (a_0, b_0, a_1, ..., two each)."""
+    amps = amps.reshape(2 * spec.n, 2)
     a, b = amps[0::2], amps[1::2]                       # (n, 2): [k, i - 1]
     f = np.array(spec.omegas) ** 3 / (2 * np.array(spec.table.rho))
     squares = (amps * amps).reshape(spec.n, 4).sum(axis=1)
     cross = a[:, 1] * b[:, 0] - a[:, 0] * b[:, 1]
-    g1, g2 = weights[..., 0], weights[..., 1]
-    hams = 0.5 * (f * ((g1 + g2) * squares + 2 * (g1 - g2) * cross)).sum(axis=-1)
+    h1, h2 = halves[..., 0], halves[..., 1]
+    hams = (f * ((h1 + h2) * squares + (h1 - h2) * (2 * cross))).sum(axis=-1)
     J = f[:, None] * np.stack(((b[:, 0] + a[:, 1]) ** 2 + (b[:, 1] - a[:, 0]) ** 2,
                                (b[:, 0] - a[:, 1]) ** 2 + (a[:, 0] + b[:, 1]) ** 2), axis=1)
     return np.concatenate((hams, J.ravel()))
-
-
-def _column_names(n: int, with_hcal: bool) -> list:
-    return (["H"] + ["Hcal"] * with_hcal
-            + ["J_%d_%d" % (k, i) for k in range(n) for i in (1, 2)])
-
-
-def conserved_observables(spec: FrequencySpectrum, g: GammaWeights | None = None) -> list:
-    """The conserved columns as (name, observable) pairs: H, then Hcal when
-    weights are given, then each J_k_i."""
-    observables = [energy_observable(spec)]
-    if g is not None:
-        observables.append(alt_hamiltonian_observable(spec, g))
-    observables += [obs for _, obs in mode_integrals(spec)]
-    return list(zip(_column_names(spec.n, g is not None), observables))
 
 
 def quadratic_ansatz_observable(omega0: float, b: float, c: float, f: float) -> QuadraticObservable:

@@ -359,7 +359,8 @@ def cmd_deform(cfg, out_path) -> int:
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
     states = dynamics.RK4Flow(field).grid_states(state, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        hcal = canonical.alt_hamiltonian_observable(spec, gamma).value(states)
+        hcal = canonical.oscillator_sums(spec, canonical.alt_hamiltonian_observable(spec, gamma),
+                                         states)
         u = (deformation.PotentialObservable(potential, v1, v2).value(states)
              if potential is not None else np.zeros_like(hcal))
         columns = {"Hcal": hcal, "U": u, "Htot": hcal + u}

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import alt_hamiltonian_observable
+from .canonical import alt_hamiltonian_observable, oscillator_sums
 from .dynamics import J2, companion_matrix
 from .poisson import GammaWeights, alt_structure
 from .spectrum import FrequencySpectrum
@@ -337,10 +337,10 @@ def deformed_energy(spec: FrequencySpectrum, g: GammaWeights, potential: Potenti
                     v1: np.ndarray, v2: np.ndarray):
     """Callable u -> H_gamma(u) + U(u), conserved along the deformed flow;
     u is one state or a (rows, dim) stack."""
-    H = alt_hamiltonian_observable(spec, g)
+    D = alt_hamiltonian_observable(spec, g)
     U = PotentialObservable(potential, v1, v2)
 
     def total(u):
-        return H.value(u) + U.value(u)
+        return oscillator_sums(spec, D, u) + U.value(u)
 
     return total

@@ -12,7 +12,10 @@ A structure is its constant antisymmetric matrix Omega, a plain
   nonzero constants gamma_{k,i}, which renders the positive-definite
   Hamiltonians canonical.
 
-``hamiltonian_vector_field`` takes Omega directly; the rank of a
+A quadratic observable u.A.u/2 generates the linear flow
+du/dt = Omega A u, so its Hamiltonian vector field is the plain product
+``Omega @ A``; the conserved quadratics are weight vectors over the
+canonical map, whose A is ``canonical.quadratic_form``.  The rank of a
 structure is read off its canonical block form by
 ``canonical.structure_rank``.  Because the matrices are constant, the
 Jacobi identity holds identically; the interesting checks are
@@ -22,7 +25,6 @@ antisymmetry, rank, and closure of Hamilton's equations, which live in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -190,10 +192,6 @@ class QuadraticObservable:
             raise ValueError("quadratic part must be symmetric to 1e-12")
         object.__setattr__(self, "A", A)
 
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
-
     def value(self, u):
         """u.A.u/2 at one state (a float), or at each row of a (rows, dim)
         stack (an array of rows values)."""
@@ -203,81 +201,3 @@ class QuadraticObservable:
         # stack as for a single state, so both agree to the last bit.
         v = (0.5 * u[..., None, :] @ self.A @ u[..., :, None])[..., 0, 0]
         return float(v) if u.ndim == 1 else v
-
-
-@dataclass(frozen=True, eq=False)
-class FactoredObservable:
-    """u -> (1/2) sum_j D_j (T u)_j^2: a homogeneous quadratic observable
-    diagonal in the coordinates of a map T, with weights D.  T is held,
-    not copied (the canonical builders pass their shared read-only map);
-    D is copied and made read-only.
-
-    ``value`` takes one state (a float) or a (rows, dim) stack (an array
-    of rows values).  ``coordinates`` (T u) and ``from_coordinates`` are
-    its two halves, so observables over one T can share T u (see
-    ``verify.check_conservation``).  Each row is one row-by-matrix and one
-    row-by-column product, the same kernels for a stack as for a single
-    state, so both agree to the last bit.
-
-    ``A`` = T^T diag(D) T, symmetrized and built on first access, is what
-    ``hamiltonian_vector_field`` reads, as it reads a
-    ``QuadraticObservable``'s.
-    """
-
-    T: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        D = np.array(self.weights, dtype=float)
-        D.setflags(write=False)
-        object.__setattr__(self, "T", np.asarray(self.T, dtype=float))
-        object.__setattr__(self, "weights", D)
-
-    @property
-    def dim(self) -> int:
-        return self.weights.size
-
-    @functools.cached_property
-    def A(self) -> np.ndarray:
-        A = self.T.T @ np.diag(self.weights) @ self.T
-        return 0.5 * (A + A.T)
-
-    def coordinates(self, u) -> np.ndarray:
-        """T u at one state, or at each row of a (rows, dim) stack."""
-        u = np.asarray(u, dtype=float)
-        return (u[..., None, :] @ self.T.T)[..., 0, :]
-
-    def from_coordinates(self, coords):
-        """(1/2) sum_j D_j coords_j^2 at each T u that ``coordinates`` gave.
-
-        A row whose squares overflow, with every coordinate finite, is
-        evaluated again at coords / 2^e, max |coords / 2^e| in [1, 2), and
-        scaled back by 2^e twice: an indefinite sum such as H = 0 at
-        coordinates near 1e160 stays finite, and only a value that is
-        itself out of range is non-finite."""
-        v = self._half_weighted_squares(coords)
-        if np.isfinite(v).all():
-            return v
-        redo = ~np.isfinite(v) & np.isfinite(coords).all(axis=-1)
-        if redo.any():
-            big = coords[redo]
-            scale = np.ldexp(1.0, np.frexp(np.abs(big).max(axis=-1))[1] - 1)
-            v = np.array(v)
-            with np.errstate(over="ignore"):
-                v[redo] = self._half_weighted_squares(big / scale[:, None]) * scale * scale
-        return v
-
-    def _half_weighted_squares(self, coords):
-        squares = coords * coords
-        return 0.5 * (squares[..., None, :] @ self.weights[:, None])[..., 0, 0]
-
-    def value(self, u):
-        v = self.from_coordinates(self.coordinates(u))
-        return float(v) if v.ndim == 0 else v
-
-
-def hamiltonian_vector_field(omega: np.ndarray, H: QuadraticObservable) -> np.ndarray:
-    """Matrix of the linear flow du/dt = Omega A_H u generated by H."""
-    if H.dim != len(omega):
-        raise ValueError("observable dimension does not match the structure")
-    return omega @ H.A

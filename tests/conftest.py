@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 
-def quadratic_value_bound(obs, states):
+def quadratic_value_bound(A, states):
     """Forward-error bound of u.A.u/2, one per row of ``states``:
     4 (dim + 2) eps |u|.|A|.|u|."""
     U = np.abs(np.atleast_2d(states))
-    scale = np.einsum("ri,ij,rj->r", U, np.abs(obs.A), U)
-    return 4 * (obs.dim + 2) * np.finfo(float).eps * scale
+    scale = np.einsum("ri,ij,rj->r", U, np.abs(A), U)
+    return 4 * (len(A) + 2) * np.finfo(float).eps * scale
 
 
-def factored_value_bound(obs, states):
+def factored_value_bound(T, D, states):
     """Forward-error bound of (1/2) sum_j D_j (T u)_j^2, one per row of
     ``states``, against the same formula in exact arithmetic on the stored
     T, D and u.
@@ -29,8 +29,8 @@ def factored_value_bound(obs, states):
     is exact.  In all (3 gamma_d + eps + O(eps^2)) (1/2) sum_j |D_j| e_j^2,
     which 4 (d + 2) eps (1/2) sum_j |D_j| e_j^2 covers.
     """
-    E = np.abs(np.atleast_2d(states)) @ np.abs(obs.T).T
-    return 4 * (obs.dim + 2) * np.finfo(float).eps * 0.5 * (E * E @ np.abs(obs.weights))
+    E = np.abs(np.atleast_2d(states)) @ np.abs(T).T
+    return 4 * (len(D) + 2) * np.finfo(float).eps * 0.5 * (E * E @ np.abs(D))
 
 
 def exact_coordinates(T, states):
@@ -43,11 +43,11 @@ def exact_coordinates(T, states):
     return out
 
 
-def factored_errors(obs, coords, values, offsets=None):
+def factored_errors(D, coords, values, offsets=None):
     """|value - (1/2) sum_j D_j c_j^2 - offset| per row, from exact
     coordinates (``exact_coordinates``), in exact arithmetic and rounded
     once at the end."""
-    D = [Fraction(x) for x in obs.weights.tolist()]
+    D = [Fraction(x) for x in np.asarray(D).tolist()]
     offsets = np.zeros(len(values)) if offsets is None else offsets
     return np.array([
         float(abs(Fraction(v) - sum(d * c * c for d, c in zip(D, row)) / 2 - Fraction(off)))
@@ -55,14 +55,14 @@ def factored_errors(obs, coords, values, offsets=None):
                                np.asarray(offsets).tolist())])
 
 
-def within_factored_bound(obs, states, values, offsets=None, slack=0.0, coords=None):
+def within_factored_bound(T, D, states, values, offsets=None, slack=0.0, coords=None):
     """True per row where ``values`` is within ``factored_value_bound`` (plus
     ``slack``) of the exact (1/2) sum_j D_j (T u)_j^2 (plus ``offsets``);
-    ``coords`` may pass ``exact_coordinates(obs.T, states)`` computed once."""
+    ``coords`` may pass ``exact_coordinates(T, states)`` computed once."""
     if coords is None:
-        coords = exact_coordinates(obs.T, states)
-    errors = factored_errors(obs, coords, values, offsets)
-    return errors <= factored_value_bound(obs, states) + slack
+        coords = exact_coordinates(T, states)
+    errors = factored_errors(D, coords, values, offsets)
+    return errors <= factored_value_bound(T, D, states) + slack
 
 
 def jet_index(s, i):
@@ -128,7 +128,7 @@ def exact_modal_amplitudes(omegas, u):
 
 def exact_mode_integrals(omegas, u):
     """Every J_{k,i} of the jet vector u, in the column order of
-    ``canonical.conserved_observables`` (J_0_1, J_0_2, J_1_1, ...), in
+    ``canonical.conserved_values`` (J_0_1, J_0_2, J_1_1, ...), in
     exact rational arithmetic from the jet definition:
     J_{k,i} = (w_k / 2) rho_k [(D_1 + (-1)^i DD_2 / w_k)^2 + (D_2 - (-1)^i DD_1 / w_k)^2],
     with D = sum_m r_{m,k} x^{(2m+1)}, DD = sum_m r_{m,k} x^{(2m+2)}, r_{m,k}

@@ -8,12 +8,10 @@ import pytest
 from oddpu import (DegeneracyError, FrequencySpectrum, GammaWeights, IntegrationError,
                    ModalSolution, PhaseState, alt_structure, companion_matrix,
                    degeneracy_scalar, dirac_equivalent_gamma, dirac_structure)
-from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
-                             conserved_observables, conserved_values,
-                             energy_observable, mode_integrals, oscillator_map,
-                             quadratic_ansatz_observable, scaled_canonical_map,
-                             uniqueness_check)
-from oddpu.poisson import FactoredObservable
+from oddpu.canonical import (_rescaled, alt_hamiltonian_observable, canonical_map,
+                             conserved_values, energy_observable, mode_integrals,
+                             oscillator_map, oscillator_sums, quadratic_ansatz_observable,
+                             quadratic_form, scaled_canonical_map, uniqueness_check)
 from oddpu.verify import random_gamma, random_spectrum
 
 from conftest import exact_hamiltonians, exact_mode_integrals, jet_index
@@ -294,7 +292,7 @@ class TestEnergy:
         u = np.zeros(6)
         u[jet_index(1, 1)] = 1.0
         u[jet_index(2, 2)] = 1.0
-        assert energy_observable(S1).value(u) == pytest.approx(-1.0)
+        assert oscillator_sums(S1, energy_observable(S1), u) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_equals_alternating_oscillator_sum(self, n):
@@ -305,31 +303,31 @@ class TestEnergy:
         spec = random_spectrum(rng, n)
         H = energy_observable(spec)
         Halt = alt_hamiltonian_observable(spec, dirac_equivalent_gamma(n))
-        assert np.array_equal(H.weights, Halt.weights)
+        assert np.array_equal(H, Halt)
         osc = oscillator_map(spec)
         for _ in range(10):
             u = rng.uniform(-1, 1, size=spec.jet_dim)
             x = (osc @ u).reshape(n, 3, 2)        # x[k, order, i - 1]
             noether = sum((-1.0) ** (k + 1) * (x[k, 1, 0] * x[k, 2, 1] - x[k, 1, 1] * x[k, 2, 0])
                           for k in range(n))
-            assert abs(H.value(u) - noether) <= 1e-10 * (1.0 + abs(noether))
+            assert abs(oscillator_sums(spec, H, u) - noether) <= 1e-10 * (1.0 + abs(noether))
 
     def test_conserved_along_flow(self):
         rng = np.random.default_rng(11)
         spec = random_spectrum(rng, 3)
         H = energy_observable(spec)
         st = PhaseState(rng.uniform(-1, 1, size=spec.jet_dim))
-        h0 = H.value(st.u)
+        h0 = oscillator_sums(spec, H, st.u)
         sol = ModalSolution(spec, st)
         for t in (1.0, 7.3, 40.0):
-            ht = H.value(sol.eval(t).u)
+            ht = oscillator_sums(spec, H, sol.eval(t).u)
             assert abs(ht - h0) <= 1e-9 * (1 + abs(h0))
 
     def test_alt_hamiltonian_positive_semidefinite(self):
         # positive gamma weights: 4n positive eigenvalues, z-sector nullity 2
         g = GammaWeights(((1.0, 2.0), (0.5, 1.5)))
         Hcal = alt_hamiltonian_observable(S12, g)
-        evals = np.sort(np.linalg.eigvalsh(Hcal.A))
+        evals = np.sort(np.linalg.eigvalsh(quadratic_form(S12, Hcal)))
         assert evals[0] >= -1e-10
         assert np.sum(np.abs(evals) <= 1e-10) == 2
 
@@ -339,13 +337,15 @@ class TestEnergy:
 
 
 class TestFactoredObservable:
-    """H, Hcal and every J_{k,i} are (1/2) sum_j D_j (T u)_j^2 over the
-    shared canonical map."""
+    """H, Hcal and every J_{k,i} are factored observables: weight vectors D
+    of (1/2) sum_j D_j (T u)_j^2 over the shared canonical map, evaluated
+    by ``oscillator_sums`` and made dense by ``quadratic_form``."""
 
     @staticmethod
-    def observables(rng, spec):
-        return ([energy_observable(spec), alt_hamiltonian_observable(spec, random_gamma(rng, spec))]
-                + [J for _, J in mode_integrals(spec)])
+    def weights(rng, spec):
+        return np.vstack((energy_observable(spec),
+                          alt_hamiltonian_observable(spec, random_gamma(rng, spec)),
+                          mode_integrals(spec)))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_stack_matches_single_states_bit_for_bit(self, n):
@@ -353,12 +353,17 @@ class TestFactoredObservable:
         spec = random_spectrum(rng, n)
         for rows in (1, 11, 300):
             states = rng.uniform(-1, 1, size=(rows, spec.jet_dim))
-            for obs in self.observables(rng, spec):
-                stacked = obs.value(states)
+            stack = self.weights(rng, spec)
+            table = oscillator_sums(spec, stack, states)
+            assert table.shape == (rows, 2 * n + 2)
+            for j, D in enumerate(stack):
+                stacked = oscillator_sums(spec, D, states)
                 assert stacked.shape == (rows,)
-                singles = [obs.value(u) for u in states]
+                singles = [oscillator_sums(spec, D, u) for u in states]
                 assert all(type(v) is float for v in singles)
                 assert np.array_equal(stacked, singles)
+                assert np.array_equal(table[:, j], singles)
+            assert np.array_equal(oscillator_sums(spec, stack, states[0]), table[0])
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_dense_matrix_is_the_jet_form_built_before(self, n):
@@ -376,30 +381,44 @@ class TestFactoredObservable:
                 D[p_row(k, i)] = g.gamma[k][i - 1]
         A = T.T @ np.diag(D) @ T
         Hcal = alt_hamiltonian_observable(spec, g)
-        assert np.array_equal(Hcal.A, 0.5 * (A + A.T))
-        assert Hcal.A is Hcal.A                # built once, on first access
-        assert Hcal.dim == spec.jet_dim
+        assert np.array_equal(Hcal, D)
+        assert np.array_equal(quadratic_form(spec, Hcal), 0.5 * (A + A.T))
 
-    def test_shares_the_canonical_map(self):
+    def test_builders_return_read_only_weights(self):
         spec = FrequencySpectrum((0.8, 1.7))
-        T = canonical_map(spec)
-        for obs in self.observables(np.random.default_rng(5), spec):
-            assert obs.T is T
-            assert not obs.weights.flags.writeable
+        D = self.weights(np.random.default_rng(5), spec)
+        assert D.shape == (2 * spec.n + 2, spec.jet_dim)
+        for built in (energy_observable(spec), mode_integrals(spec),
+                      alt_hamiltonian_observable(spec, GammaWeights(((1.5, -0.7), (-1.2, 0.9))))):
+            assert not built.flags.writeable
+            with pytest.raises(ValueError):
+                built[..., 0] = 1.0
 
     def test_overflowing_squares_rescaled(self):
         # (T u)^2 overflows, but H = 0 exactly; J is out of range
         u = np.array([0.0, 0.0, 1e160, 0.0, 0.0, 0.0])
+        H, J = energy_observable(S1), mode_integrals(S1)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert energy_observable(S1).value(u) == 0.0
-            assert np.array_equal(energy_observable(S1).value(np.vstack((u, -u))), [0.0, 0.0])
-            for _, J in mode_integrals(S1):
-                assert J.value(u) == np.inf
-            # small weights: the squares 2^1060 overflow, the value does not
-            small = FactoredObservable(np.eye(2), [2.0 ** -100, 2.0 ** -100])
-            c = np.array([1.0, 0.75]) * 2.0 ** 530
-            assert small.value(c) == 1.5625 * 2.0 ** 959
-            assert np.array_equal(small.value(np.vstack((c, c / 2.0 ** 530))),
+            assert oscillator_sums(S1, H, u) == 0.0
+            assert np.array_equal(oscillator_sums(S1, H, np.vstack((u, -u))), [0.0, 0.0])
+            for D in J:
+                assert oscillator_sums(S1, D, u) == np.inf
+            # a stack keeps each finite value and rescales only the others
+            both = oscillator_sums(S1, np.vstack((H, J)), np.vstack((u, u / 1e160)))
+            assert np.array_equal(both[0], [0.0, np.inf, np.inf])
+            assert np.array_equal(both[1], oscillator_sums(S1, np.vstack((H, J)), u / 1e160))
+
+    def test_rescaled_small_weights(self):
+        # small weights: the squares 2^1060 overflow, the value does not
+        small = np.array([2.0 ** -100, 2.0 ** -100])
+
+        def half_weighted_squares(c):
+            return 0.5 * ((c * c)[..., None, :] @ small[:, None])[..., 0, 0]
+
+        c = np.array([1.0, 0.75]) * 2.0 ** 530
+        with np.errstate(over="ignore"):
+            assert _rescaled(half_weighted_squares, c) == 1.5625 * 2.0 ** 959
+            assert np.array_equal(_rescaled(half_weighted_squares, np.vstack((c, c / 2.0 ** 530))),
                                   [1.5625 * 2.0 ** 959, 1.5625 * 2.0 ** -101])
 
 
@@ -408,30 +427,30 @@ class TestModeIntegrals:
         # q = 1/sqrt(2), p = 0 in both sectors, so J_{0,i} = 1/2
         u = np.zeros(6)
         u[jet_index(1, 1)] = 1.0
-        for (k, i), J in mode_integrals(S1):
-            assert J.value(u) == pytest.approx(0.5)
+        for J in mode_integrals(S1):
+            assert oscillator_sums(S1, J, u) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_conserved_and_in_involution(self, n):
         rng = np.random.default_rng(250 + n)
         spec = random_spectrum(rng, n)
         S = dirac_structure(spec)
-        H = energy_observable(spec)
-        Js = [J for _, J in mode_integrals(spec)]
-        scale = max(np.abs(J.A).max() for J in Js)
+        H = quadratic_form(spec, energy_observable(spec))
+        Js = [quadratic_form(spec, J) for J in mode_integrals(spec)]
+        scale = max(np.abs(J).max() for J in Js)
         # {f, g} for quadratics f, g is the quadratic of the commutator
         # A_f S A_g - A_g S A_f
         for a, Ja in enumerate(Js):
             for Jb in [H] + Js[a + 1:]:
-                out = Ja.A @ S @ Jb.A - Jb.A @ S @ Ja.A
+                out = Ja @ S @ Jb - Jb @ S @ Ja
                 assert np.abs(out).max() <= 1e-9 * scale
 
     def test_nonnegative(self):
         rng = np.random.default_rng(13)
         spec = random_spectrum(rng, 2)
-        for _, J in mode_integrals(spec):
+        for J in mode_integrals(spec):
             for _ in range(20):
-                assert J.value(rng.uniform(-1, 1, size=10)) >= 0.0
+                assert oscillator_sums(spec, J, rng.uniform(-1, 1, size=10)) >= 0.0
 
 
 class TestConservedValues:
@@ -448,8 +467,8 @@ class TestConservedValues:
             g = random_gamma(rng, spec)
             u = rng.uniform(-1, 1, spec.jet_dim)
             pairs = conserved_values(ModalSolution(spec, PhaseState(u)), g)
-            assert [name for name, _ in pairs] == [name for name, _ in
-                                                   conserved_observables(spec, g)]
+            assert [name for name, _ in pairs] == (
+                ["H", "Hcal"] + ["J_%d_%d" % (k, i) for k in range(n) for i in (1, 2)])
             flat = [x for pair in g.gamma for x in pair]
             J = exact_mode_integrals(spec.omegas, u)
             exact = [*exact_hamiltonians(J, flat), *J]
@@ -496,7 +515,8 @@ class TestUniqueness:
         W = quadratic_ansatz_observable(w0, (g1 + g2) / (4 * w0),
                                         (g1 + g2) * w0 / 4, -(g1 - g2) / 2)
         Hcal = alt_hamiltonian_observable(spec, g)
-        assert np.abs(W.A - Hcal.A).max() <= 1e-10 * np.abs(Hcal.A).max()
+        A = quadratic_form(spec, Hcal)
+        assert np.abs(W.A - A).max() <= 1e-10 * np.abs(A).max()
 
     def test_bad_frequency(self):
         with pytest.raises(ValueError):

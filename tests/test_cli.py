@@ -395,13 +395,29 @@ class TestSimulateCommand:
         assert columns["H"] == columns["Hcal"]
         assert abs(columns["H"] - exact) <= 4 * Fraction(np.finfo(float).eps) * size
 
+    @pytest.mark.parametrize("gamma, state", [
+        ((1e308, 1e308), (0, 0, 1, 0, 0, 0)),
+        ((1e308, -1e308), (0.3, 0, 1, 0, 0, 0.2)),
+    ])
+    def test_hcal_at_weights_near_float_range(self, capsys, gamma, state):
+        # Hcal is about 5e307 and -2e307 here, but gamma_1 + gamma_2 and
+        # 2 (gamma_1 - gamma_2) overflow: the weights are halved first
+        argv = ["simulate", "--omegas", "1", "--gamma", *map(repr, gamma),
+                "--state", *map(repr, state), "--t-end", "1", "--dt", "0.5"]
+        code, out, err = run_strict(argv, capsys)
+        assert (code, err) == (0, "")
+        J = exact_mode_integrals((1.0,), state)
+        _, exact = exact_hamiltonians(J, gamma)
+        bound = 16 * Fraction(np.finfo(float).eps) * Fraction(max(map(abs, gamma))) * sum(J)
+        assert abs(self.constant_columns(out, 6)["Hcal"] - exact) <= bound
+
     def test_builds_no_map_or_observable(self, capsys, monkeypatch):
         # the columns come off the modal amplitudes: no canonical or
-        # oscillator map and no factored observable is built per call
+        # oscillator map is built and no state is evaluated per call
         def refuse(*args, **kwargs):
             raise AssertionError("built per simulate call")
 
-        for name in ("canonical_map", "oscillator_map", "FactoredObservable"):
+        for name in ("canonical_map", "oscillator_map", "oscillator_sums"):
             monkeypatch.setattr(canonical, name, refuse)
         code, out, err = run(self.ARGS + ["--gamma", "1", "-1"], capsys)
         assert (code, err) == (0, "")
@@ -970,14 +986,16 @@ class TestOutputIdentity:
         code, out, _ = run(argv, capsys)
         assert code == 0
         spec = FrequencySpectrum(omegas)
-        observables = {"H": energy_observable(spec),
-                       "Hcal": alt_hamiltonian_observable(spec, GammaWeights.from_flat(gamma))}
-        observables.update(("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec))
+        weights = {"H": energy_observable(spec),
+                   "Hcal": alt_hamiltonian_observable(spec, GammaWeights.from_flat(gamma))}
+        weights.update(("J_%d_%d" % (j // 2, j % 2 + 1), D)
+                       for j, D in enumerate(mode_integrals(spec)))
         states, values = self.compare(out, fixture, spec.jet_dim)
-        assert set(values) == set(observables)
-        coords = exact_coordinates(canonical_map(spec), states)
+        assert set(values) == set(weights)
+        T = canonical_map(spec)
+        coords = exact_coordinates(T, states)
         for name, (new, _) in values.items():
-            assert factored_bound_check(observables[name], states, new,
+            assert factored_bound_check(T, weights[name], states, new,
                                         coords=coords).all(), name
 
     @pytest.mark.parametrize("argv, fixture, omegas, gamma", [
@@ -992,12 +1010,13 @@ class TestOutputIdentity:
         code, out, _ = run(argv, capsys)
         assert code == 0
         spec = FrequencySpectrum(omegas)
+        T = canonical_map(spec)
         hcal = alt_hamiltonian_observable(spec, GammaWeights.from_flat(gamma))
         states, values = self.compare(out, fixture, spec.jet_dim)
-        coords = exact_coordinates(hcal.T, states)
-        assert factored_bound_check(hcal, states, values["Hcal"][0], coords=coords).all()
+        coords = exact_coordinates(T, states)
+        assert factored_bound_check(T, hcal, states, values["Hcal"][0], coords=coords).all()
         assert np.all(values["U"][0] == 0.0)
-        assert factored_bound_check(hcal, states, values["Htot"][0], coords=coords).all()
+        assert factored_bound_check(T, hcal, states, values["Htot"][0], coords=coords).all()
 
     @staticmethod
     def within_exact_rk4(csv_text, omegas, gamma, potential):
@@ -1046,20 +1065,20 @@ class TestOutputIdentity:
         spec, gamma = FrequencySpectrum((1.0,)), GammaWeights(((1.0, -1.0),))
         states, values = self.compare(out, "deform_quartic.csv", spec.jet_dim)
         eps = np.finfo(float).eps
-        hcal = alt_hamiltonian_observable(spec, gamma)
-        coords = exact_coordinates(hcal.T, states)
+        T, hcal = canonical_map(spec), alt_hamiltonian_observable(spec, gamma)
+        coords = exact_coordinates(T, states)
         # U = sum c w1^i w2^j with w_a = v_a . u: each w_a is good to
         # dim eps |v_a|.|u|, so U to degree-weighted products of those
         pot = PotentialSpec.from_json_dict(json.loads(TestDeformCommand.POT))
         W1, W2 = (np.abs(states) @ np.abs(v) for v in invariant_directions(spec, gamma)[:2])
         u_scale = sum(abs(c) * W1 ** i * W2 ** j for i, j, c in pot.terms)
         u_bound = 4 * (spec.jet_dim + 2 + pot.degree) * eps * u_scale
-        assert factored_bound_check(hcal, states, values["Hcal"][0], coords=coords).all()
+        assert factored_bound_check(T, hcal, states, values["Hcal"][0], coords=coords).all()
         new, old = values["U"]
         assert np.all(np.abs(new - old) <= u_bound)
         # Htot = Hcal + U, rounded once: against the exact Hcal plus the U column
         new_htot = values["Htot"][0]
-        assert factored_bound_check(hcal, states, new_htot, offsets=new,
+        assert factored_bound_check(T, hcal, states, new_htot, offsets=new,
                                     slack=eps * np.abs(new_htot), coords=coords).all()
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from oddpu import (FrequencySpectrum, IntegrationError, ModalSolution,
                    PhaseState, companion_matrix, elementary_sigma,
-                   PotentialSpec, RK4Flow, rk4_step, trajectory, verify)
-from oddpu.canonical import energy_observable, mode_integrals
+                   PotentialSpec, RK4Flow, canonical, rk4_step, trajectory, verify)
+from oddpu.canonical import energy_observable, mode_integrals, oscillator_sums
 from oddpu.deformation import deformed_field
 from oddpu.dynamics import J2, ROW_BLOCK, _basis_derivatives, block_view
-from oddpu.poisson import FactoredObservable, GammaWeights
+from oddpu.poisson import GammaWeights
 from oddpu.verify import random_spectrum
 
 from conftest import exact_modal_amplitudes, jet_index
@@ -434,7 +434,7 @@ class TestTrajectory:
         H = energy_observable(spec)
         grid = np.linspace(0, 100, 500)
         table = trajectory(ModalSolution(spec, st), st, grid)
-        col = H.value(table.states)
+        col = oscillator_sums(spec, H, table.states)
         assert np.abs(col - col[0]).max() <= 1e-9 * (1 + abs(col[0]))
 
     def test_energy_drift_at_n10(self):
@@ -444,7 +444,7 @@ class TestTrajectory:
         st = PhaseState(np.linspace(-0.5, 0.5, 42))
         grid = np.arange(1001) * 0.1
         table = trajectory(ModalSolution(spec, st), st, grid)
-        col = energy_observable(spec).value(table.states)
+        col = oscillator_sums(spec, energy_observable(spec), table.states)
         assert np.abs(col - col[0]).max() <= 1e-4 * (1 + abs(col[0]))
 
     def test_modal_flow_matches_stepwise_calls(self):
@@ -471,37 +471,33 @@ class TestTrajectory:
         st = PhaseState(np.array([0, 0, 1e160, 0, 0, 0]))
         table = trajectory(ModalSolution(spec, st), st, [0.0, 0.5])
         assert np.isfinite(table.states).all()
-        names, observables = zip(*(("J_%d_%d" % ki, obs) for ki, obs in mode_integrals(spec)))
+        names = ["J_%d_%d" % (k, i) for k in range(spec.n) for i in (1, 2)]
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.column_stack([obs.value(table.states) for obs in observables])
+            values = oscillator_sums(spec, mode_integrals(spec), table.states)
         row, col = np.argwhere(~np.isfinite(values))[0]
         assert (names[col], table.times[row]) == ("J_0_1", 0.0)
 
 
 class TestConservationCheck:
     def test_factored_columns_share_one_product(self, monkeypatch):
-        # criterion 5 reads H, Hcal and every J_{k,i} off one T u per draw,
-        # and each column is byte-equal to the observable's own value on
-        # the states
-        draws = []          # (states, [(observable, column), ...]) per draw
-        coordinates = FactoredObservable.coordinates
-        from_coordinates = FactoredObservable.from_coordinates
+        # criterion 5 reads H, Hcal and every J_{k,i} off one oscillator_sums
+        # call per draw, on the stack of their weights, and each column is
+        # byte-equal to the single-weight call on the states
+        calls = []          # (spec, D, states, values) per call
+        oscillator_sums = canonical.oscillator_sums
 
-        def counted(self, u):
-            draws.append((u, []))
-            return coordinates(self, u)
+        def recorded(spec, D, u):
+            values = oscillator_sums(spec, D, u)
+            calls.append((spec, D, u, values))
+            return values
 
-        def recorded(self, coords):
-            column = from_coordinates(self, coords)
-            draws[-1][1].append((self, column))
-            return column
-
-        monkeypatch.setattr(FactoredObservable, "coordinates", counted)
-        monkeypatch.setattr(FactoredObservable, "from_coordinates", recorded)
+        monkeypatch.setattr(canonical, "oscillator_sums", recorded)
         verify.check_conservation(n_max=3, trials=2, seed=12)
         monkeypatch.undo()
-        assert [len(columns) for _, columns in draws] == [4, 4, 6, 6, 8, 8]
-        for states, columns in draws:
-            assert states.shape == (1000, columns[0][0].dim)
-            for obs, column in columns:
-                assert column.tobytes() == obs.value(states).tobytes()
+        assert [spec.n for spec, *_ in calls] == [1, 1, 2, 2, 3, 3]
+        for spec, D, states, values in calls:
+            assert D.shape == (2 * spec.n + 2, spec.jet_dim)
+            assert states.shape == (1000, spec.jet_dim)
+            assert values.shape == (1000, 2 * spec.n + 2)
+            for j, weights in enumerate(D):
+                assert values[:, j].tobytes() == oscillator_sums(spec, weights, states).tobytes()

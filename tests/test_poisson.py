@@ -6,10 +6,10 @@ import pytest
 from oddpu import (FrequencySpectrum, GammaWeights, verify,
                    QuadraticObservable, alt_structure, companion_matrix,
                    degeneracy_scalar, degeneracy_scale, dirac_equivalent_gamma,
-                   dirac_structure, gamma_is_degenerate, hamiltonian_vector_field,
-                   rho, structure_rank)
+                   dirac_structure, gamma_is_degenerate, rho, structure_rank)
 from oddpu.canonical import (_antisymmetric_basis, alt_hamiltonian_observable,
-                             energy_observable, quadratic_ansatz_observable)
+                             energy_observable, oscillator_sums, quadratic_ansatz_observable,
+                             quadratic_form)
 from oddpu.dynamics import J2
 from oddpu.poisson import DegeneracyError, _antisymmetric
 from oddpu.verify import random_gamma, random_spectrum
@@ -166,8 +166,9 @@ class TestBlockFormRank:
 
 class TestObservableValue:
     def test_single_state_gives_float(self):
-        H = energy_observable(FrequencySpectrum((1.0, 2.0)))
-        assert isinstance(H.value(np.linspace(-1, 1, 10)), float)
+        spec = FrequencySpectrum((1.0, 2.0))
+        assert isinstance(oscillator_sums(spec, energy_observable(spec), np.linspace(-1, 1, 10)),
+                          float)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_stack_matches_rows(self, n, value_bound):
@@ -175,19 +176,21 @@ class TestObservableValue:
         spec = random_spectrum(rng, n)
         dim = spec.jet_dim
         A = rng.normal(size=(dim, dim))
-        observables = [energy_observable(spec),
-                       alt_hamiltonian_observable(spec, random_gamma(rng, spec)),
-                       QuadraticObservable(A + A.T)]
+        quadratic = QuadraticObservable(A + A.T)
+        observables = [(quadratic.value, quadratic.A)]
+        Hcal = alt_hamiltonian_observable(spec, random_gamma(rng, spec))
+        for D in (energy_observable(spec), Hcal):
+            observables.append((lambda u, D=D: oscillator_sums(spec, D, u),
+                                quadratic_form(spec, D)))
         states = rng.uniform(-1, 1, size=(50, dim))
-        for obs in observables:
-            stacked = obs.value(states)
-            rows = np.array([obs.value(u) for u in states])
+        for value, A in observables:
+            stacked = value(states)
+            rows = np.array([value(u) for u in states])
             assert stacked.shape == (50,)
-            assert np.all(np.abs(stacked - rows) <= value_bound(obs, states))
+            assert np.all(np.abs(stacked - rows) <= value_bound(A, states))
 
     def test_empty_stack(self):
-        H = energy_observable(S1)
-        assert H.value(np.empty((0, 6))).shape == (0,)
+        assert oscillator_sums(S1, energy_observable(S1), np.empty((0, 6))).shape == (0,)
 
 
 class TestBracket:
@@ -199,18 +202,17 @@ class TestBracket:
     def test_coordinate_with_energy(self):
         # {x_1, H} = dx_1: the x_1 row of the Hamiltonian vector field
         S = dirac_structure(S1)
-        H = energy_observable(S1)
+        A = quadratic_form(S1, energy_observable(S1))
         expected = np.zeros(6)
         expected[jet_index(1, 1)] = 1.0
-        assert hamiltonian_vector_field(S, H)[jet_index(0, 1)] == pytest.approx(expected)
+        assert (S @ A)[jet_index(0, 1)] == pytest.approx(expected)
 
 
 class TestHamiltonianVectorField:
     def test_dirac_energy_gives_companion(self):
         S = dirac_structure(S1)
-        H = energy_observable(S1)
-        assert np.abs(hamiltonian_vector_field(S, H)
-                      - companion_matrix(S1)).max() <= 1e-12
+        A = quadratic_form(S1, energy_observable(S1))
+        assert np.abs(S @ A - companion_matrix(S1)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_alt_closure_random_gamma(self, n):
@@ -219,9 +221,9 @@ class TestHamiltonianVectorField:
             spec = random_spectrum(rng, n)
             g = random_gamma(rng, spec)
             S = alt_structure(spec, g)
-            Hg = alt_hamiltonian_observable(spec, g)
+            A = quadratic_form(spec, alt_hamiltonian_observable(spec, g))
             M = companion_matrix(spec)
-            field = hamiltonian_vector_field(S, Hg)
+            field = S @ A
             assert np.abs(field - M).max() <= 1e-9 * np.abs(M).max()
 
     def test_n1_deformed_time_translation_row(self):
@@ -231,8 +233,7 @@ class TestHamiltonianVectorField:
         spec = FrequencySpectrum((w0,))
         g1, g2 = 1.7, 0.6
         g = GammaWeights(((g1, g2),))
-        field = hamiltonian_vector_field(dirac_structure(spec),
-                                         alt_hamiltonian_observable(spec, g))
+        field = dirac_structure(spec) @ quadratic_form(spec, alt_hamiltonian_observable(spec, g))
         row = field[jet_index(0, 1)]
         expected = np.zeros(6)
         expected[jet_index(1, 1)] = 0.5 * (g1 - g2)
