@@ -10,8 +10,7 @@ from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable, alt_st
 from .canonical import (alt_hamiltonian_observable, canonical_map, energy_observable,
                         mode_integrals, oscillator_map, oscillator_sums, quadratic_form,
                         scaled_canonical_map, structure_rank, uniqueness_check)
-from .deformation import (PotentialObservable, PotentialSpec,
-                          closed_form_direction_n1, deformation_system,
+from .deformation import (PotentialSpec, closed_form_direction_n1, deformation_system,
                           deformed_energy, deformed_field, invariant_directions,
                           null_space_complete_pivot)
 

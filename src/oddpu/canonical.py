@@ -202,23 +202,25 @@ def quadratic_form(spec: FrequencySpectrum, D) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _rescaled(f, x):
-    """f(x), with x one state or a stack of states along its last axis.
+def _rescaled(f, x, degree=2):
+    """f(x), with x one vector or a stack of vectors along its last axis
+    (states, or flat weights) and f homogeneous of degree 1 or 2 in x.
 
-    A value that overflows where every entry of its state is finite is
-    evaluated again at x / 2^e, max |x / 2^e| in [1, 2) per state, and
-    scaled back by 2^e twice, so only a value that is itself out of range
-    is non-finite.  Returns f(x) at once when every value is finite.
+    A value that overflows where every entry of its vector is finite is
+    evaluated again at x / 2^e, max |x / 2^e| in [1, 2) per vector, and
+    scaled back by 2^e ``degree`` times, so only a value that is itself
+    out of range is non-finite.  Returns f(x) at once when every value is
+    finite, so a value in range keeps its bits.
     """
     v = f(x)
     if np.isfinite(v).all():
         return v
     scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1] - 1)
-    lead = x.shape[:-1] + (1,) * (np.ndim(v) - x.ndim + 1)    # one per state, as v
+    lead = x.shape[:-1] + (1,) * (np.ndim(v) - x.ndim + 1)    # one per vector, as v
     back = scale.reshape(lead)
     redo = ~np.isfinite(v) & np.isfinite(x).all(axis=-1).reshape(lead)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(redo, f(x / scale) * back * back, v)
+        return np.where(redo, f(x / scale) * back * back ** (degree - 1), v)
 
 
 def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
@@ -238,16 +240,17 @@ def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
                  + (h_{k,1} - h_{k,2}) 2 (a_{k,2} b_{k,1} - a_{k,1} b_{k,2})]
 
     for Hcal, and for H at ``dirac_equivalent_gamma``.  Values whose terms
-    overflow are evaluated again at rescaled amplitudes (``_rescaled``).
-    A value still non-finite raises IntegrationError at the flow's start
-    time.
+    overflow are evaluated again at rescaled amplitudes, and a Hamiltonian
+    whose h * squares overflows before f_k shrinks it also at rescaled
+    weights (``_rescaled``).  A value still non-finite raises
+    IntegrationError at the flow's start time.
     """
     spec = sol.spec
     weights = [dirac_equivalent_gamma(spec.n).gamma]
     if g is not None:
         _require_sizes_match(spec, g)
         weights.append(g.gamma)
-    halves = 0.5 * np.array(weights)
+    halves = 0.5 * np.array(weights).reshape(len(weights), -1)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _rescaled(lambda amps: _amplitude_integrals(spec, amps, halves),
                            sol.amps[1:].ravel())
@@ -260,19 +263,22 @@ def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
 
 
 def _amplitude_integrals(spec: FrequencySpectrum, amps: np.ndarray, halves: np.ndarray):
-    """The Hamiltonians at each (n, 2) slice of the halved weights
-    ``halves``, then every J_{k,i}, from the flat amplitudes
+    """The Hamiltonians at each row of the halved flat weights ``halves``
+    (m, 2n), then every J_{k,i}, from the flat amplitudes
     ``ModalSolution.amps[1:].ravel()`` (a_0, b_0, a_1, ..., two each)."""
     amps = amps.reshape(2 * spec.n, 2)
     a, b = amps[0::2], amps[1::2]                       # (n, 2): [k, i - 1]
     f = np.array(spec.omegas) ** 3 / (2 * np.array(spec.table.rho))
     squares = (amps * amps).reshape(spec.n, 4).sum(axis=1)
     cross = a[:, 1] * b[:, 0] - a[:, 0] * b[:, 1]
-    h1, h2 = halves[..., 0], halves[..., 1]
-    hams = (f * ((h1 + h2) * squares + (h1 - h2) * (2 * cross))).sum(axis=-1)
+
+    def hams(h):
+        h1, h2 = h[:, 0::2], h[:, 1::2]
+        return (f * ((h1 + h2) * squares + (h1 - h2) * (2 * cross))).sum(axis=-1)
+
     J = f[:, None] * np.stack(((b[:, 0] + a[:, 1]) ** 2 + (b[:, 1] - a[:, 0]) ** 2,
                                (b[:, 0] - a[:, 1]) ** 2 + (a[:, 0] + b[:, 1]) ** 2), axis=1)
-    return np.concatenate((hams, J.ravel()))
+    return np.concatenate((_rescaled(hams, halves, degree=1), J.ravel()))
 
 
 def quadratic_ansatz_observable(omega0: float, b: float, c: float, f: float) -> QuadraticObservable:

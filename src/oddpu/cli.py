@@ -358,12 +358,7 @@ def cmd_deform(cfg, out_path) -> int:
         potential = deformation.PotentialSpec.from_json_dict(cfg["potential"])
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
     states = dynamics.RK4Flow(field).grid_states(state, grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hcal = canonical.oscillator_sums(spec, canonical.alt_hamiltonian_observable(spec, gamma),
-                                         states)
-        u = (deformation.PotentialObservable(potential, v1, v2).value(states)
-             if potential is not None else np.zeros_like(hcal))
-        columns = {"Hcal": hcal, "U": u, "Htot": hcal + u}
+    columns = deformation.deformed_energy(spec, gamma, potential, v1, v2)(states)
     # Htot is finite exactly where all three are: its first non-finite row
     # is the first bad row, reported at its leftmost non-finite column
     bad = ~np.isfinite(columns["Htot"])

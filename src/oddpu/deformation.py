@@ -21,6 +21,7 @@ closed form against.
 ``deformed_field`` is written in companion form: its lower 4n rows copy
 the jet, du_{(s,i)}/dt = u_{(s+1,i)} exactly, and only the top two rows
 carry the companion equation plus the force b (-g2, g1).
+``deformed_energy`` is the one source of deform's Hcal, U and Htot columns.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import alt_hamiltonian_observable, oscillator_sums
+from .canonical import _oscillator_weights, _rescaled, oscillator_sums
 from .dynamics import J2, companion_matrix
-from .poisson import GammaWeights, alt_structure
+from .poisson import GammaWeights, _require_sizes_match, alt_structure
 from .spectrum import FrequencySpectrum
 
 MAX_POTENTIAL_DEGREE = 8
@@ -313,34 +314,30 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
     return field, v1, v2
 
 
-@dataclass(frozen=True)
-class PotentialObservable:
-    """U(u) = potential(v1 . u, v2 . u); ``value`` takes one state (a
-    float) or a (rows, dim) stack (an array of rows values)."""
-
-    potential: PotentialSpec
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        # w_a = v_a . u as one row-by-column product per state, which
-        # rounds as the dot product of a single state does
-        rows = np.atleast_2d(u)[:, None, :]
-        w1 = (rows @ self.v1[:, None])[:, 0, 0].tolist()
-        w2 = (rows @ self.v2[:, None])[:, 0, 0].tolist()
-        values = np.array([self.potential.value(a, b) for a, b in zip(w1, w2)])
-        return values if u.ndim == 2 else float(values[0])
-
-
 def deformed_energy(spec: FrequencySpectrum, g: GammaWeights, potential: PotentialSpec,
                     v1: np.ndarray, v2: np.ndarray):
-    """Callable u -> H_gamma(u) + U(u), conserved along the deformed flow;
-    u is one state or a (rows, dim) stack."""
-    D = alt_hamiltonian_observable(spec, g)
-    U = PotentialObservable(potential, v1, v2)
+    """The columns of ``deform``: a callable from one state (floats) or a
+    (rows, dim) stack (arrays) to {"Hcal", "U", "Htot"}.  Htot = Hcal + U
+    is conserved along the deformed flow; U = potential(v1 . u, v2 . u),
+    or 0 with no potential, each w_a = v_a . u one row-by-column product,
+    which rounds as a single state's dot product does.  A non-finite Hcal
+    is evaluated again at gamma / 2^e (``_rescaled``): the weights gamma w^2
+    overflow long before Hcal does.  Values are not checked."""
+    _require_sizes_match(spec, g)
+    gamma = np.ravel(g.gamma)
 
-    def total(u):
-        return oscillator_sums(spec, D, u) + U.value(u)
+    def columns(u):
+        rows = np.atleast_2d(np.asarray(u, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            hcal = _rescaled(lambda w: oscillator_sums(
+                spec, _oscillator_weights(spec, w.reshape(-1, 2)), rows), gamma, degree=1)
+            if potential is None:
+                U = np.zeros(len(rows))
+            else:
+                w1 = (rows[:, None, :] @ v1[:, None])[:, 0, 0].tolist()
+                w2 = (rows[:, None, :] @ v2[:, None])[:, 0, 0].tolist()
+                U = np.array([potential.value(a, b) for a, b in zip(w1, w2)])
+            out = {"Hcal": hcal, "U": U, "Htot": hcal + U}
+        return out if np.ndim(u) == 2 else {name: float(v[0]) for name, v in out.items()}
 
-    return total
+    return columns

@@ -123,7 +123,7 @@ class ModalSolution:
     n <= 14.  Evaluation at any time is then exact per mode, so a long
     trajectory accumulates no round-off from step to step.  ``eval`` gives
     one state, ``states`` the jet vectors at many times, and
-    ``grid_states`` a whole grid for ``trajectory``.
+    ``grid_states`` a whole grid, which ``simulate`` calls directly.
     """
 
     def __init__(self, spec: FrequencySpectrum, state: PhaseState):

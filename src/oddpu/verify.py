@@ -228,7 +228,7 @@ def check_deformation(n_max, trials, seed) -> dict:
     drifts = []
     for h in (1e-2, 5e-3, 2.5e-3):
         grid = np.arange(int(round(10.0 / h)) + 1) * h
-        energy = total(dynamics.trajectory(dynamics.RK4Flow(field), state0, grid).states)
+        energy = total(dynamics.trajectory(dynamics.RK4Flow(field), state0, grid).states)["Htot"]
         drifts.append(float(np.abs(energy[1:] - energy[0]).max()))
     orders = [float(np.log2(drifts[i] / drifts[i + 1])) for i in range(2)]
     out = {"deformation_rank_null": {"failures": failures, "pass": not failures}}

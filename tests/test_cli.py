@@ -43,6 +43,16 @@ def run_strict(argv, capsys):
         return run(argv, capsys)
 
 
+def assert_hcal_near_exact(hcal, omegas, gamma, state):
+    """Hcal within 16 eps max |gamma| sum_k,i J_{k,i} of the exact
+    (1/2) sum gamma_{k,i} J_{k,i} of the jet vector ``state``: the bound of
+    the n = 12 column test, scaled by the largest weight."""
+    J = exact_mode_integrals(omegas, state)
+    _, exact = exact_hamiltonians(J, gamma)
+    bound = 16 * Fraction(np.finfo(float).eps) * Fraction(max(map(abs, gamma))) * sum(J)
+    assert abs(Fraction(hcal) - exact) <= bound
+
+
 def assert_one_error_line(err, *fragments):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
@@ -395,21 +405,21 @@ class TestSimulateCommand:
         assert columns["H"] == columns["Hcal"]
         assert abs(columns["H"] - exact) <= 4 * Fraction(np.finfo(float).eps) * size
 
-    @pytest.mark.parametrize("gamma, state", [
-        ((1e308, 1e308), (0, 0, 1, 0, 0, 0)),
-        ((1e308, -1e308), (0.3, 0, 1, 0, 0, 0.2)),
-    ])
-    def test_hcal_at_weights_near_float_range(self, capsys, gamma, state):
+    @pytest.mark.parametrize("omega, gamma, state", [
         # Hcal is about 5e307 and -2e307 here, but gamma_1 + gamma_2 and
         # 2 (gamma_1 - gamma_2) overflow: the weights are halved first
-        argv = ["simulate", "--omegas", "1", "--gamma", *map(repr, gamma),
+        pytest.param(1.0, (1e308, 1e308), (0, 0, 1, 0, 0, 0), id="gamma0-state0"),
+        pytest.param(1.0, (1e308, -1e308), (0.3, 0, 1, 0, 0, 0.2), id="gamma1-state1"),
+        # Hcal is about 5e305 here, but h (a_1^2 + ...) overflows before
+        # f_0 = w^3 / (2 rho_0) shrinks it: the weights are rescaled
+        pytest.param(0.01, (1e308, 1e308), (0, 0, 1, 0, 0, 0), id="small-frequency"),
+    ])
+    def test_hcal_at_weights_near_float_range(self, capsys, omega, gamma, state):
+        argv = ["simulate", "--omegas", repr(omega), "--gamma", *map(repr, gamma),
                 "--state", *map(repr, state), "--t-end", "1", "--dt", "0.5"]
         code, out, err = run_strict(argv, capsys)
         assert (code, err) == (0, "")
-        J = exact_mode_integrals((1.0,), state)
-        _, exact = exact_hamiltonians(J, gamma)
-        bound = 16 * Fraction(np.finfo(float).eps) * Fraction(max(map(abs, gamma))) * sum(J)
-        assert abs(self.constant_columns(out, 6)["Hcal"] - exact) <= bound
+        assert_hcal_near_exact(self.constant_columns(out, 6)["Hcal"], (omega,), gamma, state)
 
     def test_builds_no_map_or_observable(self, capsys, monkeypatch):
         # the columns come off the modal amplitudes: no canonical or
@@ -944,6 +954,22 @@ class TestDeformCommand:
         assert out == ""
         assert_one_error_line(err, message)
         assert err.rstrip().endswith(message)
+
+    def test_hcal_at_weights_near_float_range(self, capsys):
+        # D = gamma w^2 overflows at the q rows though Hcal is about -2e307:
+        # the weights are rescaled.  Each row is held to the exact Hcal of
+        # its printed state
+        gamma = (1e308, -1e308)
+        argv = ["deform", "--omegas", "2", "--gamma", *map(repr, gamma),
+                "--state", "0.3", "0", "1", "0", "0", "0.2", "--t-end", "1", "--dt", "0.5"]
+        code, out, err = run_strict(argv, capsys)
+        assert (code, err) == (0, "")
+        rows = [[float(x) for x in row] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            hcal, u, htot = row[7:]
+            assert_hcal_near_exact(hcal, (2.0,), gamma, row[1:7])
+            assert (u, htot) == (0.0, hcal)
 
 
 class TestOutputIdentity:

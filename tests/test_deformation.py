@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oddpu import (FrequencySpectrum, GammaWeights, PhaseState,
-                   PotentialObservable, PotentialSpec, RK4Flow, closed_form_direction_n1,
+                   PotentialSpec, RK4Flow, closed_form_direction_n1,
                    companion_matrix, deformation_system, deformed_energy, deformed_field,
                    invariant_directions, null_space_complete_pivot)
 from oddpu.verify import _subspace_gap, random_gamma, random_spectrum
@@ -377,9 +377,9 @@ class TestDeformedFlow:
         field, v1, v2 = deformed_field(spec, g, self.QUARTIC)
         total = deformed_energy(spec, g, self.QUARTIC, v1, v2)
         st = PhaseState(0.4 * np.array([1.0, 0.5, -0.3, 0.8, 0.2, -0.6]))
-        e0 = total(st.u)
+        e0 = total(st.u)["Htot"]
         u = RK4Flow(field).grid_states(st, np.linspace(0.0, 5.0, 5001))[-1]
-        assert abs(total(u) - e0) <= 1e-8 * (1 + abs(e0))
+        assert abs(total(u)["Htot"] - e0) <= 1e-8 * (1 + abs(e0))
 
     def test_no_potential_is_linear_field(self, monkeypatch):
         # the linear field is the companion matrix, in its two parts; it
@@ -411,13 +411,24 @@ class TestDeformedFlow:
 
     def test_potential_observable_rows_match_single_states(self):
         v1, v2, _ = invariant_directions(S1, DIRAC1)
-        U = PotentialObservable(self.QUARTIC, v1, v2)
+        energy = deformed_energy(S1, DIRAC1, self.QUARTIC, v1, v2)
         states = np.random.default_rng(4).uniform(-1, 1, size=(20, 6))
-        values = U.value(states)
+        values = energy(states)["U"]
         assert values.shape == (20,)
         for u, value in zip(states, values):
-            assert value == U.value(u)
+            assert value == energy(u)["U"]
             assert value == self.QUARTIC.value(float(v1 @ u), float(v2 @ u))
+
+    def test_energy_without_potential(self):
+        # U is 0 on every row, and Htot is Hcal + 0.0 bit for bit
+        energy = deformed_energy(S1, DIRAC1, None, None, None)
+        states = np.random.default_rng(5).uniform(-1, 1, size=(20, 6))
+        states[0] = 0.0
+        columns = energy(states)
+        assert columns["U"].tobytes() == np.zeros(20).tobytes()
+        assert columns["Htot"].tobytes() == (columns["Hcal"] + 0.0).tobytes()
+        assert energy(states[3]) == {"Hcal": columns["Hcal"][3], "U": 0.0,
+                                     "Htot": columns["Htot"][3]}
 
     def test_zero_potential_limit(self):
         # tiny coefficients: flow matches the linear one to first order
@@ -434,6 +445,6 @@ class TestDeformedFlow:
         field, v1, v2 = deformed_field(S1, g, self.QUARTIC)
         total = deformed_energy(S1, g, self.QUARTIC, v1, v2)
         st = PhaseState(0.3 * np.array([1.0, 0.5, -0.3, 0.8, 0.2, -0.6]))
-        e0 = total(st.u)
+        e0 = total(st.u)["Htot"]
         u = RK4Flow(field).grid_states(st, np.linspace(0.0, 2.0, 2001))[-1]
-        assert abs(total(u) - e0) <= 1e-8 * (1 + abs(e0))
+        assert abs(total(u)["Htot"] - e0) <= 1e-8 * (1 + abs(e0))
