@@ -243,7 +243,7 @@ def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
     overflow are evaluated again at rescaled amplitudes, and a Hamiltonian
     whose h * squares overflows before f_k shrinks it also at rescaled
     weights (``_rescaled``).  A value still non-finite raises
-    IntegrationError at the flow's start time.
+    IntegrationError at t = 0, the flow's start.
     """
     spec = sol.spec
     weights = [dirac_equivalent_gamma(spec.n).gamma]
@@ -258,7 +258,7 @@ def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
              + ["J_%d_%d" % (k, i) for k in range(spec.n) for i in (1, 2)])
     if not np.isfinite(values).all():
         name = names[int(np.argmin(np.isfinite(values)))]
-        raise IntegrationError("non-finite observable %s at t=%g" % (name, sol.t0), t=sol.t0)
+        raise IntegrationError("non-finite observable %s at t=0" % name, t=0.0)
     return list(zip(names, values.tolist()))
 
 

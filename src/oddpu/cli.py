@@ -187,29 +187,26 @@ def _emit_csv(header, columns, out_path, constants=()):
                 fh.write(receive() if receive and k % 2 else _csv_block(columns, start, suffix))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number_array(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
+    return isinstance(value, list) and all(map(deformation._is_finite_number, value))
 
 
 #: Each option: config key -> (flag type, flag nargs, test of its JSON
 #: value, what the value must be, help).  The flag is the key with "_" as
 #: "-"; a flag's value overrides the config file's.
 OPTIONS = {
-    "omegas": (float, "+", _is_number_array, "an array of numbers", "frequencies"),
-    "gamma": (float, "+", _is_number_array, "an array of numbers",
+    "omegas": (float, "+", _is_number_array, "an array of finite numbers", "frequencies"),
+    "gamma": (float, "+", _is_number_array, "an array of finite numbers",
               "2n weights: g01 g02 g11 g12 ..."),
-    "state": (float, "+", _is_number_array, "an array of numbers",
+    "state": (float, "+", _is_number_array, "an array of finite numbers",
               "initial jet vector (4n+2 entries)"),
-    "t_end": (float, None, _is_number, "a number", "last grid time (simulate, deform)"),
-    "dt": (float, None, _is_number, "a number",
+    "t_end": (float, None, deformation._is_finite_number, "a finite number",
+              "last grid time (simulate, deform)"),
+    "dt": (float, None, deformation._is_finite_number, "a finite number",
            "grid spacing (simulate, deform); the RK4 step (deform)"),
     "potential": (json.loads, None, lambda value: isinstance(value, dict), "an object",
                   'JSON: {"degree":d,"coeffs":[{"i":..,"j":..,"value":..}]}'),

@@ -102,8 +102,8 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
 
       t   = sum_m rho_m alpha_m^- reduced_sigma(0, m)   (= s sigma_0),
       c_k = (-1)^{k+1} t,
-      A_k = (gamma_{k,2} - gamma_{k,1}) c_k / 2,
-      B_k = (gamma_{k,1} + gamma_{k,2}) c_k / 2,
+      A_k = (gamma_{k,2} / 2 - gamma_{k,1} / 2) c_k,
+      B_k = (gamma_{k,1} / 2 + gamma_{k,2} / 2) c_k,
 
     the vector N_1 with x_1 = 1, x_1^{(2j+2)} = sum_k R[k, j] (1 - A_k) / w_k^2,
     x_2^{(2j+1)} = sum_k R[k, j] B_k / w_k (j < n) and zeros elsewhere is
@@ -112,6 +112,9 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     form holds at every n and at degenerate weights (t = 0) too.  t is
     summed over R[:, 0] with no w^2 divided out: the product s sigma_0
     would leave an ulp in 1 - A_k, which 1 / w_k^2 amplifies at small w.
+    The weights are halved first, so no sum of two overflows; N_1 is linear
+    in (1, t), so where it still overflows it is built at (1, t) / 2^k and
+    gamma / 2^j, the largest |t / 2^k| and |gamma / 2^(j+1)| in [1/2, 1).
 
     Basis convention: N_1 is the vector of the null space whose position
     part (jet entries x_1, x_2) is (1, 0).  The system is invariant under
@@ -127,20 +130,22 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     R = spec.table.residues
     sign = (-1.0) ** np.arange(spec.n)
     t = float((sign * g.alpha_minus) @ R[:, 0])
-    gamma = np.array(g.gamma)
-    c = -sign * t
-    A = (gamma[:, 1] - gamma[:, 0]) * c / 2
-    B = (gamma[:, 0] + gamma[:, 1]) * c / 2
+    half = np.array(g.gamma) / 2
     N1 = np.zeros(spec.jet_dim)
     d = N1.reshape(-1, 2)              # d[s, i - 1] = x_i^{(s)}
-    d[0, 0] = 1.0
-    d[2::2, 0] = ((1.0 - A) / np.array(spec.omega_sq)) @ R
-    d[1:-1:2, 1] = (B / np.array(spec.omegas)) @ R
+    for j, k in ((0, 0), (math.frexp(np.abs(half).max())[1], math.frexp(t)[1])):
+        one, c, h = math.ldexp(1.0, -j - k), -sign * math.ldexp(t, -k), np.ldexp(half, -j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d[0, 0] = one
+            d[2::2, 0] = ((one - (h[:, 1] - h[:, 0]) * c) / np.array(spec.omega_sq)) @ R
+            d[1:-1:2, 1] = ((h[:, 0] + h[:, 1]) * c / np.array(spec.omegas)) @ R
+        if np.isfinite(N1).all():
+            break
     norm = float(np.linalg.norm(N1))
     v1 = N1 / norm
     v2 = np.empty_like(v1)
     v2[0::2], v2[1::2] = -v1[1::2], v1[0::2]
-    return v1, v2, t / norm
+    return v1, v2, math.ldexp(math.ldexp(t, -k) / norm, -j)
 
 
 def closed_form_direction_n1(spec: FrequencySpectrum, g: GammaWeights, i: int) -> np.ndarray:
@@ -283,7 +288,7 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
     (v1, v2, M[-2:]) with u gives w1, w2 and M[-2:] u; the force is two
     scalar multiply-adds.
 
-    Returns (field, v1, v2); the field returns a fresh array per call.
+    Returns (field, v1, v2); ``field(u)`` returns a fresh array per call.
     With no potential the field is the linear one, M u, and v1, v2 are
     None: the null space is not needed.
     """
@@ -292,7 +297,7 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
     if potential is None:
         top_dot = top.dot
 
-        def field(_t, u):
+        def field(u):
             du = np.empty(dim)
             du[:-2] = u[2:]
             du[-2:] = top_dot(u)
@@ -302,7 +307,7 @@ def deformed_field(spec: FrequencySpectrum, g: GammaWeights, potential: Potentia
     v1, v2, b = invariant_directions(spec, g)
     rows_dot, grad = np.vstack((v1, v2, top)).dot, potential.grad
 
-    def field(_t, u):
+    def field(u):
         w1, w2, m1, m2 = rows_dot(u).tolist()
         g1, g2 = grad(w1, w2)
         du = np.empty(dim)

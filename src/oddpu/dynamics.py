@@ -3,7 +3,9 @@
 The model's (2n+1)-order equation of motion is realized as a linear
 first-order system ``du/dt = M u`` on the jet vector of all derivatives.
 Linear flows are propagated exactly by fitting modal amplitudes; nonlinear
-(deformed) flows use classical RK4, one step per grid interval.
+(deformed) flows use classical RK4, one step per grid interval.  The
+system is invariant under time translations, so a state is its jet vector
+alone, every flow starts from it at t = 0, and a field is ``field(u)``.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ def block_view(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Jet vector u at time t, in the jet layout: x_i^{(s)} at index 2s + i - 1."""
+    """Jet vector u in the jet layout: x_i^{(s)} at index 2s + i - 1."""
 
     u: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -52,7 +53,6 @@ class PhaseState:
         if not np.all(np.isfinite(u)):
             raise ValueError("jet vector entries must be finite")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "t", float(self.t))
 
     @property
     def n(self) -> int:
@@ -130,7 +130,6 @@ class ModalSolution:
         if state.n != spec.n:
             raise ValueError("state dimension does not match spectrum")
         self.spec = spec
-        self.t0 = state.t
         d = state.u.reshape(-1, 2)          # d[s, i - 1] = x_i^{(s)}(0)
         R = spec.table.residues
         self.amps = amps = np.empty_like(d)
@@ -141,7 +140,7 @@ class ModalSolution:
             amps[0] = d[0] - amps[1::2].sum(axis=0)
 
     def derivatives(self, t, smax: int) -> np.ndarray:
-        """Derivative stacks up to order smax at absolute time t; (smax+1, 2)
+        """Derivative stacks up to order smax at elapsed time t; (smax+1, 2)
         for a scalar t, (T, smax+1, 2) for an array of T times.
 
         The stacks are filled in blocks of ROW_BLOCK times, so the basis
@@ -154,20 +153,19 @@ class ModalSolution:
         # overflow in w t shows as non-finite entries, which callers check
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, taus.size, ROW_BLOCK):
-                block = taus[lo:lo + ROW_BLOCK] - self.t0
                 # one small product per time: a single 2-D product over all
                 # times would round differently
-                np.matmul(_basis_derivatives(self.spec, block, smax), self.amps,
-                          out=stacks[lo:lo + ROW_BLOCK])
+                np.matmul(_basis_derivatives(self.spec, taus[lo:lo + ROW_BLOCK], smax),
+                          self.amps, out=stacks[lo:lo + ROW_BLOCK])
         return stacks.reshape(t.shape + stacks.shape[1:])
 
     def states(self, times) -> np.ndarray:
-        """Jet vectors at each absolute time; (T, 4n+2), in the jet layout."""
+        """Jet vectors at each elapsed time; (T, 4n+2), in the jet layout."""
         stacks = self.derivatives(np.ravel(times), 2 * self.spec.n)
         return stacks.reshape(len(stacks), self.spec.jet_dim)
 
     def grid_states(self, state: PhaseState, grid) -> np.ndarray:
-        """Jet vectors at each time of a grid starting at state.t, from one
+        """Jet vectors at each time of a grid starting at 0, from one
         evaluation; (T, 4n+2), row 0 = state.u.  A non-finite state raises
         IntegrationError at the first grid time that has one."""
         grid = np.asarray(grid, dtype=float)
@@ -179,19 +177,19 @@ class ModalSolution:
         return out
 
     def eval(self, t: float) -> PhaseState:
-        """The state at absolute time t."""
-        return PhaseState(self.states([t])[0], t)
+        """The state at elapsed time t."""
+        return PhaseState(self.states([t])[0])
 
 
 def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
     """The classical RK4 update of u over [t, t + h]; the one copy of the
-    formula.  Callers run it under ``np.errstate(over="ignore",
+    formula.  ``RK4Flow`` runs it under ``np.errstate(over="ignore",
     invalid="ignore")``: overflow is reported here as IntegrationError."""
     half = h / 2
-    k1 = field(t, u)
-    k2 = field(t + half, u + half * k1)
-    k3 = field(t + half, u + half * k2)
-    k4 = field(t + h, u + h * k3)
+    k1 = field(u)
+    k2 = field(u + half * k1)
+    k3 = field(u + half * k2)
+    k4 = field(u + h * k3)
     # k + k is 2 * k exactly
     u_next = u + (h / 6) * (k1 + (k2 + k2) + (k3 + k3) + k4)
     # a non-finite slope always makes the update non-finite, so one check
@@ -205,33 +203,21 @@ def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
     return u_next
 
 
-def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
-    """One classical fourth-order Runge-Kutta step; local error O(h^5).
-
-    ``field(t, u)`` returns du/dt.
-    """
-    if not h > 0.0:     # refuses nan too
-        raise ValueError("step size must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_next = _rk4_update(field, state.t, state.u, h)
-    return PhaseState(u_next, state.t + h)
-
-
 class RK4Flow:
-    """Classical RK4 flow of ``field(t, u)`` along a time grid: the grid is
-    the step schedule, one step of size t_r - t_{r-1} per interval.
+    """Classical RK4 flow of ``field(u)``, which returns du/dt, along a time
+    grid: the grid is the step schedule, one step of size t_r - t_{r-1} per
+    interval.  It is the one RK4 driver: ``rk4_step`` is its grid [0, h].
 
     ``grid_states`` advances along a whole grid on raw arrays, building no
-    PhaseState per step; ``grid_states(state, [state.t, t])[-1]`` is one
-    step to a later time t.
+    PhaseState per step.
     """
 
     def __init__(self, field):
         self.field = field
 
     def grid_states(self, state: PhaseState, grid) -> np.ndarray:
-        """Jet vectors at each time of a strictly increasing grid that
-        starts at state.t; (T, 4n+2), row 0 = state.u.
+        """Jet vectors at each time of a strictly increasing grid, starting
+        from state at grid[0]; (T, 4n+2), row 0 = state.u.
 
         Each interval starts from the exact grid time, so step round-off
         does not accumulate in t.
@@ -241,13 +227,21 @@ class RK4Flow:
         u = state.u
         out[0] = u
         field = self.field
-        t = state.t
+        t = times[0]
         with np.errstate(over="ignore", invalid="ignore"):
             for r in range(1, len(times)):
                 u = _rk4_update(field, t, u, times[r] - t)
                 out[r] = u
                 t = times[r]
         return out
+
+
+def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
+    """One classical fourth-order Runge-Kutta step of ``field(u)``, local
+    error O(h^5): one ``RK4Flow`` step over the grid [0, h]."""
+    if not h > 0.0:     # refuses nan too
+        raise ValueError("step size must be positive")
+    return PhaseState(RK4Flow(field).grid_states(state, [0.0, h])[-1])
 
 
 @dataclass(frozen=True)
@@ -259,7 +253,7 @@ class TrajectoryTable:
 
 
 def trajectory(flow, state: PhaseState, grid) -> TrajectoryTable:
-    """Tabulate a flow on a strictly increasing grid starting at state.t.
+    """Tabulate a flow from state on a strictly increasing grid starting at 0.
 
     ``flow`` is a ModalSolution or an RK4Flow; either gives every grid
     state in one ``grid_states`` call.  An observable's column is its
@@ -268,8 +262,8 @@ def trajectory(flow, state: PhaseState, grid) -> TrajectoryTable:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         return TrajectoryTable(grid, np.empty((0, state.u.size)))
-    if abs(grid[0] - state.t) > 1e-12:
-        raise ValueError("grid must start at the state's time")
+    if abs(grid[0]) > 1e-12:
+        raise ValueError("grid must start at 0")
     if not (np.diff(grid) > 0).all():
         raise ValueError("time grid must be strictly increasing")
     return TrajectoryTable(grid, flow.grid_states(state, grid))

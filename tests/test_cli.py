@@ -787,6 +787,16 @@ class TestDeformCommand:
         htot = data[:, 9]
         assert np.abs(htot - htot[0]).max() <= 1e-8 * (1 + abs(htot[0]))
 
+    @pytest.mark.parametrize("gamma", [["1e308", "-1e308"], ["1e-9", "-1e308"]])
+    def test_weights_near_the_float_range(self, capsys, gamma):
+        # the invariant directions overflowed to nan: two numpy warnings, exit 4
+        code, out, err = run_strict(
+            ["deform", "--omegas", "2", "--gamma", *gamma, "--state", "0.3", "0", "1", "0",
+             "0", "0.2", "--t-end", "1", "--dt", "0.5",
+             "--potential", '{"coeffs":[{"i":2,"j":0,"value":1}]}'], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 4
+
     def test_degenerate_gamma_exit_code(self, capsys):
         argv = list(self.ARGS)
         argv[argv.index("-1")] = "1"
@@ -1137,6 +1147,9 @@ class TestConfigHandling:
         ("t_end", True), ("t_end", "1"), ("dt", [0.1]),
         ("seed", 1.0), ("seed", "7"), ("n_max", 1.9), ("n_max", False), ("trials", [3]),
         ("potential", [1]), ("potential", '{"degree": 1}'),
+        # an integer past the float64 range: a traceback with exit 1 before
+        pytest.param("omegas", [10 ** 400], id="omegas-past-float-range"),
+        pytest.param("t_end", 10 ** 400, id="t_end-past-float-range"),
     ])
     def test_config_value_types_checked(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"

@@ -202,6 +202,22 @@ class TestInvariantDirections:
                 assert rank == 4 * n
                 assert _subspace_gap(basis, np.vstack([v1, v2])) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pair", [(1e308, -1e308), (1e-9, -1e308), (-1e308, 1e-9),
+                                      (1e308, 1e-9)])
+    def test_weights_near_the_float_range(self, n, pair):
+        # gamma_2 - gamma_1 overflowed at +-1e308, and A_k itself at
+        # (1e-9, -1e308), which left v1 and b nan; the weights are halved
+        # first, and the null vector is built at a power-of-2 scale
+        spec = FrequencySpectrum(tuple(np.linspace(0.7, 2.0, n)))
+        flat = list(pair) * n
+        v1, v2, b = invariant_directions(spec, GammaWeights.from_flat(flat))
+        exact_v1, _, (_, exact_b) = exact_invariant_plane(exact_alt_structure(spec.omegas, flat))
+        eps = np.finfo(float).eps
+        assert np.abs(v1 - np.array([float(x) for x in exact_v1])).max() <= 16 * eps
+        assert abs(b - float(exact_b)) <= 32 * eps * abs(float(exact_b))
+        assert v2.tobytes() == rotate(v1).tobytes()
+
     @pytest.mark.parametrize("w", [1e-12, 1e-8, 1e-6, 0.3, 1.0, 1e8])
     def test_positions_exact_at_unit_weights_n1(self, w):
         # at gamma = (1, -1) the invariants are w_a = x_a at every w, as
@@ -332,7 +348,7 @@ class TestDeformedFlow:
         field, _, _ = deformed_field(spec, g, self.QUARTIC)
         for _ in range(10):
             u = rng.uniform(-0.5, 0.5, size=spec.jet_dim)
-            du = field(0.0, u)
+            du = field(u)
             for s in range(2 * spec.n):
                 for i in (1, 2):
                     assert du[2 * s + i - 1] == u[2 * (s + 1) + i - 1]
@@ -349,7 +365,7 @@ class TestDeformedFlow:
                 field, _, _ = deformed_field(spec, g, potential)
                 for u in rng.uniform(-1, 1, size=(4, spec.jet_dim)):
                     u[2] = -0.0
-                    assert field(0.0, u)[:-2].tobytes() == u[2:].tobytes()
+                    assert field(u)[:-2].tobytes() == u[2:].tobytes()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_force_matches_exact_top_rows(self, n):
@@ -364,7 +380,7 @@ class TestDeformedFlow:
             spec = random_spectrum(rng, n)
             g = random_gamma(rng, spec)
             field, v1, _ = deformed_field(spec, g, PotentialSpec(((1, 0, 1.0),)))
-            top = field(0.0, np.zeros(spec.jet_dim))[-2:]
+            top = field(np.zeros(spec.jet_dim))[-2:]
             exact_v1, _, exact = exact_invariant_plane(
                 exact_alt_structure(spec.omegas, np.ravel(g.gamma).tolist()))
             exact = np.array([float(x) for x in exact])
@@ -397,7 +413,7 @@ class TestDeformedFlow:
         assert v1 is None and v2 is None
         u = rng.uniform(-1, 1, size=spec.jet_dim)
         u[2] = -0.0
-        du = field(0.0, u)
+        du = field(u)
         assert du[:-2].tobytes() == u[2:].tobytes()
         assert du[-2:].tobytes() == (companion_matrix(spec)[-2:] @ u).tobytes()
 
@@ -405,8 +421,8 @@ class TestDeformedFlow:
         for potential in (None, self.QUARTIC):
             field, _, _ = deformed_field(S1, DIRAC1, potential)
             u = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.25])
-            first = field(0.0, u)
-            assert field(0.0, u) is not first
+            first = field(u)
+            assert field(u) is not first
             assert not np.shares_memory(first, u)
 
     def test_potential_observable_rows_match_single_states(self):
@@ -436,7 +452,7 @@ class TestDeformedFlow:
         field, _, _ = deformed_field(S1, DIRAC1, small)
         M = companion_matrix(S1)
         u = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.25])
-        assert np.abs(field(0.0, u) - M @ u).max() <= 1e-11
+        assert np.abs(field(u) - M @ u).max() <= 1e-11
 
     def test_degenerate_gamma_still_integrates(self):
         # degenerate structure matrices are constructed, not refused; the

@@ -1,5 +1,6 @@
 """Companion matrix, exact modal propagation, and the RK4 stepper."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,12 @@ def random_state(rng, spec, scale=1.0):
 
 
 class TestPhaseState:
+    def test_state_is_its_jet_vector(self):
+        # the system is invariant under time translations: no clock is kept
+        st = PhaseState(np.arange(6.0))
+        assert [f.name for f in dataclasses.fields(st)] == ["u"]
+        assert not hasattr(ModalSolution(FrequencySpectrum((1.0,)), st), "t0")
+
     def test_bad_length(self):
         with pytest.raises(ValueError):
             PhaseState(np.zeros(5))
@@ -113,7 +120,6 @@ class TestExactPropagate:
         st = PhaseState(np.array([1.0, 0, 0, 0, 0, 0]))
         out = ModalSolution(spec, st).eval(10.0)
         assert np.allclose(out.u, st.u, atol=1e-12)
-        assert out.t == pytest.approx(10.0)
 
     def test_sine_solution(self):
         # x_1(t) = sin t solves the third-order equation at w0 = 1
@@ -131,12 +137,17 @@ class TestExactPropagate:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_group_property(self, n):
+        # a fit to eval(a), evaluated at b, is eval(a + b): forward, and
+        # back to the start
         rng = np.random.default_rng(70 + n)
         spec = random_spectrum(rng, n)
         st = random_state(rng, spec)
-        fwd = ModalSolution(spec, st).eval(3.7)
-        back = ModalSolution(spec, fwd).eval(0.0)
-        assert np.abs(back.u - st.u).max() <= 1e-9 * max(1.0, np.abs(st.u).max())
+        sol = ModalSolution(spec, st)
+        tol = 1e-9 * max(1.0, np.abs(st.u).max())
+        for a, b in ((3.7, 1.9), (3.7, -3.7)):
+            composed = ModalSolution(spec, sol.eval(a)).eval(b)
+            assert np.abs(composed.u - sol.eval(a + b).u).max() <= tol
+        assert np.abs(sol.eval(0.0).u - st.u).max() <= tol
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_satisfies_eom(self, n):
@@ -174,7 +185,7 @@ class TestExactPropagate:
             B = np.zeros((smax + 1, 2 * n + 1))
             B[0, 0] = 1.0
             for k, w in enumerate(spec.omegas):
-                c, s = np.cos(w * (t - sol.t0)), np.sin(w * (t - sol.t0))
+                c, s = np.cos(w * t), np.sin(w * t)
                 for d in range(smax + 1):
                     B[d, 2 * k + 1] = w ** d * (c, -s, -c, s)[d % 4]
                     B[d, 2 * k + 2] = w ** d * (s, c, -s, -c)[d % 4]
@@ -210,9 +221,8 @@ class TestExactPropagate:
         # either side of a block edge, has the bits of its own evaluation
         rng = np.random.default_rng(600 + n)
         spec = random_spectrum(rng, n)
-        st = PhaseState(rng.uniform(-1, 1, size=spec.jet_dim), 0.37)
-        sol = ModalSolution(spec, st)
-        grid = st.t + np.arange(rows) / 64.0
+        sol = ModalSolution(spec, PhaseState(rng.uniform(-1, 1, size=spec.jet_dim)))
+        grid = 0.37 + np.arange(rows) / 64.0
         per_time = np.array([sol.states([t])[0] for t in grid])
         assert np.array_equal(sol.states(grid), per_time)
 
@@ -275,15 +285,22 @@ class TestExactPropagate:
 class TestRK4:
     def test_zero_field(self):
         st = PhaseState(np.arange(6.0))
-        out = rk4_step(lambda t, u: np.zeros(6), st, 0.1)
+        out = rk4_step(lambda u: np.zeros(6), st, 0.1)
         assert np.array_equal(out.u, st.u)
-        assert out.t == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("h", [0.1, 1 / 3, 2.5])
+    def test_step_is_one_flow_step(self, h):
+        # rk4_step is RK4Flow over the grid [0, h], bit for bit
+        field = TestRK4Flow().field()
+        st = PhaseState(np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
+        flow = RK4Flow(field).grid_states(st, [0.0, h])
+        assert rk4_step(field, st, h).u.tobytes() == flow[-1].tobytes()
 
     def test_single_step_matches_exact(self):
         spec = FrequencySpectrum((1.0,))
         M = companion_matrix(spec)
         st = PhaseState(np.array([0, 0, 1.0, 0, 0, 0]))
-        stepped = rk4_step(lambda t, u: M @ u, st, 0.01)
+        stepped = rk4_step(lambda u: M @ u, st, 0.01)
         exact = ModalSolution(spec, st).eval(0.01)
         assert np.abs(stepped.u - exact.u).max() <= 1e-10
 
@@ -291,7 +308,7 @@ class TestRK4:
         rng = np.random.default_rng(5)
         spec = random_spectrum(rng, 2)
         M = companion_matrix(spec)
-        field = lambda t, u: M @ u
+        field = lambda u: M @ u
         st = random_state(rng, spec)
         exact = ModalSolution(spec, st).eval(1.0)
         errs = []
@@ -303,17 +320,19 @@ class TestRK4:
         assert min(orders) >= 3.8
 
     def test_nonfinite_field_raises_with_time(self):
-        def bad(t, u):
+        def bad(u):
             return np.full(6, np.inf)
 
-        with pytest.raises(IntegrationError) as err:
+        # a step starts at t = 0, which the error reports
+        with pytest.raises(IntegrationError, match="^non-finite vector field near t=0$") as err:
             rk4_step(bad, PhaseState(np.zeros(6)), 0.1)
-        assert err.value.t is not None
+        assert err.value.t == 0.0
 
     def test_nonfinite_update_raises_with_time(self):
-        # finite slopes whose weighted sum overflows in the update
+        # finite slopes whose weighted sum overflows in the update of the
+        # grid interval that starts at t = 2
         with pytest.raises(IntegrationError) as err:
-            rk4_step(lambda t, u: np.full(6, 1e308), PhaseState(np.zeros(6), 2.0), 1.0)
+            RK4Flow(lambda u: np.full(6, 1e308)).grid_states(PhaseState(np.zeros(6)), [2.0, 3.0])
         assert err.value.t == 2.0
         assert "state" in str(err.value)
 
@@ -321,7 +340,7 @@ class TestRK4:
     def test_finite_state_whose_sum_overflows(self, sign):
         # the cheap sum test reads inf here; the entries are finite
         st = PhaseState(np.full(10, sign * 1e308))
-        out = rk4_step(lambda t, u: np.zeros(10), st, 0.1)
+        out = rk4_step(lambda u: np.zeros(10), st, 0.1)
         assert np.array_equal(out.u, st.u)
 
     @pytest.mark.parametrize("slope, message", [
@@ -331,14 +350,14 @@ class TestRK4:
     ])
     def test_nonfinite_messages(self, slope, message):
         with pytest.raises(IntegrationError) as err:
-            rk4_step(lambda t, u: slope, PhaseState(np.zeros(6), 2.0), 1.0)
+            RK4Flow(lambda u: slope).grid_states(PhaseState(np.zeros(6)), [2.0, 3.0])
         assert str(err.value) == message
         assert err.value.t == 2.0
 
     def test_nonpositive_step(self):
         for h in (0.0, float("nan")):
             with pytest.raises(ValueError, match="^step size must be positive$"):
-                rk4_step(lambda t, u: u, PhaseState(np.zeros(6)), h)
+                rk4_step(lambda u: u, PhaseState(np.zeros(6)), h)
 
 
 class TestRK4Flow:
@@ -351,33 +370,30 @@ class TestRK4Flow:
         return field
 
     def test_grid_matches_step_loop(self):
-        deformed = self.field()
-
-        def field(t, u):
-            # a time-dependent forcing, so the stage times count too
-            return deformed(t, u) + 0.1 * np.sin(t)
-
+        # each grid interval is one rk4_step of its width
+        field = self.field()
         st = PhaseState(2.0 * np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
         table = trajectory(RK4Flow(field), st, self.GRID)
         rows = [st.u]
         current = st
-        for t in self.GRID[1:]:
-            current = PhaseState(rk4_step(field, current, t - current.t).u, t)
+        for t0, t1 in zip(self.GRID[:-1], self.GRID[1:]):
+            current = rk4_step(field, current, t1 - t0)
             rows.append(current.u)
         assert table.states.tobytes() == np.array(rows).tobytes()
 
     @pytest.mark.parametrize("field, what", [
-        # the slopes turn infinite once t passes 0.5
-        (lambda t, u: np.full(6, np.inf if t > 0.5 else 1.0), "vector field"),
-        # finite slopes whose update overflows once t passes 0.5
-        (lambda t, u: np.full(6, 1e308 if t > 0.5 else 1.0), "state after the step"),
+        # from zero at unit slope every entry of u is about t: the slopes
+        # turn infinite once u[0] passes 0.6
+        (lambda u: np.full(6, np.inf if u[0] > 0.6 else 1.0), "vector field"),
+        # finite slopes whose update overflows once u[0] passes 0.6
+        (lambda u: np.full(6, 1e308 if u[0] > 0.6 else 1.0), "state after the step"),
     ])
     def test_nonfinite_inside_grid(self, field, what):
         with pytest.raises(IntegrationError) as err:
             trajectory(RK4Flow(field), PhaseState(np.zeros(6)), self.GRID)
         assert what in str(err.value)
         assert "t=" in str(err.value)
-        # the step over [0.3, 0.7] is the first with a stage past t = 0.5:
+        # the step over [0.3, 0.7] is the first with a stage past 0.6:
         # an infinite slope fails it; a 1e308 slope leaves its update finite
         # and overflows the next step's
         assert err.value.t == {"vector field": 0.3, "state after the step": 0.7}[what]
@@ -387,8 +403,8 @@ class TestRK4Flow:
         # point; each still takes one step of four field calls
         calls = []
 
-        def field(t, u):
-            calls.append(t)
+        def field(u):
+            calls.append(1)
             return -u
 
         RK4Flow(field).grid_states(PhaseState(np.ones(6)), np.arange(20001) * 0.005)
@@ -398,8 +414,8 @@ class TestRK4Flow:
     def test_non_increasing_grid_rejected_before_stepping(self, grid):
         calls = []
 
-        def field(t, u):
-            calls.append(t)
+        def field(u):
+            calls.append(1)
             return np.zeros(6)
 
         with pytest.raises(ValueError):
@@ -421,11 +437,14 @@ class TestTrajectory:
         table = trajectory(ModalSolution(spec, st), st, [0.0])
         assert np.allclose(table.states[0], st.u)
 
-    def test_grid_must_start_at_state_time(self):
+    def test_grid_must_start_at_zero(self):
+        # every flow starts from its state at t = 0, for either kind of flow
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.zeros(6))
-        with pytest.raises(ValueError):
-            trajectory(ModalSolution(spec, st), st, [1.0, 2.0])
+        for flow in (ModalSolution(spec, st), RK4Flow(lambda u: companion_matrix(spec) @ u)):
+            for grid in ([1.0, 2.0], [-0.5, 0.0, 1.0]):
+                with pytest.raises(ValueError, match="^grid must start at 0$"):
+                    trajectory(flow, st, grid)
 
     def test_energy_conserved_on_long_grid(self):
         rng = np.random.default_rng(9)
