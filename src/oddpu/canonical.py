@@ -347,7 +347,7 @@ def uniqueness_check(omega0: float, b: float, c: float, f: float) -> dict:
         state = PhaseState(rng.uniform(-1, 1, size=6))
         sol = ModalSolution(spec, state)
         w0 = W.value(state.u)
-        vals = W.value(sol.states(grid))
+        vals = W.value(sol.grid_states(grid))
         drift = max(drift, float(np.abs(vals - w0).max()) / (1.0 + abs(w0)))
 
     M = companion_matrix(spec)

@@ -336,7 +336,7 @@ def cmd_simulate(cfg, out_path) -> int:
     gamma = _gamma_from(cfg, spec) if "gamma" in cfg else None
     flow = dynamics.ModalSolution(spec, state)
     # a non-finite state is reported before a non-finite conserved column
-    states = flow.grid_states(state, grid)
+    states = flow.grid_states(grid)
     names, values = zip(*canonical.conserved_values(flow, gamma))
     _emit_csv(_state_header(spec.n) + list(names), (grid, states), out_path, values)
     return EXIT_OK
@@ -354,7 +354,7 @@ def cmd_deform(cfg, out_path) -> int:
     if "potential" in cfg:
         potential = deformation.PotentialSpec.from_json_dict(cfg["potential"])
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
-    states = dynamics.RK4Flow(field).grid_states(state, grid)
+    states = dynamics.RK4Flow(field, state).grid_states(grid)
     columns = deformation.deformed_energy(spec, gamma, potential, v1, v2)(states)
     # Htot is finite exactly where all three are: its first non-finite row
     # is the first bad row, reported at its leftmost non-finite column

@@ -111,6 +111,17 @@ def _basis_derivatives(spec: FrequencySpectrum, taus, smax: int) -> np.ndarray:
     return B
 
 
+def _check_grid(grid) -> np.ndarray:
+    """The time grid of a flow as floats; a ValueError unless it is not
+    empty, starts within 1e-12 of 0 (not nan) and strictly increases."""
+    grid = np.asarray(grid, dtype=float)
+    if not (grid.size and abs(grid[0]) <= 1e-12):
+        raise ValueError("grid must start at 0")
+    if not (grid[1:] > grid[:-1]).all():
+        raise ValueError("time grid must be strictly increasing")
+    return grid
+
+
 class ModalSolution:
     """Closed-form solution of the linear EOM through a given state.
 
@@ -121,15 +132,16 @@ class ModalSolution:
     b_k = (R x^{(1)})_k / w_k and c = x(0) - sum_k a_k.  Measured within
     2e-15 of an exact rational fit, relative to its largest amplitude, at
     n <= 14.  Evaluation at any time is then exact per mode, so a long
-    trajectory accumulates no round-off from step to step.  ``eval`` gives
-    one state, ``states`` the jet vectors at many times, and
-    ``grid_states`` a whole grid, which ``simulate`` calls directly.
+    trajectory accumulates no round-off from step to step.  The flow keeps
+    the state it was fitted through as its start at t = 0: ``eval`` gives
+    the state at one time, ``grid_states`` the jet vectors on a grid.
     """
 
     def __init__(self, spec: FrequencySpectrum, state: PhaseState):
         if state.n != spec.n:
             raise ValueError("state dimension does not match spectrum")
         self.spec = spec
+        self.state = state
         d = state.u.reshape(-1, 2)          # d[s, i - 1] = x_i^{(s)}(0)
         R = spec.table.residues
         self.amps = amps = np.empty_like(d)
@@ -159,18 +171,13 @@ class ModalSolution:
                           self.amps, out=stacks[lo:lo + ROW_BLOCK])
         return stacks.reshape(t.shape + stacks.shape[1:])
 
-    def states(self, times) -> np.ndarray:
-        """Jet vectors at each elapsed time; (T, 4n+2), in the jet layout."""
-        stacks = self.derivatives(np.ravel(times), 2 * self.spec.n)
-        return stacks.reshape(len(stacks), self.spec.jet_dim)
-
-    def grid_states(self, state: PhaseState, grid) -> np.ndarray:
-        """Jet vectors at each time of a grid starting at 0, from one
-        evaluation; (T, 4n+2), row 0 = state.u.  A non-finite state raises
-        IntegrationError at the first grid time that has one."""
-        grid = np.asarray(grid, dtype=float)
-        out = self.states(grid)
-        out[0] = state.u
+    def grid_states(self, grid) -> np.ndarray:
+        """Jet vectors at each time of a ``_check_grid`` grid, from one
+        evaluation; (T, 4n+2), row 0 = the fitted state.  A non-finite
+        state raises IntegrationError at the first grid time that has one."""
+        grid = _check_grid(grid)
+        out = self.derivatives(grid, 2 * self.spec.n).reshape(grid.size, -1)
+        out[0] = self.state.u
         if not np.isfinite(out).all():
             t = float(grid[~np.isfinite(out).all(axis=1)][0])
             raise IntegrationError("non-finite state at t=%g" % t, t=t)
@@ -178,7 +185,7 @@ class ModalSolution:
 
     def eval(self, t: float) -> PhaseState:
         """The state at elapsed time t."""
-        return PhaseState(self.states([t])[0])
+        return PhaseState(self.derivatives(t, 2 * self.spec.n).ravel())
 
 
 def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
@@ -204,27 +211,28 @@ def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
 
 
 class RK4Flow:
-    """Classical RK4 flow of ``field(u)``, which returns du/dt, along a time
-    grid: the grid is the step schedule, one step of size t_r - t_{r-1} per
-    interval.  It is the one RK4 driver: ``rk4_step`` is its grid [0, h].
+    """Classical RK4 flow of ``field(u)``, which returns du/dt, from
+    ``state`` at t = 0 along a time grid: one step of size t_r - t_{r-1}
+    per interval.  It is the one RK4 driver: ``rk4_step`` is its grid [0, h].
 
     ``grid_states`` advances along a whole grid on raw arrays, building no
     PhaseState per step.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, state: PhaseState):
         self.field = field
+        self.state = state
 
-    def grid_states(self, state: PhaseState, grid) -> np.ndarray:
-        """Jet vectors at each time of a strictly increasing grid, starting
-        from state at grid[0]; (T, 4n+2), row 0 = state.u.
+    def grid_states(self, grid) -> np.ndarray:
+        """Jet vectors at each time of a ``_check_grid`` grid, checked before
+        the first field call; (T, 4n+2), row 0 = the start state.
 
         Each interval starts from the exact grid time, so step round-off
         does not accumulate in t.
         """
-        times = np.asarray(grid, dtype=float).tolist()
-        out = np.empty((len(times), state.u.size))
-        u = state.u
+        times = _check_grid(grid).tolist()
+        u = self.state.u
+        out = np.empty((len(times), u.size))
         out[0] = u
         field = self.field
         t = times[0]
@@ -238,10 +246,8 @@ class RK4Flow:
 
 def rk4_step(field, state: PhaseState, h: float) -> PhaseState:
     """One classical fourth-order Runge-Kutta step of ``field(u)``, local
-    error O(h^5): one ``RK4Flow`` step over the grid [0, h]."""
-    if not h > 0.0:     # refuses nan too
-        raise ValueError("step size must be positive")
-    return PhaseState(RK4Flow(field).grid_states(state, [0.0, h])[-1])
+    error O(h^5): ``RK4Flow`` over the grid [0, h], so h must be positive."""
+    return PhaseState(RK4Flow(field, state).grid_states([0.0, h])[-1])
 
 
 @dataclass(frozen=True)
@@ -252,18 +258,6 @@ class TrajectoryTable:
     states: np.ndarray          # (len(times), 4n+2)
 
 
-def trajectory(flow, state: PhaseState, grid) -> TrajectoryTable:
-    """Tabulate a flow from state on a strictly increasing grid starting at 0.
-
-    ``flow`` is a ModalSolution or an RK4Flow; either gives every grid
-    state in one ``grid_states`` call.  An observable's column is its
-    ``value`` of ``states``, the (rows, dim) stack of grid states.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return TrajectoryTable(grid, np.empty((0, state.u.size)))
-    if abs(grid[0]) > 1e-12:
-        raise ValueError("grid must start at 0")
-    if not (np.diff(grid) > 0).all():
-        raise ValueError("time grid must be strictly increasing")
-    return TrajectoryTable(grid, flow.grid_states(state, grid))
+def trajectory(flow, grid) -> TrajectoryTable:
+    """The table of ``flow.grid_states(grid)``; no package code calls it."""
+    return TrajectoryTable(np.asarray(grid, dtype=float), flow.grid_states(grid))

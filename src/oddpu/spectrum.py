@@ -63,23 +63,29 @@ class SpectrumTable:
         ascending order.  Built in Python floats, in a fixed order: sigma
         and each reduced row by ``_elementary_coeffs``, rho as one product
         per mode, P by ``_complete_homogeneous_pass``.  No BLAS call
-        enters, so the table has the same bits under every BLAS kernel."""
+        enters, so the table has the same bits under every BLAS kernel.
+        Each rho's product must be a normal float; it is checked first."""
         n = len(w2)
+        prods = [math.prod(v - w2[k] for v in w2[:k] + w2[k + 1:]) for k in range(n)]
+        if not all(sys.float_info.min <= abs(p) < math.inf for p in prods):
+            raise ValueError("residue products out of the normal float64 range")
         sigma = tuple(_elementary_coeffs(w2)[::-1])
-        reduced, rhos = [], []
-        for k in range(n):
-            rest = w2[:k] + w2[k + 1:]          # every w^2 except w_k^2
-            reduced.append(tuple(_elementary_coeffs(rest)[::-1]))
-            rhos.append((-1.0) ** k / math.prod(v - w2[k] for v in rest))
+        reduced = tuple(tuple(_elementary_coeffs(w2[:k] + w2[k + 1:])[::-1])
+                        for k in range(n))
+        rhos = tuple((-1.0) ** k / p for k, p in enumerate(prods))
         P = tuple(_complete_homogeneous_pass(w2, max(n, P_TABLE_DEGREE)))
-        return cls(sigma, tuple(reduced), tuple(rhos), P)
+        return cls(sigma, reduced, rhos, P)
 
     @cached_property
     def residues(self) -> np.ndarray:
         """The read-only n x n matrix R[k, m] = (-1)^k rho_k reduced[k][m],
         the inverse of V[m, k] = (-w_k^2)^m (``id1_second``): R reads the
-        mode weights y_k off the stack sum_k (-w_k^2)^m y_k, m < n."""
-        R = ((-1.0) ** np.arange(len(self.rho)) * self.rho)[:, None] * self.reduced
+        mode weights y_k off the stack sum_k (-w_k^2)^m y_k, m < n.  An R
+        past the float64 range is refused with a ValueError, not a warning."""
+        with np.errstate(over="ignore"):
+            R = ((-1.0) ** np.arange(len(self.rho)) * self.rho)[:, None] * self.reduced
+        if not np.isfinite(R).all():
+            raise ValueError("spectrum residues out of float64 range")
         R.setflags(write=False)
         return R
 

@@ -131,7 +131,7 @@ def check_conservation(n_max, trials, seed) -> dict:
                        canonical.alt_hamiltonian_observable(spec, random_gamma(rng, spec)),
                        canonical.mode_integrals(spec)))
         state = dynamics.PhaseState(rng.uniform(-1, 1, size=spec.jet_dim))
-        states = dynamics.ModalSolution(spec, state).grid_states(state, grid)
+        states = dynamics.ModalSolution(spec, state).grid_states(grid)
         values = canonical.oscillator_sums(spec, D, states)   # one T u per state
         drift = np.abs(values - values[0]).max(axis=0)
         worst = max(worst, float((drift / (1.0 + np.abs(values[0]))).max()))
@@ -228,7 +228,7 @@ def check_deformation(n_max, trials, seed) -> dict:
     drifts = []
     for h in (1e-2, 5e-3, 2.5e-3):
         grid = np.arange(int(round(10.0 / h)) + 1) * h
-        energy = total(dynamics.trajectory(dynamics.RK4Flow(field), state0, grid).states)["Htot"]
+        energy = total(dynamics.RK4Flow(field, state0).grid_states(grid))["Htot"]
         drifts.append(float(np.abs(energy[1:] - energy[0]).max()))
     orders = [float(np.log2(drifts[i] / drifts[i + 1])) for i in range(2)]
     out = {"deformation_rank_null": {"failures": failures, "pass": not failures}}

@@ -394,7 +394,7 @@ class TestDeformedFlow:
         total = deformed_energy(spec, g, self.QUARTIC, v1, v2)
         st = PhaseState(0.4 * np.array([1.0, 0.5, -0.3, 0.8, 0.2, -0.6]))
         e0 = total(st.u)["Htot"]
-        u = RK4Flow(field).grid_states(st, np.linspace(0.0, 5.0, 5001))[-1]
+        u = RK4Flow(field, st).grid_states(np.linspace(0.0, 5.0, 5001))[-1]
         assert abs(total(u)["Htot"] - e0) <= 1e-8 * (1 + abs(e0))
 
     def test_no_potential_is_linear_field(self, monkeypatch):
@@ -462,5 +462,5 @@ class TestDeformedFlow:
         total = deformed_energy(S1, g, self.QUARTIC, v1, v2)
         st = PhaseState(0.3 * np.array([1.0, 0.5, -0.3, 0.8, 0.2, -0.6]))
         e0 = total(st.u)["Htot"]
-        u = RK4Flow(field).grid_states(st, np.linspace(0.0, 2.0, 2001))[-1]
+        u = RK4Flow(field, st).grid_states(np.linspace(0.0, 2.0, 2001))[-1]
         assert abs(total(u)["Htot"] - e0) <= 1e-8 * (1 + abs(e0))

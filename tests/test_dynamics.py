@@ -1,6 +1,7 @@
 """Companion matrix, exact modal propagation, and the RK4 stepper."""
 
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,13 @@ from conftest import exact_modal_amplitudes, jet_index
 
 def random_state(rng, spec, scale=1.0):
     return PhaseState(rng.uniform(-scale, scale, size=spec.jet_dim))
+
+
+def zero_until_t2(slope):
+    """A field that is zero for the four stages of the step over [0, 2] on
+    the grid [0, 2, 3], and ``slope`` from the step that starts at t = 2."""
+    calls = []
+    return lambda u: np.zeros(6) if calls.append(1) or len(calls) <= 4 else slope
 
 
 class TestPhaseState:
@@ -167,9 +175,10 @@ class TestExactPropagate:
         spec = random_spectrum(rng, n)
         sol = ModalSolution(spec, random_state(rng, spec))
         grid = np.arange(300) * 0.37
-        states = sol.states(grid)
+        states = sol.grid_states(grid)
         assert states.shape == (300, spec.jet_dim)
-        assert np.array_equal(states, np.array([sol.eval(t).u for t in grid]))
+        assert np.array_equal(states[0], sol.state.u)
+        assert np.array_equal(states[1:], np.array([sol.eval(t).u for t in grid[1:]]))
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_states_match_per_time_reference(self, n):
@@ -181,7 +190,7 @@ class TestExactPropagate:
         sol = ModalSolution(spec, random_state(rng, spec))
         grid = np.arange(200) * 0.61
         smax = 2 * n
-        for t, u in zip(grid, sol.states(grid)):
+        for t, u in zip(grid, sol.derivatives(grid, smax).reshape(len(grid), -1)):
             B = np.zeros((smax + 1, 2 * n + 1))
             B[0, 0] = 1.0
             for k, w in enumerate(spec.omegas):
@@ -217,14 +226,14 @@ class TestExactPropagate:
     @pytest.mark.parametrize("rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
                                       2 * ROW_BLOCK + 3])
     def test_row_blocks_equal_per_time_states(self, n, rows):
-        # states evaluates in blocks of ROW_BLOCK times; every row, on
+        # derivatives evaluates in blocks of ROW_BLOCK times; every row, on
         # either side of a block edge, has the bits of its own evaluation
         rng = np.random.default_rng(600 + n)
         spec = random_spectrum(rng, n)
         sol = ModalSolution(spec, PhaseState(rng.uniform(-1, 1, size=spec.jet_dim)))
         grid = 0.37 + np.arange(rows) / 64.0
-        per_time = np.array([sol.states([t])[0] for t in grid])
-        assert np.array_equal(sol.states(grid), per_time)
+        per_time = np.array([sol.derivatives(t, 2 * n) for t in grid])
+        assert np.array_equal(sol.derivatives(grid, 2 * n), per_time)
 
     def test_states_memory_is_about_the_result(self):
         # the basis is held one row block at a time, so a long grid costs
@@ -234,7 +243,7 @@ class TestExactPropagate:
         grid = np.arange(100_001) / 128.0
         tracemalloc.start()
         try:
-            out = sol.states(grid)
+            out = sol.grid_states(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -277,7 +286,7 @@ class TestExactPropagate:
         spec = FrequencySpectrum(omegas)
         st = PhaseState(np.array(state, dtype=float))
         with pytest.raises(IntegrationError) as err:
-            ModalSolution(spec, st).grid_states(st, grid)
+            ModalSolution(spec, st).grid_states(grid)
         assert err.value.t == grid[row]
         assert "non-finite state at t=%g" % grid[row] in str(err.value)
 
@@ -293,7 +302,7 @@ class TestRK4:
         # rk4_step is RK4Flow over the grid [0, h], bit for bit
         field = TestRK4Flow().field()
         st = PhaseState(np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
-        flow = RK4Flow(field).grid_states(st, [0.0, h])
+        flow = RK4Flow(field, st).grid_states([0.0, h])
         assert rk4_step(field, st, h).u.tobytes() == flow[-1].tobytes()
 
     def test_single_step_matches_exact(self):
@@ -314,7 +323,7 @@ class TestRK4:
         errs = []
         for h in (0.02, 0.01, 0.005):
             grid = np.linspace(0.0, 1.0, round(1.0 / h) + 1)
-            u = RK4Flow(field).grid_states(st, grid)[-1]
+            u = RK4Flow(field, st).grid_states(grid)[-1]
             errs.append(np.abs(u - exact.u).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.8
@@ -331,8 +340,9 @@ class TestRK4:
     def test_nonfinite_update_raises_with_time(self):
         # finite slopes whose weighted sum overflows in the update of the
         # grid interval that starts at t = 2
+        flow = RK4Flow(zero_until_t2(np.full(6, 1e308)), PhaseState(np.zeros(6)))
         with pytest.raises(IntegrationError) as err:
-            RK4Flow(lambda u: np.full(6, 1e308)).grid_states(PhaseState(np.zeros(6)), [2.0, 3.0])
+            flow.grid_states([0.0, 2.0, 3.0])
         assert err.value.t == 2.0
         assert "state" in str(err.value)
 
@@ -350,13 +360,14 @@ class TestRK4:
     ])
     def test_nonfinite_messages(self, slope, message):
         with pytest.raises(IntegrationError) as err:
-            RK4Flow(lambda u: slope).grid_states(PhaseState(np.zeros(6)), [2.0, 3.0])
+            RK4Flow(zero_until_t2(slope), PhaseState(np.zeros(6))).grid_states([0.0, 2.0, 3.0])
         assert str(err.value) == message
         assert err.value.t == 2.0
 
     def test_nonpositive_step(self):
-        for h in (0.0, float("nan")):
-            with pytest.raises(ValueError, match="^step size must be positive$"):
+        # the grid [0, h] must strictly increase
+        for h in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="^time grid must be strictly increasing$"):
                 rk4_step(lambda u: u, PhaseState(np.zeros(6)), h)
 
 
@@ -373,7 +384,7 @@ class TestRK4Flow:
         # each grid interval is one rk4_step of its width
         field = self.field()
         st = PhaseState(2.0 * np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
-        table = trajectory(RK4Flow(field), st, self.GRID)
+        table = trajectory(RK4Flow(field, st), self.GRID)
         rows = [st.u]
         current = st
         for t0, t1 in zip(self.GRID[:-1], self.GRID[1:]):
@@ -390,7 +401,7 @@ class TestRK4Flow:
     ])
     def test_nonfinite_inside_grid(self, field, what):
         with pytest.raises(IntegrationError) as err:
-            trajectory(RK4Flow(field), PhaseState(np.zeros(6)), self.GRID)
+            trajectory(RK4Flow(field, PhaseState(np.zeros(6))), self.GRID)
         assert what in str(err.value)
         assert "t=" in str(err.value)
         # the step over [0.3, 0.7] is the first with a stage past 0.6:
@@ -407,7 +418,7 @@ class TestRK4Flow:
             calls.append(1)
             return -u
 
-        RK4Flow(field).grid_states(PhaseState(np.ones(6)), np.arange(20001) * 0.005)
+        RK4Flow(field, PhaseState(np.ones(6))).grid_states(np.arange(20001) * 0.005)
         assert len(calls) == 4 * 20000
 
     @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
@@ -419,32 +430,93 @@ class TestRK4Flow:
             return np.zeros(6)
 
         with pytest.raises(ValueError):
-            trajectory(RK4Flow(field), PhaseState(np.zeros(6)), grid)
+            trajectory(RK4Flow(field, PhaseState(np.zeros(6))), grid)
         assert calls == []
+
+
+class TestGridStates:
+    # each flow holds its start state, and one grid check runs before any
+    # evaluation or field call
+    STATE = PhaseState(np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
+    START = "^grid must start at 0$"
+    INCREASING = "^time grid must be strictly increasing$"
+
+    def modal(self):
+        sol = ModalSolution(FrequencySpectrum((1.0,)), self.STATE)
+        calls = []
+        derivatives = sol.derivatives
+        sol.derivatives = lambda *args: calls.append(1) or derivatives(*args)
+        return sol, calls
+
+    def rk4(self):
+        calls = []
+        M = companion_matrix(FrequencySpectrum((1.0,)))
+        return RK4Flow(lambda u: calls.append(1) or M @ u, self.STATE), calls
+
+    @pytest.mark.parametrize("grid, message", [
+        ([1.0, 2.0], START), ([], START), ([np.nan], START), ([1e-11, 1.0], START),
+        ([0.0, 1.0, 1.0], INCREASING), ([0.0, 1.0, np.nan], INCREASING),
+    ])
+    def test_modal_refuses_before_evaluating(self, grid, message):
+        sol, calls = self.modal()
+        with pytest.raises(ValueError, match=message):
+            sol.grid_states(grid)
+        assert calls == []
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.0, 2.0, 1.0], INCREASING), ([1.0, 2.0], START), ([0.0, -1.0, 0.5], INCREASING),
+    ])
+    def test_rk4_refuses_before_first_field_call(self, grid, message):
+        flow, calls = self.rk4()
+        with pytest.raises(ValueError, match=message):
+            flow.grid_states(grid)
+        assert calls == []
+
+    @pytest.mark.parametrize("start", [0.0, 1e-13, -1e-13])
+    def test_start_state_is_row_zero(self, start):
+        # a first time within 1e-12 of 0 is the start
+        for make in (self.modal, self.rk4):
+            flow, calls = make()
+            states = flow.grid_states([start, 0.5, 1.0])
+            assert calls
+            assert states[0].tobytes() == self.STATE.u.tobytes()
+
+    def test_flows_take_no_state_per_grid(self):
+        for flow in (ModalSolution, RK4Flow):
+            assert list(inspect.signature(flow.grid_states).parameters) == ["self", "grid"]
+        assert not hasattr(ModalSolution, "states")
+
+    def test_trajectory_is_the_grid_states_table(self):
+        grid = [0, 0.25, 1]
+        for make in (self.modal, self.rk4):
+            flow, _ = make()
+            table = trajectory(flow, grid)
+            assert table.times.dtype == float and table.times.tolist() == grid
+            assert table.states.tobytes() == flow.grid_states(grid).tobytes()
 
 
 class TestTrajectory:
     def test_empty_grid(self):
+        # an empty grid has no start state to hold
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.zeros(6))
-        table = trajectory(ModalSolution(spec, st), st, [])
-        assert table.times.size == 0
-        assert table.states.shape == (0, 6)
+        with pytest.raises(ValueError, match="^grid must start at 0$"):
+            trajectory(ModalSolution(spec, st), [])
 
     def test_single_point_grid(self):
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.arange(6.0) / 10)
-        table = trajectory(ModalSolution(spec, st), st, [0.0])
+        table = trajectory(ModalSolution(spec, st), [0.0])
         assert np.allclose(table.states[0], st.u)
 
     def test_grid_must_start_at_zero(self):
         # every flow starts from its state at t = 0, for either kind of flow
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.zeros(6))
-        for flow in (ModalSolution(spec, st), RK4Flow(lambda u: companion_matrix(spec) @ u)):
+        for flow in (ModalSolution(spec, st), RK4Flow(lambda u: companion_matrix(spec) @ u, st)):
             for grid in ([1.0, 2.0], [-0.5, 0.0, 1.0]):
                 with pytest.raises(ValueError, match="^grid must start at 0$"):
-                    trajectory(flow, st, grid)
+                    trajectory(flow, grid)
 
     def test_energy_conserved_on_long_grid(self):
         rng = np.random.default_rng(9)
@@ -452,7 +524,7 @@ class TestTrajectory:
         st = random_state(rng, spec)
         H = energy_observable(spec)
         grid = np.linspace(0, 100, 500)
-        table = trajectory(ModalSolution(spec, st), st, grid)
+        table = trajectory(ModalSolution(spec, st), grid)
         col = oscillator_sums(spec, H, table.states)
         assert np.abs(col - col[0]).max() <= 1e-9 * (1 + abs(col[0]))
 
@@ -462,7 +534,7 @@ class TestTrajectory:
         spec = FrequencySpectrum(tuple(np.linspace(1.0, 3.0, 10)))
         st = PhaseState(np.linspace(-0.5, 0.5, 42))
         grid = np.arange(1001) * 0.1
-        table = trajectory(ModalSolution(spec, st), st, grid)
+        table = trajectory(ModalSolution(spec, st), grid)
         col = oscillator_sums(spec, energy_observable(spec), table.states)
         assert np.abs(col - col[0]).max() <= 1e-4 * (1 + abs(col[0]))
 
@@ -472,7 +544,7 @@ class TestTrajectory:
         st = random_state(rng, spec)
         flow = ModalSolution(spec, st)
         grid = np.linspace(0, 20, 101)
-        table = trajectory(flow, st, grid)
+        table = trajectory(flow, grid)
         assert np.array_equal(table.states[0], st.u)
         for t, u in zip(grid[1:], table.states[1:]):
             assert np.array_equal(u, flow.eval(t).u)
@@ -481,14 +553,14 @@ class TestTrajectory:
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.zeros(6))
         with pytest.raises(ValueError):
-            trajectory(ModalSolution(spec, st), st, [0.0, 2.0, 1.0])
+            trajectory(ModalSolution(spec, st), [0.0, 2.0, 1.0])
 
     def test_nonfinite_observable_names_column_and_time(self):
         # finite states whose quadratic forms overflow from t = 0: the
         # table holds the states, and their columns are the caller's to check
         spec = FrequencySpectrum((1.0,))
         st = PhaseState(np.array([0, 0, 1e160, 0, 0, 0]))
-        table = trajectory(ModalSolution(spec, st), st, [0.0, 0.5])
+        table = trajectory(ModalSolution(spec, st), [0.0, 0.5])
         assert np.isfinite(table.states).all()
         names = ["J_%d_%d" % (k, i) for k in range(spec.n) for i in (1, 2)]
         with np.errstate(over="ignore", invalid="ignore"):

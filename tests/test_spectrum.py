@@ -1,12 +1,15 @@
 """Symmetric-polynomial operations against brute-force oracles."""
 
+import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from oddpu import (FrequencySpectrum, complete_homog, complete_homogeneous,
-                   elementary_sigma, reduced_sigma, rho, verify_identities)
+                   elementary_sigma, reduced_sigma, rho, spectrum, verify_identities)
+from oddpu.cli import main
 from oddpu.verify import random_spectrum
 
 
@@ -312,3 +315,61 @@ class TestSpectrumTable:
                         == numpy_complete_homogeneous(values, k))
         assert complete_homogeneous([], 0) == 1.0
         assert complete_homogeneous([], 3) == 0.0
+
+
+def linspace_spectrum(n):
+    """The spectrum with w^2 = linspace(0.5, 1, n)."""
+    return FrequencySpectrum(tuple(np.sqrt(np.linspace(0.5, 1.0, n))))
+
+
+def linspace_flags(n):
+    return ["--omegas"] + [repr(w) for w in linspace_spectrum(n).omegas]
+
+
+class TestResidueRange:
+    # at w^2 = linspace(0.5, 1, n) the residue products prod (w_m^2 - w_k^2)
+    # leave the normal float range at n = 301 and underflow to 0 at n = 317;
+    # R = (-1)^k rho_k reduced_sigma overflows from n = 246
+
+    @pytest.mark.parametrize("n", [301, 302, 317, 320])
+    def test_products_refused_before_reduced_rows(self, n, monkeypatch):
+        spec = linspace_spectrum(n)
+        calls = []
+        coeffs = spectrum._elementary_coeffs
+        monkeypatch.setattr(spectrum, "_elementary_coeffs",
+                            lambda w2: calls.append(1) or coeffs(w2))
+        with pytest.raises(ValueError, match="residue products out of the normal float64 range"):
+            spec.table
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [246, 300])
+    def test_overflowing_residues_refused_without_warning(self, n):
+        table = linspace_spectrum(n).table
+        assert all(np.isfinite(table.rho))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="residues out of float64 range"):
+                table.residues
+
+    def test_last_finite_residues_kept(self):
+        assert np.isfinite(linspace_spectrum(245).table.residues).all()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"] + linspace_flags(320),
+        ["simulate"] + linspace_flags(246)
+        + ["--state"] + ["0.001"] * (4 * 246 + 2) + ["--t-end", "1", "--dt", "0.5"],
+    ])
+    def test_cli_refuses_as_bad_input(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_n300_spectrum_unchanged(self, tmp_path):
+        # the largest n of the family whose table is kept: exit 0, and the
+        # bytes the spectrum command printed before the range checks
+        path = tmp_path / "spectrum300.json"
+        assert main(["spectrum"] + linspace_flags(300) + ["--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0e9097ea0d7a146611017f79cfaf1f8cc8e1e7e5be0ade35883298dcca223de5")
