@@ -177,20 +177,18 @@ def oscillator_sums(spec: FrequencySpectrum, D, u):
     T u is one row-by-matrix product per state, and each weight vector
     one row-by-column product with its squares: the same kernels for a
     stack as for a single state and a single D, so every entry has the
-    bits of its own single call.  A state whose value overflows with
-    every coordinate finite is evaluated again by ``_rescaled``: an
-    indefinite sum such as H = 0 at coordinates near 1e160 stays finite.
+    bits of its own single call.  Each state's coordinates are summed at
+    T u / 2^e (``_scaled_down``) and the sum is scaled back by 2^(2e), so
+    only a value that is itself out of range is non-finite: an indefinite
+    sum such as H = 0 at coordinates near 1e160 stays 0.
     """
     u = np.asarray(u, dtype=float)
     D = np.asarray(D, dtype=float)
-    coords = (u[..., None, :] @ canonical_map(spec).T)[..., 0, :]
+    coords, e = _scaled_down((u[..., None, :] @ canonical_map(spec).T)[..., 0, :])
     columns = D.reshape(-1, D.shape[-1])[:, :, None]
-
-    def sums(c):
-        squares = (c * c)[..., None, None, :]
-        return (0.5 * (squares @ columns)[..., 0, 0]).reshape(c.shape[:-1] + D.shape[:-1])
-
-    v = _rescaled(sums, coords)
+    squares = (coords * coords)[..., None, None, :]
+    sums = 0.5 * (squares @ columns)[..., 0, 0]
+    v = np.ldexp(sums, 2 * e).reshape(coords.shape[:-1] + D.shape[:-1])
     return float(v) if v.ndim == 0 else v
 
 
@@ -202,25 +200,18 @@ def quadratic_form(spec: FrequencySpectrum, D) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _rescaled(f, x, degree=2):
-    """f(x), with x one vector or a stack of vectors along its last axis
-    (states, or flat weights) and f homogeneous of degree 1 or 2 in x.
-
-    A value that overflows where every entry of its vector is finite is
-    evaluated again at x / 2^e, max |x / 2^e| in [1, 2) per vector, and
-    scaled back by 2^e ``degree`` times, so only a value that is itself
-    out of range is non-finite.  Returns f(x) at once when every value is
-    finite, so a value in range keeps its bits.
-    """
-    v = f(x)
-    if np.isfinite(v).all():
-        return v
-    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1] - 1)
-    lead = x.shape[:-1] + (1,) * (np.ndim(v) - x.ndim + 1)    # one per vector, as v
-    back = scale.reshape(lead)
-    redo = ~np.isfinite(v) & np.isfinite(x).all(axis=-1).reshape(lead)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(redo, f(x / scale) * back * back ** (degree - 1), v)
+def _scaled_down(x):
+    """(x / 2^e, e) for one vector x or a stack of vectors along its last
+    axis, with e (shape x.shape[:-1] + (1,)) the least e >= 0 per vector
+    for which every |x / 2^e| < 2.  Each conserved column is linear in its
+    weights and quadratic in its state, so a caller evaluates once at the
+    scaled vectors and scales back once with ``np.ldexp``, exactly unless
+    an entry falls below the normal range.  e is never negative: weights
+    scaled up would push ``oscillator_sums``'s own scale-back past the
+    float range before their scale brought the value down again."""
+    x = np.asarray(x, dtype=float)
+    e = np.maximum(np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1] - 1, 0)
+    return np.ldexp(x, -e), e
 
 
 def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
@@ -233,27 +224,29 @@ def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
       J_{k,2} = f_k ((b_{k,1} - a_{k,2})^2 + (a_{k,1} + b_{k,2})^2)
 
     and (1/2) sum gamma_{k,i} J_{k,i}, written so that no J cancels
-    against another and with the weights halved first, h = gamma / 2, so
-    that no sum of two weights overflows, is
+    against another, is
 
-      sum_k f_k [(h_{k,1} + h_{k,2}) (a_{k,1}^2 + a_{k,2}^2 + b_{k,1}^2 + b_{k,2}^2)
-                 + (h_{k,1} - h_{k,2}) 2 (a_{k,2} b_{k,1} - a_{k,1} b_{k,2})]
+      (1/2) sum_k f_k [(gamma_{k,1} + gamma_{k,2}) (a_{k,1}^2 + a_{k,2}^2 + b_{k,1}^2 + b_{k,2}^2)
+                       + (gamma_{k,1} - gamma_{k,2}) 2 (a_{k,2} b_{k,1} - a_{k,1} b_{k,2})]
 
-    for Hcal, and for H at ``dirac_equivalent_gamma``.  Values whose terms
-    overflow are evaluated again at rescaled amplitudes, and a Hamiltonian
-    whose h * squares overflows before f_k shrinks it also at rescaled
-    weights (``_rescaled``).  A value still non-finite raises
-    IntegrationError at t = 0, the flow's start.
+    for Hcal, and for H at ``dirac_equivalent_gamma``.  Each is evaluated
+    once at the weights gamma / 2^e and the amplitudes / 2^a
+    (``_scaled_down``), where no sum of two weights and no square
+    overflows, and scaled back by 2^(e - 1 + 2a), each J by 2^(2a).  At
+    e = a = 0 the unhalved sum is below 2^7 n max f_k, and the spectrum's
+    range rule keeps f_k below 1e183.  A value still non-finite is itself
+    out of range and raises IntegrationError at t = 0, the flow's start.
     """
     spec = sol.spec
     weights = [dirac_equivalent_gamma(spec.n).gamma]
     if g is not None:
         _require_sizes_match(spec, g)
         weights.append(g.gamma)
-    halves = 0.5 * np.array(weights).reshape(len(weights), -1)
+    weights, e = _scaled_down(np.array(weights).reshape(len(weights), -1))
+    amps, a = _scaled_down(sol.amps[1:].ravel())
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _rescaled(lambda amps: _amplitude_integrals(spec, amps, halves),
-                           sol.amps[1:].ravel())
+        hams, J = _amplitude_integrals(spec, amps, weights)
+        values = np.concatenate((np.ldexp(hams, e[:, 0] - 1 + 2 * a), np.ldexp(J, 2 * a)))
     names = (["H"] + ["Hcal"] * (g is not None)
              + ["J_%d_%d" % (k, i) for k in range(spec.n) for i in (1, 2)])
     if not np.isfinite(values).all():
@@ -262,23 +255,20 @@ def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
     return list(zip(names, values.tolist()))
 
 
-def _amplitude_integrals(spec: FrequencySpectrum, amps: np.ndarray, halves: np.ndarray):
-    """The Hamiltonians at each row of the halved flat weights ``halves``
-    (m, 2n), then every J_{k,i}, from the flat amplitudes
+def _amplitude_integrals(spec: FrequencySpectrum, amps: np.ndarray, weights: np.ndarray):
+    """(Twice the Hamiltonian at each row of the flat weights ``weights``
+    (m, 2n), every J_{k,i}) from the flat amplitudes
     ``ModalSolution.amps[1:].ravel()`` (a_0, b_0, a_1, ..., two each)."""
     amps = amps.reshape(2 * spec.n, 2)
     a, b = amps[0::2], amps[1::2]                       # (n, 2): [k, i - 1]
     f = np.array(spec.omegas) ** 3 / (2 * np.array(spec.table.rho))
     squares = (amps * amps).reshape(spec.n, 4).sum(axis=1)
     cross = a[:, 1] * b[:, 0] - a[:, 0] * b[:, 1]
-
-    def hams(h):
-        h1, h2 = h[:, 0::2], h[:, 1::2]
-        return (f * ((h1 + h2) * squares + (h1 - h2) * (2 * cross))).sum(axis=-1)
-
+    g1, g2 = weights[:, 0::2], weights[:, 1::2]
+    hams = (f * ((g1 + g2) * squares + (g1 - g2) * (2 * cross))).sum(axis=-1)
     J = f[:, None] * np.stack(((b[:, 0] + a[:, 1]) ** 2 + (b[:, 1] - a[:, 0]) ** 2,
                                (b[:, 0] - a[:, 1]) ** 2 + (a[:, 0] + b[:, 1]) ** 2), axis=1)
-    return np.concatenate((_rescaled(hams, halves, degree=1), J.ravel()))
+    return hams, J.ravel()
 
 
 def quadratic_ansatz_observable(omega0: float, b: float, c: float, f: float) -> QuadraticObservable:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _oscillator_weights, _rescaled, oscillator_sums
+from .canonical import _oscillator_weights, _scaled_down, oscillator_sums
 from .dynamics import J2, companion_matrix
 from .poisson import GammaWeights, _require_sizes_match, alt_structure
 from .spectrum import FrequencySpectrum
@@ -325,17 +325,17 @@ def deformed_energy(spec: FrequencySpectrum, g: GammaWeights, potential: Potenti
     (rows, dim) stack (arrays) to {"Hcal", "U", "Htot"}.  Htot = Hcal + U
     is conserved along the deformed flow; U = potential(v1 . u, v2 . u),
     or 0 with no potential, each w_a = v_a . u one row-by-column product,
-    which rounds as a single state's dot product does.  A non-finite Hcal
-    is evaluated again at gamma / 2^e (``_rescaled``): the weights gamma w^2
-    overflow long before Hcal does.  Values are not checked."""
+    which rounds as a single state's dot product does.  Hcal is summed
+    once at gamma / 2^e (``_scaled_down``) and scaled back by 2^e: gamma
+    w^2 overflows long before Hcal does.  Values are not checked."""
     _require_sizes_match(spec, g)
-    gamma = np.ravel(g.gamma)
+    gamma, e = _scaled_down(np.ravel(g.gamma))
+    D = _oscillator_weights(spec, gamma.reshape(-1, 2))
 
     def columns(u):
         rows = np.atleast_2d(np.asarray(u, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):
-            hcal = _rescaled(lambda w: oscillator_sums(
-                spec, _oscillator_weights(spec, w.reshape(-1, 2)), rows), gamma, degree=1)
+            hcal = np.ldexp(oscillator_sums(spec, D, rows), e)
             if potential is None:
                 U = np.zeros(len(rows))
             else:

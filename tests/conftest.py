@@ -143,7 +143,7 @@ def exact_mode_integrals(omegas, u):
         for j in range(n):
             if j != k:
                 r = [w[j] ** 2 * c + (r[m - 1] if m else 0) for m, c in enumerate(r + [0])]
-        rho = _sign(k) / math.prod(w[j] ** 2 - w[k] ** 2 for j in range(n) if j != k)
+        rho = Fraction(_sign(k)) / math.prod(w[j] ** 2 - w[k] ** 2 for j in range(n) if j != k)
         D = [sum(r[m] * u[jet_index(2 * m + 1, i)] for m in range(n)) for i in (1, 2)]
         DD = [sum(r[m] * u[jet_index(2 * m + 2, i)] for m in range(n)) for i in (1, 2)]
         for i in (1, 2):

@@ -8,7 +8,7 @@ import pytest
 from oddpu import (DegeneracyError, FrequencySpectrum, GammaWeights, IntegrationError,
                    ModalSolution, PhaseState, alt_structure, companion_matrix,
                    degeneracy_scalar, dirac_equivalent_gamma, dirac_structure)
-from oddpu.canonical import (_rescaled, alt_hamiltonian_observable, canonical_map,
+from oddpu.canonical import (_scaled_down, alt_hamiltonian_observable, canonical_map,
                              conserved_values, energy_observable, mode_integrals,
                              oscillator_map, oscillator_sums, quadratic_ansatz_observable,
                              quadratic_form, scaled_canonical_map, uniqueness_check)
@@ -403,23 +403,25 @@ class TestFactoredObservable:
             assert np.array_equal(oscillator_sums(S1, H, np.vstack((u, -u))), [0.0, 0.0])
             for D in J:
                 assert oscillator_sums(S1, D, u) == np.inf
-            # a stack keeps each finite value and rescales only the others
+            # a stack scales each row by its own power of 2, so each keeps
+            # the bits of its single call
             both = oscillator_sums(S1, np.vstack((H, J)), np.vstack((u, u / 1e160)))
             assert np.array_equal(both[0], [0.0, np.inf, np.inf])
             assert np.array_equal(both[1], oscillator_sums(S1, np.vstack((H, J)), u / 1e160))
 
     def test_rescaled_small_weights(self):
-        # small weights: the squares 2^1060 overflow, the value does not
+        # small weights: the squares 2^1060 would overflow, the value does not
         small = np.array([2.0 ** -100, 2.0 ** -100])
 
         def half_weighted_squares(c):
-            return 0.5 * ((c * c)[..., None, :] @ small[:, None])[..., 0, 0]
+            scaled, e = _scaled_down(c)
+            value = 0.5 * ((scaled * scaled)[..., None, :] @ small[:, None])[..., 0, 0]
+            return np.ldexp(value, 2 * e[..., 0])
 
         c = np.array([1.0, 0.75]) * 2.0 ** 530
-        with np.errstate(over="ignore"):
-            assert _rescaled(half_weighted_squares, c) == 1.5625 * 2.0 ** 959
-            assert np.array_equal(_rescaled(half_weighted_squares, np.vstack((c, c / 2.0 ** 530))),
-                                  [1.5625 * 2.0 ** 959, 1.5625 * 2.0 ** -101])
+        assert half_weighted_squares(c) == 1.5625 * 2.0 ** 959
+        assert np.array_equal(half_weighted_squares(np.vstack((c, c / 2.0 ** 530))),
+                              [1.5625 * 2.0 ** 959, 1.5625 * 2.0 ** -101])
 
 
 class TestModeIntegrals:

@@ -407,11 +407,11 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("omega, gamma, state", [
         # Hcal is about 5e307 and -2e307 here, but gamma_1 + gamma_2 and
-        # 2 (gamma_1 - gamma_2) overflow: the weights are halved first
+        # 2 (gamma_1 - gamma_2) overflow: they are summed at gamma / 2^e
         pytest.param(1.0, (1e308, 1e308), (0, 0, 1, 0, 0, 0), id="gamma0-state0"),
         pytest.param(1.0, (1e308, -1e308), (0.3, 0, 1, 0, 0, 0.2), id="gamma1-state1"),
-        # Hcal is about 5e305 here, but h (a_1^2 + ...) overflows before
-        # f_0 = w^3 / (2 rho_0) shrinks it: the weights are rescaled
+        # Hcal is about 5e305 here, but gamma (a_1^2 + ...) overflows before
+        # f_0 = w^3 / (2 rho_0) shrinks it: it is summed at gamma / 2^e
         pytest.param(0.01, (1e308, 1e308), (0, 0, 1, 0, 0, 0), id="small-frequency"),
     ])
     def test_hcal_at_weights_near_float_range(self, capsys, omega, gamma, state):
@@ -967,19 +967,23 @@ class TestDeformCommand:
 
     def test_hcal_at_weights_near_float_range(self, capsys):
         # D = gamma w^2 overflows at the q rows though Hcal is about -2e307:
-        # the weights are rescaled.  Each row is held to the exact Hcal of
-        # its printed state
-        gamma = (1e308, -1e308)
-        argv = ["deform", "--omegas", "2", "--gamma", *map(repr, gamma),
-                "--state", "0.3", "0", "1", "0", "0", "0.2", "--t-end", "1", "--dt", "0.5"]
-        code, out, err = run_strict(argv, capsys)
-        assert (code, err) == (0, "")
-        rows = [[float(x) for x in row] for row in list(csv.reader(io.StringIO(out)))[1:]]
-        assert len(rows) == 3
-        for row in rows:
-            hcal, u, htot = row[7:]
-            assert_hcal_near_exact(hcal, (2.0,), gamma, row[1:7])
-            assert (u, htot) == (0.0, hcal)
+        # Hcal is summed at gamma / 2^e.  Tiny weights are never scaled up:
+        # at gamma 2^30, Hcal = 1e301 at states near 1e155 would overflow.
+        # Each row is held to the exact Hcal of its printed state
+        cases = [("2", (1e308, -1e308), ["0.3", "0", "1", "0", "0", "0.2"], "1", "0.5", 3),
+                 ("1", (1e-9, -2e-9), ["1e155", "0", "0", "1e155", "1e155", "0"],
+                  "0.001", "0.001", 2)]
+        for omega, gamma, state, t_end, dt, count in cases:
+            argv = ["deform", "--omegas", omega, "--gamma", *map(repr, gamma),
+                    "--state", *state, "--t-end", t_end, "--dt", dt]
+            code, out, err = run_strict(argv, capsys)
+            assert (code, err) == (0, "")
+            rows = [[float(x) for x in row] for row in list(csv.reader(io.StringIO(out)))[1:]]
+            assert len(rows) == count
+            for row in rows:
+                hcal, u, htot = row[7:]
+                assert_hcal_near_exact(hcal, (float(omega),), gamma, row[1:7])
+                assert (u, htot) == (0.0, hcal)
 
 
 class TestOutputIdentity:

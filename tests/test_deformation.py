@@ -207,8 +207,9 @@ class TestInvariantDirections:
                                       (1e308, 1e-9)])
     def test_weights_near_the_float_range(self, n, pair):
         # gamma_2 - gamma_1 overflowed at +-1e308, and A_k itself at
-        # (1e-9, -1e308), which left v1 and b nan; the weights are halved
-        # first, and the null vector is built at a power-of-2 scale
+        # (1e-9, -1e308), which left v1 and b nan; invariant_directions
+        # halves the weights first and builds the null vector at a
+        # power-of-2 scale
         spec = FrequencySpectrum(tuple(np.linspace(0.7, 2.0, n)))
         flat = list(pair) * n
         v1, v2, b = invariant_directions(spec, GammaWeights.from_flat(flat))
