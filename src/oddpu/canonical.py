@@ -155,9 +155,14 @@ def energy_observable(spec: FrequencySpectrum) -> np.ndarray:
 def alt_hamiltonian_observable(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     """The weights D of the gamma-weighted Hamiltonian
     (1/2) sum_k [gamma_{k,1} (p_{k,1}^2 + w_k^2 q_{k,1}^2)
-                 + gamma_{k,2} (p_{k,2}^2 + w_k^2 q_{k,2}^2)]."""
+                 + gamma_{k,2} (p_{k,2}^2 + w_k^2 q_{k,2}^2)];
+    a weight gamma w_k^2 past the float64 range raises ValueError."""
     _require_sizes_match(spec, g)
-    return _read_only(_oscillator_weights(spec, g.gamma))
+    with np.errstate(over="ignore"):
+        D = _oscillator_weights(spec, g.gamma)
+    if not np.isfinite(D).all():
+        raise ValueError("weights gamma * w^2 out of float64 range")
+    return _read_only(D)
 
 
 def mode_integrals(spec: FrequencySpectrum) -> np.ndarray:

@@ -112,9 +112,11 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     form holds at every n and at degenerate weights (t = 0) too.  t is
     summed over R[:, 0] with no w^2 divided out: the product s sigma_0
     would leave an ulp in 1 - A_k, which 1 / w_k^2 amplifies at small w.
-    The weights are halved first, so no sum of two overflows; N_1 is linear
-    in (1, t), so where it still overflows it is built at (1, t) / 2^k and
-    gamma / 2^j, the largest |t / 2^k| and |gamma / 2^(j+1)| in [1/2, 1).
+    N_1 is built once: where t != 0 and j + k > 0, with max |gamma / 2^(j+1)|
+    and |t / 2^k| in [1/2, 1), at (1, t) / 2^k and gamma / 2^j, a power-of-2
+    multiple of N_1; elsewhere |t gamma| < 2 and it is built unscaled.  |N_1|
+    is taken at N_1's own power of 2 (``_scaled_down``), and an N_1 that is
+    itself past the float64 range raises ValueError.
 
     Basis convention: N_1 is the vector of the null space whose position
     part (jet entries x_1, x_2) is (1, 0).  The system is invariant under
@@ -131,21 +133,24 @@ def invariant_directions(spec: FrequencySpectrum, g: GammaWeights):
     sign = (-1.0) ** np.arange(spec.n)
     t = float((sign * g.alpha_minus) @ R[:, 0])
     half = np.array(g.gamma) / 2
+    j, k = math.frexp(np.abs(half).max())[1], math.frexp(t)[1]
+    if t == 0.0 or j + k <= 0:
+        j = k = 0
+    one, c, h = math.ldexp(1.0, -j - k), -sign * math.ldexp(t, -k), np.ldexp(half, -j)
     N1 = np.zeros(spec.jet_dim)
     d = N1.reshape(-1, 2)              # d[s, i - 1] = x_i^{(s)}
-    for j, k in ((0, 0), (math.frexp(np.abs(half).max())[1], math.frexp(t)[1])):
-        one, c, h = math.ldexp(1.0, -j - k), -sign * math.ldexp(t, -k), np.ldexp(half, -j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d[0, 0] = one
-            d[2::2, 0] = ((one - (h[:, 1] - h[:, 0]) * c) / np.array(spec.omega_sq)) @ R
-            d[1:-1:2, 1] = ((h[:, 0] + h[:, 1]) * c / np.array(spec.omegas)) @ R
-        if np.isfinite(N1).all():
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        d[0, 0] = one
+        d[2::2, 0] = ((one - (h[:, 1] - h[:, 0]) * c) / np.array(spec.omega_sq)) @ R
+        d[1:-1:2, 1] = ((h[:, 0] + h[:, 1]) * c / np.array(spec.omegas)) @ R
+    if not np.isfinite(N1).all():
+        raise ValueError("invariant directions out of float64 range")
+    N1, m = _scaled_down(N1)
     norm = float(np.linalg.norm(N1))
     v1 = N1 / norm
     v2 = np.empty_like(v1)
     v2[0::2], v2[1::2] = -v1[1::2], v1[0::2]
-    return v1, v2, math.ldexp(math.ldexp(t, -k) / norm, -j)
+    return v1, v2, math.ldexp(math.ldexp(t, -k) / norm, -j - int(m[0]))
 
 
 def closed_form_direction_n1(spec: FrequencySpectrum, g: GammaWeights, i: int) -> np.ndarray:

@@ -335,6 +335,15 @@ class TestEnergy:
         with pytest.raises(ValueError):
             alt_hamiltonian_observable(S1, GammaWeights(((1.0, 1.0),) * 2))
 
+    def test_alt_hamiltonian_weights_past_float_range_refused(self):
+        # gamma w^2 = +-4e308 overflows at w = 2, which oscillator_sums
+        # turned into nan; at w = 1 the same weights are in range
+        g = GammaWeights(((1e308, -1e308),))
+        with pytest.raises(ValueError, match="float64 range"):
+            alt_hamiltonian_observable(FrequencySpectrum((2.0,)), g)
+        D = alt_hamiltonian_observable(S1, g)
+        assert D.tolist() == [1e308, 1e308, -1e308, -1e308, 0.0, 0.0]
+
 
 class TestFactoredObservable:
     """H, Hcal and every J_{k,i} are factored observables: weight vectors D

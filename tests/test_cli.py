@@ -24,8 +24,8 @@ from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals)
 from oddpu.cli import CSV_BLOCK_ROWS, MAX_GRID_ROWS, build_parser, main
 
-from conftest import (exact_coordinates, exact_deformed_rk4, exact_hamiltonians,
-                      exact_mode_integrals)
+from conftest import (exact_alt_structure, exact_coordinates, exact_deformed_rk4,
+                      exact_hamiltonians, exact_invariant_plane, exact_mode_integrals)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -796,6 +796,36 @@ class TestDeformCommand:
              "--potential", '{"coeffs":[{"i":2,"j":0,"value":1}]}'], capsys)
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 4
+
+    def test_invariant_norm_past_float_range(self, capsys):
+        # N_1 is finite here but |N_1|^2 overflows: an unscaled norm gave
+        # v1 = 0 and U = 0.0 on every row.  Each row's U is w1^2 at the
+        # printed state u, within 64 eps |u|_1^2 of the exact plane's
+        # (v1 . u)^2: 16 eps per entry of v1, the rounding of the dot
+        # product and of the square
+        code, out, err = run_strict(
+            ["deform", "--omegas", "1", "--gamma", "1", "1e160", "--state", "0.3", "0", "1",
+             "0", "0", "0.2", "--t-end", "1", "--dt", "0.5",
+             "--potential", '{"coeffs":[{"i":2,"j":0,"value":1}]}'], capsys)
+        assert (code, err) == (0, "")
+        exact_v1, _, _ = exact_invariant_plane(exact_alt_structure([1.0], [1.0, 1e160]))
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 3
+        eps = Fraction(np.finfo(float).eps)
+        for row in rows:
+            u = [Fraction(float(x)) for x in row[1:7]]
+            w1 = sum(Fraction(v) * x for v, x in zip(exact_v1, u))
+            assert abs(Fraction(float(row[8])) - w1 * w1) <= 64 * eps * sum(map(abs, u)) ** 2
+
+    def test_invariant_plane_past_float_range_is_bad_input(self, capsys):
+        # N_1 overflows at w_0 = 1e-152: one error line and exit 2, where
+        # numpy warnings and a non-finite field (exit 4) reached stderr
+        code, out, err = run_strict(
+            ["deform", "--omegas", "1e-152", "1e-3", "--gamma", "1", "1.0000000002", "1", "2",
+             "--state", *["0.1"] * 10, "--t-end", "1", "--dt", "0.5",
+             "--potential", '{"coeffs":[{"i":2,"j":0,"value":1}]}'], capsys)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err, "invariant directions out of float64 range")
 
     def test_degenerate_gamma_exit_code(self, capsys):
         argv = list(self.ARGS)

@@ -180,6 +180,16 @@ def seed0_cases(n):
     return cases
 
 
+def assert_exact_plane(spec, flat):
+    """v1 within 16 eps and b within 32 eps relative of the exact plane."""
+    v1, v2, b = invariant_directions(spec, GammaWeights.from_flat(flat))
+    exact_v1, _, (_, exact_b) = exact_invariant_plane(exact_alt_structure(spec.omegas, flat))
+    eps = np.finfo(float).eps
+    assert np.abs(v1 - np.array([float(x) for x in exact_v1])).max() <= 16 * eps
+    assert abs(b - float(exact_b)) <= 32 * eps * abs(float(exact_b))
+    assert v2.tobytes() == rotate(v1).tobytes()
+
+
 class TestInvariantDirections:
     """The closed-form null space: no rank decision, one stated basis."""
 
@@ -204,20 +214,28 @@ class TestInvariantDirections:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("pair", [(1e308, -1e308), (1e-9, -1e308), (-1e308, 1e-9),
-                                      (1e308, 1e-9)])
+                                      (1e308, 1e-9), (1.0, 1e160), (1e-9, 1e152)])
     def test_weights_near_the_float_range(self, n, pair):
         # gamma_2 - gamma_1 overflowed at +-1e308, and A_k itself at
-        # (1e-9, -1e308), which left v1 and b nan; invariant_directions
-        # halves the weights first and builds the null vector at a
-        # power-of-2 scale
+        # (1e-9, -1e308), which left v1 and b nan; at (1, 1e160) and
+        # (1e-9, 1e152) N_1 was finite but |N_1|^2 overflowed, which left
+        # v1 = 0 and b = 0.  invariant_directions builds N_1 once, at a
+        # power-of-2 scale chosen from gamma and t, and takes |N_1| at N_1's
+        # own power of 2
         spec = FrequencySpectrum(tuple(np.linspace(0.7, 2.0, n)))
-        flat = list(pair) * n
-        v1, v2, b = invariant_directions(spec, GammaWeights.from_flat(flat))
-        exact_v1, _, (_, exact_b) = exact_invariant_plane(exact_alt_structure(spec.omegas, flat))
-        eps = np.finfo(float).eps
-        assert np.abs(v1 - np.array([float(x) for x in exact_v1])).max() <= 16 * eps
-        assert abs(b - float(exact_b)) <= 32 * eps * abs(float(exact_b))
-        assert v2.tobytes() == rotate(v1).tobytes()
+        assert_exact_plane(spec, list(pair) * n)
+
+    def test_frequency_near_the_float_range(self):
+        # 1 / w^2 = 1e160 puts |N_1|^2 past the float range although N_1 is
+        # finite; a norm taken unscaled left v1 = 0
+        assert_exact_plane(FrequencySpectrum((1e-80,)), [1.0, 2.0])
+
+    def test_plane_past_the_float_range_refused(self):
+        # rho_0 / w_0^2 is about 1e310 at w_0 = 1e-152: N_1 itself overflows,
+        # which left v1 nan behind numpy warnings
+        spec = FrequencySpectrum((1e-152, 1e-3))
+        with pytest.raises(ValueError, match="float64 range"):
+            invariant_directions(spec, GammaWeights.from_flat([1.0, 1.0000000002, 1.0, 2.0]))
 
     @pytest.mark.parametrize("w", [1e-12, 1e-8, 1e-6, 0.3, 1.0, 1e8])
     def test_positions_exact_at_unit_weights_n1(self, w):
