@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import (J2, IntegrationError, ModalSolution, PhaseState, block_view,
-                       companion_matrix)
+from .dynamics import (J2, ModalSolution, PhaseState, block_view, companion_matrix,
+                       require_finite)
 from .poisson import (DegeneracyError, GammaWeights, QuadraticObservable,
                       _require_sizes_match, degeneracy_scalar, dirac_equivalent_gamma,
                       gamma_is_degenerate)
@@ -254,9 +254,7 @@ def conserved_values(sol: ModalSolution, g: GammaWeights | None = None) -> list:
         values = np.concatenate((np.ldexp(hams, e[:, 0] - 1 + 2 * a), np.ldexp(J, 2 * a)))
     names = (["H"] + ["Hcal"] * (g is not None)
              + ["J_%d_%d" % (k, i) for k in range(spec.n) for i in (1, 2)])
-    if not np.isfinite(values).all():
-        name = names[int(np.argmin(np.isfinite(values)))]
-        raise IntegrationError("non-finite observable %s at t=0" % name, t=0.0)
+    require_finite(values[None], [0.0], names)
     return list(zip(names, values.tolist()))
 
 

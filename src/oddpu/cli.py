@@ -17,10 +17,12 @@ any other key is refused.  Each command is declared once, in
 Exit codes: 0 pass, 1 verification failure, 2 bad input (an argument
 error or a refused config key or value included; one ``error:`` line on
 stderr), 3 degenerate structure requested where nondegeneracy is needed,
-4 a trajectory turned non-finite: an RK4 state or slope, a modal state
-of ``simulate``, or a column of ``simulate`` or ``deform``, whose Htot
-can overflow where Hcal and U do not (the error line gives t; a
-``simulate`` column is a run constant, reported at the first grid time).
+4 a trajectory turned non-finite: an RK4 state or slope, checked per
+step, or a value of a printed table, checked in one place,
+``dynamics.require_finite``: a modal state of ``simulate``, or a column
+of ``simulate`` or ``deform``, whose Htot can overflow where Hcal and U
+do not (the error line gives t; a ``simulate`` column is a run constant,
+reported at the first grid time).
 A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.
@@ -48,7 +50,7 @@ import sys
 import numpy as np
 
 from . import canonical, deformation, dynamics, poisson, verify
-from .dynamics import IntegrationError, PhaseState
+from .dynamics import IntegrationError, PhaseState, require_finite
 from .poisson import DegeneracyError, GammaWeights
 from .spectrum import P_TABLE_DEGREE, FrequencySpectrum, complete_homog, verify_identities
 
@@ -252,7 +254,7 @@ def _spectrum_from(cfg) -> FrequencySpectrum:
 
 
 def _gamma_from(cfg, spec) -> GammaWeights:
-    g = GammaWeights.from_flat([float(v) for v in cfg["gamma"]])
+    g = GammaWeights.from_flat([float(v) for v in _require(cfg, "gamma")])
     if g.n != spec.n:
         raise ValueError("gamma needs %d values for n=%d" % (2 * spec.n, spec.n))
     return g
@@ -344,7 +346,6 @@ def cmd_simulate(cfg, out_path) -> int:
 
 def cmd_deform(cfg, out_path) -> int:
     spec = _spectrum_from(cfg)
-    _require(cfg, "gamma")
     gamma = _gamma_from(cfg, spec)
     if poisson.gamma_is_degenerate(spec, gamma):
         raise DegeneracyError("deformation needs |s| > 0")
@@ -356,16 +357,8 @@ def cmd_deform(cfg, out_path) -> int:
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
     states = dynamics.RK4Flow(field, state).grid_states(grid)
     columns = deformation.deformed_energy(spec, gamma, potential, v1, v2)(states)
-    # Htot is finite exactly where all three are: its first non-finite row
-    # is the first bad row, reported at its leftmost non-finite column
-    bad = ~np.isfinite(columns["Htot"])
-    if bad.any():
-        row = int(bad.argmax())
-        name = next(name for name, col in columns.items() if not np.isfinite(col[row]))
-        raise IntegrationError("non-finite observable %s at t=%g" % (name, grid[row]),
-                               t=float(grid[row]))
-    _emit_csv(_state_header(spec.n) + list(columns), (grid, states, *columns.values()),
-              out_path)
+    energies = require_finite(np.column_stack(tuple(columns.values())), grid, list(columns))
+    _emit_csv(_state_header(spec.n) + list(columns), (grid, states, energies), out_path)
     return EXIT_OK
 
 

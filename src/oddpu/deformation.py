@@ -332,7 +332,8 @@ def deformed_energy(spec: FrequencySpectrum, g: GammaWeights, potential: Potenti
     or 0 with no potential, each w_a = v_a . u one row-by-column product,
     which rounds as a single state's dot product does.  Hcal is summed
     once at gamma / 2^e (``_scaled_down``) and scaled back by 2^e: gamma
-    w^2 overflows long before Hcal does.  Values are not checked."""
+    w^2 overflows long before Hcal does.  ``cli.cmd_deform`` checks the
+    values, with ``dynamics.require_finite``."""
     _require_sizes_match(spec, g)
     gamma, e = _scaled_down(np.ravel(g.gamma))
     D = _oscillator_weights(spec, gamma.reshape(-1, 2))

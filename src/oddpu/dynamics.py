@@ -19,11 +19,26 @@ from .spectrum import FrequencySpectrum
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a vector field turns non-finite during integration."""
+    """Raised when a flow, or a table computed along it, turns non-finite."""
 
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
+
+
+def require_finite(rows, times, names=None):
+    """``rows``, a 2-D table with one row per time of ``times``, refused
+    with IntegrationError at the first time whose row holds a non-finite
+    value: a state without ``names``, else the observable named by the
+    row's leftmost non-finite column.  The one check that makes a
+    non-finite table value exit 4 on the command line."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        r = int(np.argmin(finite.all(axis=1)))
+        t = float(times[r])
+        what = "state" if names is None else "observable " + names[int(np.argmin(finite[r]))]
+        raise IntegrationError("non-finite %s at t=%g" % (what, t), t=t)
+    return rows
 
 
 #: The 2x2 Levi-Civita block eps_ij, eps_12 = +1 (read-only).
@@ -178,10 +193,7 @@ class ModalSolution:
         grid = _check_grid(grid)
         out = self.derivatives(grid, 2 * self.spec.n).reshape(grid.size, -1)
         out[0] = self.state.u
-        if not np.isfinite(out).all():
-            t = float(grid[~np.isfinite(out).all(axis=1)][0])
-            raise IntegrationError("non-finite state at t=%g" % t, t=t)
-        return out
+        return require_finite(out, grid)
 
     def eval(self, t: float) -> PhaseState:
         """The state at elapsed time t."""

@@ -984,6 +984,11 @@ class TestDeformCommand:
         # bad row is named, not the first bad column
         (["1e39", "0", "0", "0", "0", "0"], "0.002",
          {"i": 8, "j": 0, "value": 1}, "non-finite observable U at t=0"),
+        # Htot = 1.28e308 is conserved while U climbs past the float range
+        # and Hcal falls to -5.2e307: U (1.796e308 at t = 1.24, 2e305 more
+        # per step) overflows first at t = 1.241, the first bad row
+        (["8e153", "0", "0", "8e153", "8e153", "0"], "1.3",
+         {"i": 2, "j": 0, "value": 1}, "non-finite observable U at t=1.241"),
     ])
     def test_overflowing_energy_column(self, capsys, state, t_end, coeff, message):
         argv = ["deform", "--omegas", "1", "--gamma", "1", "-1", "--state", *state,

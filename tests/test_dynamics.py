@@ -12,7 +12,7 @@ from oddpu import (FrequencySpectrum, IntegrationError, ModalSolution,
                    PotentialSpec, RK4Flow, canonical, rk4_step, trajectory, verify)
 from oddpu.canonical import energy_observable, mode_integrals, oscillator_sums
 from oddpu.deformation import deformed_field
-from oddpu.dynamics import J2, ROW_BLOCK, _basis_derivatives, block_view
+from oddpu.dynamics import J2, ROW_BLOCK, _basis_derivatives, block_view, require_finite
 from oddpu.poisson import GammaWeights
 from oddpu.verify import random_spectrum
 
@@ -289,6 +289,25 @@ class TestExactPropagate:
             ModalSolution(spec, st).grid_states(grid)
         assert err.value.t == grid[row]
         assert "non-finite state at t=%g" % grid[row] in str(err.value)
+
+
+class TestRequireFinite:
+    def test_finite_rows_returned_as_given(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        assert require_finite(rows, [0.0, 0.5, 1.0]) is rows
+        assert require_finite(rows, [0.0, 0.5, 1.0], ["a", "b"]) is rows
+
+    @pytest.mark.parametrize("names, message", [
+        (None, "non-finite state at t=0.5"),
+        # row 1 is bad in columns b and c; row 2 in a: the first bad row
+        # is named at its leftmost bad column
+        (["a", "b", "c"], "non-finite observable b at t=0.5"),
+    ])
+    def test_first_bad_row_leftmost_column(self, names, message):
+        rows = np.array([[1.0, 2.0, 3.0], [1.0, np.inf, np.nan], [-np.inf, 0.0, 0.0]])
+        with pytest.raises(IntegrationError, match="^%s$" % message) as err:
+            require_finite(rows, np.array([0.0, 0.5, 1.0]), names)
+        assert err.value.t == 0.5 and type(err.value.t) is float
 
 
 class TestRK4:
