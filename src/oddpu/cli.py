@@ -27,14 +27,17 @@ A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.
 
-CSV tables are written in blocks of ``CSV_BLOCK_ROWS`` rows.  Where a
-table has more than one block and the process may run on more than one
-CPU, one formatter process is forked once all numbers are computed: it
-formats the odd blocks and this process the even ones, and this process
-writes every block in order, so the bytes do not change.  No option
-selects this.  A formatter that fails ends the command with exit 2 and
-one ``error:`` line, like a failed write; it is killed if the command
-ends early and is always reaped.
+Two commands use a second CPU where the process may run on more than
+one, through ``worker.forked``, the one fork helper; no option selects
+this, and the bytes do not change.  CSV tables are written in blocks of
+``CSV_BLOCK_ROWS`` rows: for a table of more than one block, one
+formatter process is forked once all numbers are computed; it formats
+the odd blocks and this process the even ones, and this process writes
+every block in order.  ``verify`` runs criterion 8 in one forked worker
+while this process runs the other checks (``verify.run_all``).  A worker
+that fails ends the command with exit 2 and one ``error:`` line, like a
+failed write; it is killed if the command ends early and is always
+reaped.
 """
 
 from __future__ import annotations
@@ -44,12 +47,11 @@ import contextlib
 import json
 import os
 import re
-import signal
 import sys
 
 import numpy as np
 
-from . import canonical, deformation, dynamics, poisson, verify
+from . import canonical, deformation, dynamics, poisson, verify, worker
 from .dynamics import IntegrationError, PhaseState, require_finite
 from .poisson import DegeneracyError, GammaWeights
 from .spectrum import P_TABLE_DEGREE, FrequencySpectrum, complete_homog, verify_identities
@@ -81,87 +83,11 @@ def _emit_json(obj, out_path):
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _csv_block(columns, start, suffix) -> str:
     """CSV text of the ``CSV_BLOCK_ROWS`` rows from ``start``: the rows of
     ``columns`` side by side, each row ended by ``suffix``."""
     block = np.column_stack([col[start:start + CSV_BLOCK_ROWS] for col in columns]).tolist()
     return "".join(",".join(map(repr, row)) + suffix for row in block)
-
-
-def _receive(pipe) -> str:
-    """The next block the formatter sent: an 8-byte length, then the text."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    text = pipe.read(size)
-    if len(head) < 8 or len(text) < size:
-        raise OSError("CSV formatter closed its pipe early")
-    return text.decode("ascii")
-
-
-def _format_to_pipe(columns, starts, suffix, wfd):
-    """The forked formatter: send the blocks at ``starts`` down the pipe
-    end ``wfd`` in order, then leave through ``os._exit``, so that no
-    ``finally`` block or atexit handler of the caller runs here.  It first
-    closes every other descriptor, so that a reader of the caller's output
-    that closes its end, in the caller's process too, leaves it closed."""
-    status = 1
-    try:
-        os.closerange(0, wfd)
-        os.closerange(wfd + 1, os.sysconf("SC_OPEN_MAX"))
-        with os.fdopen(wfd, "wb") as pipe:
-            for start in starts:
-                text = _csv_block(columns, start, suffix).encode("ascii")
-                pipe.write(len(text).to_bytes(8, "little"))
-                pipe.write(text)
-                pipe.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-@contextlib.contextmanager
-def _odd_block_formatter(fh, columns, starts, suffix):
-    """Fork one process that formats the odd blocks of ``starts`` and
-    yield the function that returns the next of them; yield None where
-    nothing is forked: no ``os.fork``, one usable CPU, one block, or a
-    fork the system refuses.  The formatter is killed if the caller
-    leaves early and reaped on every path; a formatter that fails raises
-    ``OSError``."""
-    if len(starts) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
-        yield None
-        return
-    fh.flush()                          # the child's copy of the buffer is empty
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:                     # no process to spare: format every block here
-        pid = None
-    if pid == 0:
-        _format_to_pipe(columns, starts[1::2], suffix, wfd)
-    os.close(wfd)
-    if pid is None:
-        os.close(rfd)
-        yield None
-        return
-    pipe = os.fdopen(rfd, "rb")
-    try:
-        yield lambda: _receive(pipe)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pipe.close()
-    if status:
-        raise OSError("CSV formatter exited with status %d" % status)
 
 
 def _emit_csv(header, columns, out_path, constants=()):
@@ -184,9 +110,14 @@ def _emit_csv(header, columns, out_path, constants=()):
     starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
     with _output(out_path) as fh:
         fh.write(",".join(header) + "\n")
-        with _odd_block_formatter(fh, columns, starts, suffix) as receive:
+        if len(starts) > 1:
+            fh.flush()                  # a forked formatter's copy of the buffer is empty
+        with worker.forked("CSV formatter",
+                           lambda start: _csv_block(columns, start, suffix).encode("ascii"),
+                           starts[1::2]) as receive:
             for k, start in enumerate(starts):
-                fh.write(receive() if receive and k % 2 else _csv_block(columns, start, suffix))
+                fh.write(receive().decode("ascii") if receive and k % 2
+                         else _csv_block(columns, start, suffix))
 
 
 def _is_integer(value) -> bool:

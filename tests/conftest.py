@@ -1,6 +1,9 @@
 """Shared test helpers."""
 
+import contextlib
 import math
+import os
+import signal
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -257,3 +260,50 @@ def value_bound():
 @pytest.fixture
 def factored_bound_check():
     return within_factored_bound
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers (CSV formatters, verify workers) forked
+    during the test.  Any still a child at teardown is reaped, and killed
+    first if it is running, so a failing test leaves no process behind."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    for pid in pids:
+        with contextlib.suppress(ChildProcessError):      # reaped by the code under test
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+class Hung(Exception):
+    """A call that the watchdog ended."""
+
+
+@pytest.fixture
+def watchdog():
+    """A call that does not return within 20 s raises ``Hung`` instead of
+    hanging the run."""
+    def expire(signum, frame):
+        raise Hung("no return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    """No child of this process is running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

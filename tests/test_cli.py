@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -19,13 +20,14 @@ import pytest
 
 import oddpu
 from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, canonical, cli,
-                   degeneracy_scalar, dirac_structure, invariant_directions, verify)
+                   degeneracy_scalar, dirac_structure, invariant_directions, verify, worker)
 from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals)
 from oddpu.cli import CSV_BLOCK_ROWS, MAX_GRID_ROWS, build_parser, main
 
-from conftest import (exact_alt_structure, exact_coordinates, exact_deformed_rk4,
-                      exact_hamiltonians, exact_invariant_plane, exact_mode_integrals)
+from conftest import (assert_no_child_left, exact_alt_structure, exact_coordinates,
+                      exact_deformed_rk4, exact_hamiltonians, exact_invariant_plane,
+                      exact_mode_integrals)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -467,53 +469,6 @@ def serial_csv(header, table, constants=()) -> str:
                                              for row in table.tolist())
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the CSV formatters forked during the test.  Any still
-    a child at teardown is reaped, and killed first if it is running, so a
-    failing test leaves no process behind."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    yield pids
-    for pid in pids:
-        with contextlib.suppress(ChildProcessError):      # reaped by the code under test
-            if os.waitpid(pid, os.WNOHANG) == (0, 0):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-class Hung(Exception):
-    """A call that the watchdog ended."""
-
-
-@pytest.fixture
-def watchdog():
-    """A call that does not return within 20 s raises ``Hung`` instead of
-    hanging the run."""
-    def expire(signum, frame):
-        raise Hung("no return within 20 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(20)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_left():
-    """No child of this process is running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestCsvFormatter:
     """``_emit_csv`` with its formatter on (two usable CPUs) and off (one)
     writes the bytes of one process formatting every row."""
@@ -534,7 +489,7 @@ class TestCsvFormatter:
                                       3 * CSV_BLOCK_ROWS + 5])
     def test_bytes_equal_serial_rows(self, capsys, tmp_path, monkeypatch, forks, rows,
                                      constants, to_file, cpus):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: cpus)
         times, states = self.columns(rows)
         header = ["t"] + ["x%d" % j for j in range(10)] + ["k%d" % j for j in range(len(constants))]
         out = tmp_path / "table.csv" if to_file else None
@@ -548,7 +503,7 @@ class TestCsvFormatter:
         def refuse():
             raise BlockingIOError("fork refused")
 
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", refuse)
         times, states = self.columns(3 * CSV_BLOCK_ROWS + 5)
         cli._emit_csv(["t"] + ["x"] * 10, (times, states), tmp_path / "table.csv")
@@ -569,7 +524,7 @@ class TestFormatterHygiene:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
 
     def test_multi_block_call_reaps_the_formatter(self, capsys, forks, watchdog):
         code, out, err = run(self.ARGS, capsys)
@@ -636,6 +591,85 @@ class TestFormatterHygiene:
         code, out, err = run(self.ARGS, capsys)
         assert (code, len(out.splitlines()), len(forks)) == (2, 5002, 1)
         assert_one_error_line(err, "CSV formatter exited with status 3")
+        assert_no_child_left()
+
+
+class TestVerifyWorker:
+    """``verify.run_all`` with criterion 8 in a forked worker (two usable
+    CPUs), run here (one), or run here after a refused fork gives the same
+    summary.  The worker is reaped on every path, and killed first where a
+    check of this process raises."""
+
+    MODES = ["worker", "serial", "refused"]
+
+    @staticmethod
+    def use(monkeypatch, mode):
+        def refuse():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(worker, "_usable_cpus", lambda: 1 if mode == "serial" else 2)
+        if mode == "refused":
+            monkeypatch.setattr(os, "fork", refuse)
+
+    # seeds 45 and 67 fail today (ROADMAP item 8), so failing summaries count too
+    @pytest.mark.parametrize("seed", [0, 7, 42, 45, 67])
+    def test_summary_equal_in_every_mode(self, monkeypatch, forks, seed):
+        texts = []
+        for mode in self.MODES:
+            with monkeypatch.context() as patch:
+                self.use(patch, mode)
+                texts.append(json.dumps(verify.run_all(seed=seed), indent=2))
+        assert texts[1] == texts[0] == texts[2]
+        assert json.loads(texts[0])["pass"] is (seed not in (45, 67))
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_golden_in_every_mode(self, capsys, monkeypatch, forks, mode):
+        self.use(monkeypatch, mode)
+        code, out, err = run(["verify", "--n-max", "3", "--trials", "4", "--seed", "7"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (DATA / "verify_n3_t4_s7.json").read_text()
+        assert len(forks) == (mode == "worker")
+        assert_no_child_left()
+
+    def test_worker_exit_status_is_checked(self, capsys, monkeypatch, forks, watchdog):
+        # the result arrives, then the worker exits 3
+        self.use(monkeypatch, "worker")
+        exit_now = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))
+        code, out, err = run(["verify", "--n-max", "2", "--trials", "2"], capsys)
+        assert (code, out, len(forks)) == (2, "", 1)
+        assert_one_error_line(err, "verify worker exited with status 3")
+        assert_no_child_left()
+
+    def test_failing_worker_is_one_error_line(self, capsys, monkeypatch, forks, watchdog):
+        self.use(monkeypatch, "worker")
+        caller = os.getpid()
+
+        def failing(*args):
+            assert os.getpid() != caller, "criterion 8 ran in the caller"
+            raise MemoryError("injected into the worker")
+
+        monkeypatch.setattr(verify, "check_deformation", failing)
+        code, out, err = run(["verify", "--n-max", "2", "--trials", "2"], capsys)
+        assert (code, out, len(forks)) == (2, "", 1)
+        assert_one_error_line(err, "verify worker closed its pipe early")
+        assert_no_child_left()
+
+    def test_error_in_a_check_here_kills_the_worker(self, monkeypatch, forks, watchdog):
+        # the worker sleeps past the watchdog, so only the kill ends it
+        self.use(monkeypatch, "worker")
+        error = ZeroDivisionError("injected into check_identities")
+
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(verify, "check_deformation", lambda *args: time.sleep(60))
+        monkeypatch.setattr(verify, "check_identities", failing)
+        with pytest.raises(ZeroDivisionError) as raised:
+            verify.run_all(n_max=2, trials=2)
+        assert (raised.value, len(forks)) == (error, 1)
         assert_no_child_left()
 
 
