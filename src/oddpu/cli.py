@@ -27,15 +27,19 @@ A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.
 
-Two commands use a second CPU where the process may run on more than
+Three commands use a second CPU where the process may run on more than
 one, through ``worker.forked``, the one fork helper; no option selects
 this, and the bytes do not change.  CSV tables are written in blocks of
-``CSV_BLOCK_ROWS`` rows: for a table of more than one block, one
-formatter process is forked once all numbers are computed; it formats
-the odd blocks and this process the even ones, and this process writes
-every block in order.  ``verify`` runs criterion 8 in one forked worker
-while this process runs the other checks (``verify.run_all``).  A worker
-that fails ends the command with exit 2 and one ``error:`` line, like a
+``CSV_BLOCK_ROWS`` rows.  For a ``simulate`` table of more than one
+block, one formatter process is forked once all numbers are computed;
+it formats the odd blocks and this process the even ones, and this
+process writes every block in order.  For a ``deform`` table of more
+than one block, one worker runs the RK4 steps and sends each block of
+states as soon as it is integrated, while this process evaluates and
+formats the block before; the table is written once every block is
+checked.  ``verify`` runs criterion 8 in one forked worker while this
+process runs the other checks (``verify.run_all``).  A worker that
+fails ends the command with exit 2 and one ``error:`` line, like a
 failed write; it is killed if the command ends early and is always
 reaped.
 """
@@ -46,6 +50,7 @@ import argparse
 import contextlib
 import json
 import os
+import pickle
 import re
 import sys
 
@@ -275,7 +280,19 @@ def cmd_simulate(cfg, out_path) -> int:
     return EXIT_OK
 
 
+def _sent_blocks(blocks):
+    """What ``deform``'s worker sends: each block of ``blocks``, then the
+    IntegrationError that ends them early, if one does."""
+    try:
+        yield from blocks
+    except IntegrationError as exc:
+        yield exc
+
+
 def cmd_deform(cfg, out_path) -> int:
+    """Where ``worker.forked`` forks, its worker runs the RK4 steps and sends
+    each block, or the IntegrationError that ended them, pickled; this
+    process evaluates and formats each block meanwhile (module docstring)."""
     spec = _spectrum_from(cfg)
     gamma = _gamma_from(cfg, spec)
     if poisson.gamma_is_degenerate(spec, gamma):
@@ -286,10 +303,23 @@ def cmd_deform(cfg, out_path) -> int:
     if "potential" in cfg:
         potential = deformation.PotentialSpec.from_json_dict(cfg["potential"])
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
-    states = dynamics.RK4Flow(field, state).grid_states(grid)
-    columns = deformation.deformed_energy(spec, gamma, potential, v1, v2)(states)
-    energies = require_finite(np.column_stack(tuple(columns.values())), grid, list(columns))
-    _emit_csv(_state_header(spec.n) + list(columns), (grid, states, energies), out_path)
+    energy = deformation.deformed_energy(spec, gamma, potential, v1, v2)
+    blocks = dynamics.RK4Flow(field, state).grid_blocks(grid, CSV_BLOCK_ROWS)
+    starts = range(0, grid.size, CSV_BLOCK_ROWS)
+    energies, texts = [], []
+    with worker.forked("RK4 worker", pickle.dumps,
+                       _sent_blocks(blocks) if len(starts) > 1 else ()) as receive:
+        for start in starts:
+            states = pickle.loads(receive()) if receive else next(blocks)
+            if isinstance(states, IntegrationError):
+                raise states
+            columns = energy(states)
+            energies.append(np.column_stack(tuple(columns.values())))
+            texts.append(_csv_block((grid[start:], states, energies[-1]), 0, "\n"))
+    require_finite(np.concatenate(energies), grid, list(columns))
+    with _output(out_path) as fh:
+        fh.write(",".join(_state_header(spec.n) + list(columns)) + "\n")
+        fh.writelines(texts)
     return EXIT_OK
 
 

@@ -225,35 +225,50 @@ def _rk4_update(field, t: float, u: np.ndarray, h: float) -> np.ndarray:
 class RK4Flow:
     """Classical RK4 flow of ``field(u)``, which returns du/dt, from
     ``state`` at t = 0 along a time grid: one step of size t_r - t_{r-1}
-    per interval.  It is the one RK4 driver: ``rk4_step`` is its grid [0, h].
+    per interval.  It is the one RK4 driver: ``grid_blocks`` runs the
+    steps, ``grid_states`` is its single block and ``rk4_step`` its grid
+    [0, h].
 
-    ``grid_states`` advances along a whole grid on raw arrays, building no
-    PhaseState per step.
+    The steps advance on raw arrays, building no PhaseState per step.
+    ``cli.cmd_deform`` runs ``grid_blocks`` in a forked worker and
+    formats each block while the next is integrated.
     """
 
     def __init__(self, field, state: PhaseState):
         self.field = field
         self.state = state
 
-    def grid_states(self, grid) -> np.ndarray:
-        """Jet vectors at each time of a ``_check_grid`` grid, checked before
-        the first field call; (T, 4n+2), row 0 = the start state.
+    def grid_blocks(self, grid, rows: int):
+        """The jet vectors at each time of a ``_check_grid`` grid, checked
+        here, as an iterator of (rows, 4n+2) blocks in grid order, the last
+        one shorter where ``rows`` does not divide the grid; row 0 of the
+        first = the start state.  A step is taken only when its block is
+        asked for.
 
         Each interval starts from the exact grid time, so step round-off
         does not accumulate in t.
         """
-        times = _check_grid(grid).tolist()
+        return self._blocks(_check_grid(grid).tolist(), rows)
+
+    def _blocks(self, times, rows):
         u = self.state.u
-        out = np.empty((len(times), u.size))
-        out[0] = u
         field = self.field
-        t = times[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(1, len(times)):
-                u = _rk4_update(field, t, u, times[r] - t)
-                out[r] = u
-                t = times[r]
-        return out
+        for lo in range(0, len(times), rows):
+            out = np.empty((min(rows, len(times) - lo), u.size))
+            # per block: held across a yield, it would hold in the caller's code too
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r in range(lo, lo + len(out)):
+                    if r:
+                        u = _rk4_update(field, times[r - 1], u, times[r] - times[r - 1])
+                    out[r - lo] = u
+            yield out
+
+    def grid_states(self, grid) -> np.ndarray:
+        """Jet vectors at each time of a ``_check_grid`` grid, checked before
+        the first field call; (T, 4n+2), row 0 = the start state: the one
+        block of ``grid_blocks``."""
+        times = _check_grid(grid).tolist()
+        return next(self._blocks(times, len(times)))
 
 
 def rk4_step(field, state: PhaseState, h: float) -> PhaseState:

@@ -1,6 +1,7 @@
 """The one fork helper: ``forked`` runs work in one forked process, which
 sends its results back through a pipe.  ``cli`` formats the odd blocks of
-a long CSV table there, and ``verify.run_all`` runs criterion 8 there.
+a long ``simulate`` table there and integrates a long ``deform`` table's
+RK4 blocks there, and ``verify.run_all`` runs criterion 8 there.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ import pytest
 
 import oddpu
 from oddpu import (FrequencySpectrum, GammaWeights, PotentialSpec, canonical, cli,
-                   degeneracy_scalar, dirac_structure, invariant_directions, verify, worker)
+                   deformation, degeneracy_scalar, dirac_structure, dynamics,
+                   invariant_directions, verify, worker)
 from oddpu.canonical import (alt_hamiltonian_observable, canonical_map,
                              energy_observable, mode_integrals)
 from oddpu.cli import CSV_BLOCK_ROWS, MAX_GRID_ROWS, build_parser, main
@@ -670,6 +671,133 @@ class TestVerifyWorker:
         with pytest.raises(ZeroDivisionError) as raised:
             verify.run_all(n_max=2, trials=2)
         assert (raised.value, len(forks)) == (error, 1)
+        assert_no_child_left()
+
+
+class TestDeformWorker:
+    """``deform`` with its RK4 worker (two usable CPUs), without it (one),
+    and after a refused fork writes the bytes of one process integrating,
+    evaluating and formatting every row, and exits the same way.  The
+    worker is reaped on every path, and killed first where the command
+    leaves before it has finished."""
+
+    MODES = ["serial", "worker", "refused"]
+    QUARTIC = json.dumps({"degree": 4, "coeffs": [{"i": 4, "j": 0, "value": 0.05}]})
+    STATE = [0.4, 0.2, -0.12, 0.32, 0.08, -0.24]
+    # the degree-8 potential of TestDeformCommand's blow-up test at 1.5
+    # times STATE: the vector field turns non-finite in the step from
+    # t = 6.12, grid row 1224 at dt = 0.005, in the second block
+    BLOW_UP = ["deform", "--omegas", "1", "--gamma", "1", "-1",
+               "--state", "0.6", "0.3", "-0.18", "0.48", "0.12", "-0.36",
+               "--t-end", "10", "--dt", "0.005", "--potential", json.dumps(
+                   {"degree": 8, "coeffs": [{"i": 8, "j": 0, "value": 1},
+                                            {"i": 0, "j": 8, "value": 1}]})]
+
+    use = staticmethod(TestVerifyWorker.use)
+
+    @classmethod
+    def argv(cls, rows):
+        """The README quartic deform over ``rows`` grid rows at dt = 0.01."""
+        return ["deform", "--omegas", "1", "--gamma", "1", "-1", "--state", *map(repr, cls.STATE),
+                "--t-end", repr((rows - 0.5) / 100), "--dt", "0.01", "--potential", cls.QUARTIC]
+
+    @classmethod
+    def serial_table(cls, rows) -> list:
+        """The lines, with their ends, of the table of one process
+        integrating every row, then evaluating and formatting them: equal
+        lists are equal texts, and a list that differs is reported at its
+        first differing line, not through a diff of the whole text."""
+        spec, gamma = FrequencySpectrum((1.0,)), GammaWeights(((1.0, -1.0),))
+        potential = PotentialSpec.from_json_dict(json.loads(cls.QUARTIC))
+        field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
+        grid = np.arange(rows) * 0.01
+        states = dynamics.RK4Flow(field, dynamics.PhaseState(np.array(cls.STATE))).grid_states(grid)
+        columns = deformation.deformed_energy(spec, gamma, potential, v1, v2)(states)
+        table = np.column_stack((grid, states, *columns.values()))
+        return serial_csv(cli._state_header(1) + list(columns), table).splitlines(keepends=True)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                      3 * CSV_BLOCK_ROWS + 5])
+    def test_bytes_equal_serial_rows(self, capsys, monkeypatch, forks, rows, mode):
+        self.use(monkeypatch, mode)
+        code, out, err = run(self.argv(rows), capsys)
+        assert (code, err, len(out.splitlines())) == (0, "", rows + 1)
+        assert out.splitlines(keepends=True) == self.serial_table(rows)
+        assert len(forks) == (mode == "worker" and rows > CSV_BLOCK_ROWS)
+        assert_no_child_left()
+
+    def test_out_file_gets_the_bytes_of_stdout(self, capsys, tmp_path, monkeypatch, forks):
+        self.use(monkeypatch, "worker")
+        argv = self.argv(3 * CSV_BLOCK_ROWS + 5)
+        assert run(argv + ["--out", str(tmp_path / "deform.csv")], capsys) == (0, "", "")
+        written = (tmp_path / "deform.csv").read_text().splitlines(keepends=True)
+        assert written == self.serial_table(3 * CSV_BLOCK_ROWS + 5)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blow_up_past_the_first_block(self, capsys, monkeypatch, forks, watchdog, mode):
+        self.use(monkeypatch, mode)
+        code, out, err = run(self.BLOW_UP, capsys)
+        assert (code, out, len(forks)) == (4, "", mode == "worker")
+        assert err == ("error: integration produced a non-finite value: "
+                       "non-finite vector field near t=6.12\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_overflowing_energy_column_in_the_second_block(self, capsys, monkeypatch, forks,
+                                                          mode):
+        # test_overflowing_energy_column's t = 1.241 case: 1301 rows, two blocks
+        self.use(monkeypatch, mode)
+        argv = ["deform", "--omegas", "1", "--gamma", "1", "-1",
+                "--state", "8e153", "0", "0", "8e153", "8e153", "0", "--t-end", "1.3",
+                "--dt", "0.001", "--potential",
+                json.dumps({"coeffs": [{"i": 2, "j": 0, "value": 1}]})]
+        code, out, err = run_strict(argv, capsys)
+        assert (code, out, len(forks)) == (4, "", mode == "worker")
+        assert_one_error_line(err, "non-finite observable U at t=1.241")
+        assert_no_child_left()
+
+    def test_failing_worker_is_one_error_line(self, capsys, monkeypatch, forks, watchdog):
+        self.use(monkeypatch, "worker")
+        caller = os.getpid()
+        update = dynamics._rk4_update
+
+        def failing(field, t, u, h):
+            if os.getpid() != caller and t > 15:
+                raise MemoryError("injected into the worker")
+            return update(field, t, u, h)
+
+        monkeypatch.setattr(dynamics, "_rk4_update", failing)
+        code, out, err = run(self.argv(3 * CSV_BLOCK_ROWS + 5), capsys)
+        assert (code, out, len(forks)) == (2, "", 1)
+        assert_one_error_line(err, "RK4 worker closed its pipe early")
+        assert_no_child_left()
+
+    def test_worker_exit_status_is_checked(self, capsys, monkeypatch, forks, watchdog):
+        # every block arrives, then the worker exits 3: nothing is written
+        self.use(monkeypatch, "worker")
+        exit_now = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))
+        code, out, err = run(self.argv(3 * CSV_BLOCK_ROWS + 5), capsys)
+        assert (code, out, len(forks)) == (2, "", 1)
+        assert_one_error_line(err, "RK4 worker exited with status 3")
+        assert_no_child_left()
+
+    def test_interrupt_kills_the_worker(self, capsys, monkeypatch, forks, watchdog):
+        # the command is interrupted at its first block, while the worker
+        # has ten blocks of about 50 KB to send through a pipe that holds
+        # about one: only the kill ends it
+        self.use(monkeypatch, "worker")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_csv_block", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.argv(10 * CSV_BLOCK_ROWS))
+        assert len(forks) == 1
         assert_no_child_left()
 
 

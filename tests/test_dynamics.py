@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -310,6 +311,16 @@ class TestRequireFinite:
         assert err.value.t == 0.5 and type(err.value.t) is float
 
 
+class TestIntegrationError:
+    @pytest.mark.parametrize("t", [0.5, None])
+    def test_pickle_keeps_message_and_time(self, t):
+        # ``deform``'s worker sends its IntegrationError pickled; t travels
+        # in the instance dict, which BaseException's own reduce carries
+        err = pickle.loads(pickle.dumps(IntegrationError("non-finite state at t=0.5", t=t)))
+        assert type(err) is IntegrationError
+        assert (str(err), err.t) == ("non-finite state at t=0.5", t)
+
+
 class TestRK4:
     def test_zero_field(self):
         st = PhaseState(np.arange(6.0))
@@ -450,6 +461,45 @@ class TestRK4Flow:
 
         with pytest.raises(ValueError):
             trajectory(RK4Flow(field, PhaseState(np.zeros(6))), grid)
+        assert calls == []
+
+
+class TestGridBlocks:
+    STATE = PhaseState(np.array([0.4, 0.2, -0.12, 0.32, 0.08, -0.24]))
+
+    @pytest.mark.parametrize("rows", [1, 7, 1024])
+    def test_blocks_concatenate_to_grid_states(self, rows):
+        field = TestRK4Flow().field()
+        grid = np.arange(2050) * 0.01
+        blocks = list(RK4Flow(field, self.STATE).grid_blocks(grid, rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= rows
+        whole = RK4Flow(field, self.STATE).grid_states(grid)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 1024])
+    def test_blow_up_raises_at_the_time_of_grid_states(self, rows):
+        # finite slopes whose update overflows once u[0] passes 0.6: the
+        # step from grid row 60 to row 61
+        def field(u):
+            return np.full(6, 1e308 if u[0] > 0.6 else 1.0)
+
+        grid = np.arange(2000) * 0.01
+        with pytest.raises(IntegrationError) as whole:
+            RK4Flow(field, PhaseState(np.zeros(6))).grid_states(grid)
+        received = []
+        with pytest.raises(IntegrationError) as blocked:
+            for block in RK4Flow(field, PhaseState(np.zeros(6))).grid_blocks(grid, rows):
+                received.append(block)
+        assert (str(blocked.value), blocked.value.t) == (str(whole.value), whole.value.t)
+        assert whole.value.t == grid[60]
+        # every block before the one of row 61 arrives whole
+        assert sum(map(len, received)) == 61 // rows * rows
+
+    def test_grid_checked_before_the_first_block(self):
+        calls = []
+        with pytest.raises(ValueError, match="^time grid must be strictly increasing$"):
+            RK4Flow(lambda u: calls.append(1) or u, self.STATE).grid_blocks([0.0, 2.0, 1.0], 7)
         assert calls == []
 
 
