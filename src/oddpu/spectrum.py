@@ -14,8 +14,8 @@ read that table.  The table, and the coordinate maps that
 :mod:`oddpu.canonical` keeps through ``FrequencySpectrum.memo``, live as
 long as the spectrum instance: two equal spectra share nothing.
 
-``verify_identities`` numerically checks the interlocking identities these
-quantities satisfy and reports worst-case residuals.
+``identity_reports`` numerically checks the interlocking identities these
+quantities satisfy, in array passes over a batch of spectra of one n.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -205,12 +205,12 @@ def rho(spec: FrequencySpectrum, k: int) -> float:
 
 
 def _complete_homogeneous_pass(values, k: int) -> list:
-    """[h_0, ..., h_k] over ``values`` (k >= 0), by the one-variable-at-a-
-    time recursion h_d(..., v) = h_d(...) + v * h_{d-1}(..., v).  Each h_d
-    is the same whatever k the pass runs to."""
+    """[h_0, ..., h_k] over ``values`` (k >= 0; Python floats, or arrays of
+    one shape, one value set per entry), by the one-variable-at-a-time
+    recursion h_d(..., v) = h_d(...) + v * h_{d-1}(..., v).  Each h_d is the
+    same whatever k the pass runs to."""
     h = [1.0] + [0.0] * k
     for v in values:
-        v = float(v)
         for d in range(1, k + 1):
             h[d] += v * h[d - 1]
     return h
@@ -225,7 +225,7 @@ def complete_homogeneous(values, k: int) -> float:
     """
     if k < 0:
         return 0.0
-    return _complete_homogeneous_pass(values, k)[k]
+    return _complete_homogeneous_pass([float(v) for v in values], k)[k]
 
 
 def complete_homog(spec: FrequencySpectrum, k: int) -> float:
@@ -235,25 +235,37 @@ def complete_homog(spec: FrequencySpectrum, k: int) -> float:
     return P[k] if 0 <= k < len(P) else complete_homogeneous(spec.omega_sq, k)
 
 
-def _worst(checks) -> dict:
-    """The report entry of one identity from its (residual, scale, location)
-    checks: the largest relative residual |residual| / |scale| (the first
-    of equal ones), where it occurred, and whether that check passes
-    ``passes_tolerance``."""
-    worst = None
-    for residual, scale, location in checks:
-        rel = abs(residual) / max(abs(scale), 1e-300)
-        if worst is None or rel > worst[0]:
-            worst = (rel, residual, scale, location)
-    rel, residual, scale, location = worst
-    return {"max_residual": rel, "location": list(location),
-            "pass": passes_tolerance(residual, scale)}
+def _max_first(first, *rest):
+    """Python's ``max(first, *rest)`` elementwise: the first entry unless a
+    later one is strictly greater, so a NaN wins only where it comes first."""
+    return np.where(np.isnan(first), first, reduce(np.fmax, rest, first))
 
 
-def verify_identities(spec: FrequencySpectrum) -> dict:
-    """Numerically check the symmetric-polynomial identities.
+def _sum_check(terms, rhs):
+    """(sum - rhs, max of |terms| and then |rhs|) over the last axis, summed left to right."""
+    size = np.abs(terms)
+    return (np.add.accumulate(terms, axis=-1)[..., -1] - rhs,
+            _max_first(size[..., 0], np.fmax.reduce(size, axis=-1), np.abs(rhs)))
 
-    Checked, over all index combinations:
+
+def _worst(checks, axis, locate) -> list:
+    """One identity's entry per spectrum, from (residual, scale) pairs
+    stacked on ``axis`` into (batch, check) in check order: the largest
+    |residual| / max(|scale|, 1e-300) (the first of equal ones; a NaN only
+    as the first), ``locate`` of its index, and its ``passes_tolerance``."""
+    residual, scale = (np.stack(part, axis).reshape(len(part[0]), -1) for part in zip(*checks))
+    rel = np.abs(residual) / _max_first(np.abs(scale), 1e-300)
+    ranked = np.where(np.isnan(rel), -1.0, rel)
+    ranked[:, 0] = rel[:, 0]
+    return [{"max_residual": float(rel[b, i]), "location": list(locate(i)),
+             "pass": passes_tolerance(float(residual[b, i]), float(scale[b, i]))}
+            for b, i in enumerate(np.argmax(ranked, axis=1).tolist())]
+
+
+def identity_reports(specs) -> list:
+    """Numerically check the symmetric-polynomial identities of each
+    spectrum in ``specs``, a batch that shares one n (a ValueError
+    otherwise).  Checked, over all index combinations:
 
     * ``id1_first``:   sum_k (-1)^k w_p^{2k} reduced_sigma(k, s)
                        = (-1)^s delta_{sp} / rho_s
@@ -267,74 +279,69 @@ def verify_identities(spec: FrequencySpectrum) -> dict:
                        = (w_a^2 - w_b^2) P_{2s-2}(S, w_a^2, w_b^2)
 
     Residuals are relative to the largest term magnitude in each sum.
-    Returns {identity: {"max_residual", "location", "pass"}}, the report
-    the ``spectrum`` command prints.  Failures are reported, never raised.
+    Returns one {identity: {"max_residual", "location", "pass"}} per
+    spectrum; failures are reported, never raised.  Each identity is one
+    array pass over the batch with the IEEE operations of checking one
+    index combination at a time, in order: Python ``**`` powers, products
+    in operand order, sums left to right, Python ``max``'s rules for
+    scales and the worst check.  No BLAS call enters, and each s of
+    ``id1_first`` and ``id1_second`` forms one (batch, n, n) array.
     """
-    n = spec.n
-    w = spec.omegas
-    table = spec.table
-    w2 = spec.omega_sq
-    rhos = table.rho
-    red = table.reduced
+    if len({spec.n for spec in specs}) != 1:
+        raise ValueError("a batch of spectra needs one n")
+    n, B, w2 = specs[0].n, len(specs), np.array([spec.omega_sq for spec in specs])
+    rho, sigma, red, P = (np.array([getattr(spec.table, f) for spec in specs])
+                          for f in ("rho", "sigma", "reduced", "P"))
+    # W[:, p, j] = w_p^(2j) for j <= n + 5, V[:, k, s] = (-w_k^2)^s for s <= n
+    W = np.array([[[x ** (2 * j) for j in range(n + 6)] for x in spec.omegas] for spec in specs])
+    V = np.array([[[(-x) ** s for s in range(n + 1)] for x in spec.omega_sq] for spec in specs])
+    sgn, eye = (-1.0) ** np.arange(n), np.eye(n)
+    report = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed = sgn * W[:, :, :n]
+        report["id1_first"] = _worst(
+            [_sum_check(signed * red[:, s, None, :],
+                        np.where(eye[s] == 1.0, (-1.0) ** s / rho[:, s, None], 0.0))
+             for s in range(n)], 1, lambda i: divmod(i, n))
+        signed, redT = sgn[:, None] * V, red.transpose(0, 2, 1)
+        report["id1_second"] = _worst(
+            [_sum_check(signed[:, None, :, s] * redT * rho[:, None, :],
+                        -sigma[:, :n] if s == n else eye[s])
+             for s in range(n + 1)], 1, lambda i: divmod(i, n))
+        report["id2"] = _worst(
+            [_sum_check((-1.0) ** (n - 1) * sgn * W.transpose(0, 2, 1) * rho[:, None, :],
+                        np.concatenate([np.zeros((B, n - 1)), P[:, :P_TABLE_DEGREE + 1]], 1))],
+            1, lambda i: (i - n + 1,))
+        # one P pass per pair serves every s; n = 1 samples fixed second arguments
+        if n > 1:
+            a, b = np.nonzero(eye == 0.0)
+            x, y, px, py = w2[:, a], w2[:, b], W[:, a, 1:7], W[:, b, 1:7]
+            locate = lambda i: (int(a[i // 6]), int(b[i // 6]), i % 6 + 1)
+        else:
+            x, y = np.repeat(w2, 2, axis=1), np.broadcast_to([0.25, 2.0], (B, 2))
+            px = np.array([[[spec.omega_sq[0] ** s for s in range(1, 7)]] * 2 for spec in specs])
+            py = np.array([[v ** s for s in range(1, 7)] for v in (0.25, 2.0)])
+            locate = lambda i: ((0.25, 2.0)[i // 6], i % 6 + 1)
+        h = np.stack(np.broadcast_arrays(*_complete_homogeneous_pass([x, y], 5)), -1)
+        lhs, rhs = px - py, (x - y)[..., None] * h
+        sizes = (px, py) if n > 1 else (lhs,)
+        report["power_diff"] = _worst([(lhs - rhs, _max_first(*map(abs, sizes + (rhs,)), 1.0))],
+                                      1, locate)
+        # over sampled argument subsets, padded so n = 1 still exercises it;
+        # each pair (a, b) of the pool adds its first two other entries
+        pool = np.concatenate([w2, np.broadcast_to([0.3, 1.7], (B, 2))], axis=1)
+        a, b = np.triu_indices(n + 2, 1)
+        kept = (np.arange(4) != a[:, None]) & (np.arange(4) != b[:, None])
+        rest = [pool[:, r] for r in np.argsort(~kept, axis=1, kind="stable")[:, :min(n, 2)].T]
+        ha, hb = (np.stack(_complete_homogeneous_pass(rest + [pool[:, c]], 4)[1:], -1)
+                  for c in (a, b))
+        hab = _complete_homogeneous_pass(rest + [pool[:, a], pool[:, b]], 3)
+        rhs = (pool[:, a] - pool[:, b])[..., None] * np.stack(np.broadcast_arrays(*hab), -1)
+        report["p_diff"] = _worst([(ha - hb - rhs, _max_first(abs(ha), abs(hb), abs(rhs), 1.0))],
+                                  1, lambda i: (int(a[i // 4]), int(b[i // 4]), i % 4 + 1))
+    return [dict(zip(report, rows)) for rows in zip(*report.values())]
 
-    def id1_first():
-        for s in range(n):
-            for p in range(n):
-                terms = [(-1.0) ** k * w[p] ** (2 * k) * red[s][k] for k in range(n)]
-                rhs = (-1.0) ** s / rhos[s] if s == p else 0.0
-                yield sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (s, p)
 
-    def id1_second():
-        for s in range(n + 1):
-            for p in range(n):
-                terms = [(-1.0) ** k * (-w2[k]) ** s * red[k][p] * rhos[k]
-                         for k in range(n)]
-                if s == n:
-                    rhs = -table.sigma[p]
-                else:
-                    rhs = 1.0 if s == p else 0.0
-                yield sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (s, p)
-
-    def id2():
-        for k in range(-n + 1, P_TABLE_DEGREE + 1):
-            terms = [(-1.0) ** (n - 1) * (-1.0) ** s * w[s] ** (2 * n + 2 * k - 2) * rhos[s]
-                     for s in range(n)]
-            rhs = complete_homog(spec, k)
-            yield sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (k,)
-
-    def power_diff():
-        # one P pass per pair serves every s
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                h = _complete_homogeneous_pass([w2[a], w2[b]], 5)
-                for s in range(1, 7):
-                    lhs = w[a] ** (2 * s) - w[b] ** (2 * s)
-                    rhs = (w2[a] - w2[b]) * h[s - 1]
-                    scale = max(abs(w[a] ** (2 * s)), abs(w[b] ** (2 * s)), abs(rhs), 1.0)
-                    yield lhs - rhs, scale, (a, b, s)
-        if n == 1:  # check against sampled fixed second arguments
-            for v in (0.25, 2.0):
-                h = _complete_homogeneous_pass([w2[0], v], 5)
-                for s in range(1, 7):
-                    lhs = w2[0] ** s - v ** s
-                    rhs = (w2[0] - v) * h[s - 1]
-                    yield lhs - rhs, max(abs(lhs), abs(rhs), 1.0), (v, s)
-
-    def p_diff():
-        # over sampled argument subsets, padded so n = 1 still exercises it
-        pool = list(w2) + [0.3, 1.7]
-        for a in range(len(pool)):
-            for b in range(a + 1, len(pool)):
-                rest = [pool[j] for j in range(len(pool)) if j not in (a, b)][:2]
-                ha = _complete_homogeneous_pass(rest + [pool[a]], 4)
-                hb = _complete_homogeneous_pass(rest + [pool[b]], 4)
-                hab = _complete_homogeneous_pass(rest + [pool[a], pool[b]], 3)
-                for s in range(1, 5):
-                    lhs = ha[s] - hb[s]
-                    rhs = (pool[a] - pool[b]) * hab[s - 1]
-                    yield lhs - rhs, max(abs(ha[s]), abs(hb[s]), abs(rhs), 1.0), (a, b, s)
-
-    return {check.__name__: _worst(check())
-            for check in (id1_first, id1_second, id2, power_diff, p_diff)}
+def verify_identities(spec: FrequencySpectrum) -> dict:
+    """``identity_reports`` over a batch of one spectrum: the report ``spectrum`` prints."""
+    return identity_reports([spec])[0]

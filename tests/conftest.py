@@ -1,7 +1,9 @@
 """Shared test helpers."""
 
 import contextlib
+import functools
 import math
+import operator
 import os
 import signal
 from decimal import Decimal, localcontext
@@ -9,6 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from oddpu.spectrum import (P_TABLE_DEGREE, _complete_homogeneous_pass, complete_homog,
+                            passes_tolerance)
 
 
 def quadratic_value_bound(A, states):
@@ -66,6 +71,101 @@ def within_factored_bound(T, D, states, values, offsets=None, slack=0.0, coords=
         coords = exact_coordinates(T, states)
     errors = factored_errors(D, coords, values, offsets)
     return errors <= factored_value_bound(T, D, states) + slack
+
+
+def _left_sum(terms):
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+def _oracle_worst(checks) -> dict:
+    """The report entry of one identity from its (residual, scale, location)
+    checks: the largest relative residual |residual| / |scale| (the first
+    of equal ones), where it occurred, and whether that check passes
+    ``passes_tolerance``."""
+    worst = None
+    for residual, scale, location in checks:
+        rel = abs(residual) / max(abs(scale), 1e-300)
+        if worst is None or rel > worst[0]:
+            worst = (rel, residual, scale, location)
+    rel, residual, scale, location = worst
+    return {"max_residual": rel, "location": list(location),
+            "pass": passes_tolerance(residual, scale)}
+
+
+def identity_report_oracle(spec) -> dict:
+    """The identity report of one spectrum, one index combination at a
+    time: the form ``spectrum.identity_reports`` replaced, kept as its
+    oracle.  Its array passes must give ``json.dumps``-equal reports.
+    Each sum is ``_left_sum``, the left-to-right order of Python 3.11's
+    ``sum`` (3.12 compensates)."""
+    n = spec.n
+    w = spec.omegas
+    table = spec.table
+    w2 = spec.omega_sq
+    rhos = table.rho
+    red = table.reduced
+
+    def id1_first():
+        for s in range(n):
+            for p in range(n):
+                terms = [(-1.0) ** k * w[p] ** (2 * k) * red[s][k] for k in range(n)]
+                rhs = (-1.0) ** s / rhos[s] if s == p else 0.0
+                yield _left_sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (s, p)
+
+    def id1_second():
+        for s in range(n + 1):
+            for p in range(n):
+                terms = [(-1.0) ** k * (-w2[k]) ** s * red[k][p] * rhos[k]
+                         for k in range(n)]
+                if s == n:
+                    rhs = -table.sigma[p]
+                else:
+                    rhs = 1.0 if s == p else 0.0
+                yield _left_sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (s, p)
+
+    def id2():
+        for k in range(-n + 1, P_TABLE_DEGREE + 1):
+            terms = [(-1.0) ** (n - 1) * (-1.0) ** s * w[s] ** (2 * n + 2 * k - 2) * rhos[s]
+                     for s in range(n)]
+            rhs = complete_homog(spec, k)
+            yield _left_sum(terms) - rhs, max([abs(t) for t in terms] + [abs(rhs)]), (k,)
+
+    def power_diff():
+        # one P pass per pair serves every s
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                h = _complete_homogeneous_pass([w2[a], w2[b]], 5)
+                for s in range(1, 7):
+                    lhs = w[a] ** (2 * s) - w[b] ** (2 * s)
+                    rhs = (w2[a] - w2[b]) * h[s - 1]
+                    scale = max(abs(w[a] ** (2 * s)), abs(w[b] ** (2 * s)), abs(rhs), 1.0)
+                    yield lhs - rhs, scale, (a, b, s)
+        if n == 1:  # check against sampled fixed second arguments
+            for v in (0.25, 2.0):
+                h = _complete_homogeneous_pass([w2[0], v], 5)
+                for s in range(1, 7):
+                    lhs = w2[0] ** s - v ** s
+                    rhs = (w2[0] - v) * h[s - 1]
+                    yield lhs - rhs, max(abs(lhs), abs(rhs), 1.0), (v, s)
+
+    def p_diff():
+        # over sampled argument subsets, padded so n = 1 still exercises it
+        pool = list(w2) + [0.3, 1.7]
+        for a in range(len(pool)):
+            for b in range(a + 1, len(pool)):
+                rest = [pool[j] for j in range(len(pool)) if j not in (a, b)][:2]
+                ha = _complete_homogeneous_pass(rest + [pool[a]], 4)
+                hb = _complete_homogeneous_pass(rest + [pool[b]], 4)
+                hab = _complete_homogeneous_pass(rest + [pool[a], pool[b]], 3)
+                for s in range(1, 5):
+                    lhs = ha[s] - hb[s]
+                    rhs = (pool[a] - pool[b]) * hab[s - 1]
+                    yield lhs - rhs, max(abs(ha[s]), abs(hb[s]), abs(rhs), 1.0), (a, b, s)
+
+    return {check.__name__: _oracle_worst(check())
+            for check in (id1_first, id1_second, id2, power_diff, p_diff)}
 
 
 def jet_index(s, i):

@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +11,11 @@ import pytest
 
 from oddpu import (FrequencySpectrum, complete_homog, complete_homogeneous,
                    elementary_sigma, reduced_sigma, rho, spectrum, verify_identities)
+from oddpu import verify
 from oddpu.cli import main
 from oddpu.verify import random_spectrum
+
+from conftest import identity_report_oracle
 
 
 def elementary_oracle(values, degree):
@@ -209,6 +214,81 @@ class TestVerifyIdentities:
         d = verify_identities(FrequencySpectrum((1.0, 2.0)))
         assert set(d) == {"id1_first", "id1_second", "id2", "power_diff", "p_diff"}
         assert all("max_residual" in v for v in d.values())
+
+
+def shifted_spectrum(n, base):
+    """w^2 = base + 1.01e-6 j: gaps near the floor at a large w^2, so that
+    rho_k reduced_sigma(0, k) overflows in id1_second's terms."""
+    return FrequencySpectrum(tuple(np.sqrt(base + 1.01e-6 * np.arange(n))))
+
+
+class TestIdentityReportsOracle:
+    # the array passes against the check-at-a-time form, as printed
+
+    @staticmethod
+    def assert_oracle_equal(specs):
+        got = [json.dumps(r) for r in spectrum.identity_reports(specs)]
+        assert got == [json.dumps(identity_report_oracle(s)) for s in specs]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_spectra_alone_and_in_batches(self, n):
+        rng = np.random.default_rng(70 + n)
+        specs = [random_spectrum(rng, n) for _ in range(24)]
+        for spec in specs[:4]:
+            assert json.dumps(verify_identities(spec)) == json.dumps(identity_report_oracle(spec))
+        for start, size in ((0, 1), (1, 3), (4, 20)):
+            self.assert_oracle_equal(specs[start:start + size])
+
+    @pytest.mark.parametrize("n", [2, 7, 20, 40, 60])
+    def test_linspace_spectra(self, n):
+        self.assert_oracle_equal([linspace_spectrum(n)])
+
+    def test_overflowing_terms(self):
+        # at n = 24 one id1_second check is NaN and the worst is a later
+        # finite one; at n = 34 its first check is NaN and wins; a batch of
+        # the two n = 34 inputs takes each row's own rule
+        late, first = shifted_spectrum(24, 1e4), shifted_spectrum(34, 2.5e4)
+        assert verify_identities(late)["id1_second"]["pass"] is True
+        report = verify_identities(first)["id1_second"]
+        assert np.isnan(report["max_residual"]) and report["location"] == [0, 0]
+        assert report["pass"] is False
+        self.assert_oracle_equal([late])
+        self.assert_oracle_equal([first, shifted_spectrum(34, 1e4)])
+
+    def test_scale_is_python_max(self):
+        # no accepted spectrum gives a NaN first term, so the rule that a
+        # NaN wins only as the first entry is checked here directly
+        rows = [(np.nan, 1.0, 2.0), (1.0, np.nan, 2.0), (3.0, np.nan, np.inf),
+                (2.0, 2.0, 1.0), (0.0, np.inf, np.nan)]
+        got = spectrum._max_first(*np.array(rows).T)
+        assert json.dumps(got.tolist()) == json.dumps([max(row) for row in rows])
+
+    def test_memory_grows_as_n_squared(self):
+        # no (n, n, n) array: doubling n at most quadruples the peak
+        # allocation of the report, with some slack (n^3 would be 8x)
+        peaks = []
+        for n in (60, 120):
+            spec = linspace_spectrum(n)
+            spec.table
+            tracemalloc.start()
+            try:
+                verify_identities(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 5 * peaks[0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_check_identities_is_the_oracle_maximum(self, seed):
+        worst = 0.0
+        for _, spec in verify._draws(seed, 6, 20):
+            worst = max(worst, max(r["max_residual"]
+                                   for r in identity_report_oracle(spec).values()))
+        assert verify.check_identities(6, 20, seed)["identities"]["worst_residual"] == worst
+
+    def test_mixed_n_refused(self):
+        with pytest.raises(ValueError, match="one n"):
+            spectrum.identity_reports([FrequencySpectrum((1.0,)), FrequencySpectrum((1.0, 2.0))])
 
 
 # The per-call formulas the spectrum table replaced, kept as oracles: the
