@@ -27,21 +27,16 @@ A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.
 
-Three commands use a second CPU where the process may run on more than
-one, through ``worker.forked``, the one fork helper; no option selects
-this, and the bytes do not change.  CSV tables are written in blocks of
-``CSV_BLOCK_ROWS`` rows.  For a ``simulate`` table of more than one
-block, one formatter process is forked once all numbers are computed;
-it formats the odd blocks and this process the even ones, and this
-process writes every block in order.  For a ``deform`` table of more
-than one block, one worker runs the RK4 steps and sends each block of
-states as soon as it is integrated, while this process evaluates and
-formats the block before; the table is written once every block is
-checked.  ``verify`` runs criterion 8 in one forked worker while this
-process runs the other checks (``verify.run_all``).  A worker that
-fails ends the command with exit 2 and one ``error:`` line, like a
-failed write; it is killed if the command ends early and is always
-reaped.
+CSV tables are written in blocks of ``CSV_BLOCK_ROWS`` rows.  Three
+commands hand independent work to ``worker.forked``, which runs it in a
+second process where this one may use two CPUs and hands back the
+results in order either way; no option selects this, and the bytes do
+not change.  It formats the odd blocks of a long ``simulate`` table,
+while this process formats the even ones; it integrates a long
+``deform`` table's RK4 blocks, while this process evaluates and formats
+the block before, and writes the table once every block is checked; and
+it runs ``verify``'s criterion 8 (``verify.run_all``).  A worker that
+fails ends the command with exit 2 and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ import argparse
 import contextlib
 import json
 import os
-import pickle
 import re
 import sys
 
@@ -84,8 +78,14 @@ def _output(out_path):
 
 
 def _emit_json(obj, out_path):
+    """Write obj as strict JSON.  JSON has no NaN or Infinity, so a
+    non-finite value is refused (exit 2) before out_path is opened."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("a value to print is outside the float64 range") from None
     with _output(out_path) as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def _csv_block(columns, start, suffix) -> str:
@@ -93,6 +93,13 @@ def _csv_block(columns, start, suffix) -> str:
     ``columns`` side by side, each row ended by ``suffix``."""
     block = np.column_stack([col[start:start + CSV_BLOCK_ROWS] for col in columns]).tolist()
     return "".join(",".join(map(repr, row)) + suffix for row in block)
+
+
+def _write_csv(header, texts, out_path):
+    """Write the header line, then each block of text of ``texts``."""
+    with _output(out_path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(texts)
 
 
 def _emit_csv(header, columns, out_path, constants=()):
@@ -104,25 +111,16 @@ def _emit_csv(header, columns, out_path, constants=()):
     length; only one block of them is stacked at a time.
 
     Floats are written in shortest round-trip form (``repr``), so the
-    output is deterministic.  A table of more than one block is formatted
-    on two CPUs where the process may use two: this process formats the
-    even blocks, one forked formatter the odd ones, and this process
-    writes every block in order, so the bytes are those of one process
-    formatting them all.  No option selects this.  A formatter that
-    fails raises ``OSError`` (``main``: exit 2).
+    output is deterministic.  The odd blocks come through
+    ``worker.forked`` (module docstring), with the bytes of this process
+    formatting them; a formatter that fails raises ``OSError``.
     """
     suffix = "".join("," + repr(float(v)) for v in constants) + "\n"
     starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
-    with _output(out_path) as fh:
-        fh.write(",".join(header) + "\n")
-        if len(starts) > 1:
-            fh.flush()                  # a forked formatter's copy of the buffer is empty
-        with worker.forked("CSV formatter",
-                           lambda start: _csv_block(columns, start, suffix).encode("ascii"),
-                           starts[1::2]) as receive:
-            for k, start in enumerate(starts):
-                fh.write(receive().decode("ascii") if receive and k % 2
-                         else _csv_block(columns, start, suffix))
+    with worker.forked("CSV formatter", lambda start: _csv_block(columns, start, suffix),
+                       starts[1::2]) as odd:
+        _write_csv(header, (next(odd) if k % 2 else _csv_block(columns, start, suffix)
+                            for k, start in enumerate(starts)), out_path)
 
 
 def _is_integer(value) -> bool:
@@ -281,8 +279,8 @@ def cmd_simulate(cfg, out_path) -> int:
 
 
 def _sent_blocks(blocks):
-    """What ``deform``'s worker sends: each block of ``blocks``, then the
-    IntegrationError that ends them early, if one does."""
+    """Each block of ``blocks``, then the IntegrationError that ends them
+    early, if one does, as a value that travels like a block."""
     try:
         yield from blocks
     except IntegrationError as exc:
@@ -290,9 +288,8 @@ def _sent_blocks(blocks):
 
 
 def cmd_deform(cfg, out_path) -> int:
-    """Where ``worker.forked`` forks, its worker runs the RK4 steps and sends
-    each block, or the IntegrationError that ended them, pickled; this
-    process evaluates and formats each block meanwhile (module docstring)."""
+    """The RK4 blocks come through ``worker.forked`` (module docstring);
+    a table of one block forks nothing."""
     spec = _spectrum_from(cfg)
     gamma = _gamma_from(cfg, spec)
     if poisson.gamma_is_degenerate(spec, gamma):
@@ -304,22 +301,19 @@ def cmd_deform(cfg, out_path) -> int:
         potential = deformation.PotentialSpec.from_json_dict(cfg["potential"])
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
     energy = deformation.deformed_energy(spec, gamma, potential, v1, v2)
-    blocks = dynamics.RK4Flow(field, state).grid_blocks(grid, CSV_BLOCK_ROWS)
+    blocks = _sent_blocks(dynamics.RK4Flow(field, state).grid_blocks(grid, CSV_BLOCK_ROWS))
     starts = range(0, grid.size, CSV_BLOCK_ROWS)
     energies, texts = [], []
-    with worker.forked("RK4 worker", pickle.dumps,
-                       _sent_blocks(blocks) if len(starts) > 1 else ()) as receive:
-        for start in starts:
-            states = pickle.loads(receive()) if receive else next(blocks)
+    with (worker.forked("RK4 worker", lambda states: states, blocks) if len(starts) > 1
+          else contextlib.nullcontext(blocks)) as received:
+        for start, states in zip(starts, received):
             if isinstance(states, IntegrationError):
                 raise states
             columns = energy(states)
             energies.append(np.column_stack(tuple(columns.values())))
             texts.append(_csv_block((grid[start:], states, energies[-1]), 0, "\n"))
     require_finite(np.concatenate(energies), grid, list(columns))
-    with _output(out_path) as fh:
-        fh.write(",".join(_state_header(spec.n) + list(columns)) + "\n")
-        fh.writelines(texts)
+    _write_csv(_state_header(spec.n) + list(columns), texts, out_path)
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ criterion 8 may run in another process.
 from __future__ import annotations
 
 import itertools
-import pickle
 
 import numpy as np
 
@@ -278,17 +277,17 @@ def check_eom_fidelity(n_max, trials, seed) -> dict:
 def run_all(n_max=6, trials=20, seed=42) -> dict:
     """Run every suite, each at its cap on n_max and trials, and summarize.
     These are the defaults ``oddpu verify`` runs at; the checks have none.
-    Criterion 8 runs in a ``worker.forked`` process, which sends back its
-    pickled result, while this one runs the rest; where nothing is forked
-    it runs here.  A worker that fails raises ``OSError``."""
+    Criterion 8 comes through ``worker.forked``: run in its worker while
+    this process runs the rest, or here after them where nothing is
+    forked.  A worker that fails raises ``OSError``."""
     if n_max < 1 or trials < 1:
         raise ValueError("n_max and trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     deformation_args = (min(3, n_max), min(10, trials), seed)
     checks = {}
-    with worker.forked("verify worker", lambda args: pickle.dumps(check_deformation(*args)),
-                       [deformation_args]) as receive:
+    with worker.forked("verify worker", lambda args: check_deformation(*args),
+                       [deformation_args]) as criterion_8:
         checks.update(check_identities(min(6, n_max), min(20, trials), seed))
         checks.update(check_hamilton_closure(min(4, n_max), min(20, trials), seed))
         checks.update(check_dirac_recovery(min(5, n_max), min(20, trials), seed))
@@ -297,7 +296,7 @@ def run_all(n_max=6, trials=20, seed=42) -> dict:
         checks.update(check_degeneracy_rank(min(4, n_max), min(10, trials), seed))
         checks.update(check_uniqueness())
         eom = check_eom_fidelity(min(4, n_max), min(10, trials), seed)
-        checks.update(pickle.loads(receive()) if receive else check_deformation(*deformation_args))
+        checks.update(next(criterion_8))
         checks.update(eom)
     return {"seed": seed, "n_max": n_max, "trials": trials,
             "checks": checks,

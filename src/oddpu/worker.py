@@ -1,13 +1,15 @@
-"""The one fork helper: ``forked`` runs work in one forked process, which
-sends its results back through a pipe.  ``cli`` formats the odd blocks of
-a long ``simulate`` table there and integrates a long ``deform`` table's
-RK4 blocks there, and ``verify.run_all`` runs criterion 8 there.
+"""The one fork helper: ``forked`` hands its caller the results of
+``produce`` over a list of items, computed in one forked process where
+the caller may use a second CPU, else here as each is asked for.  Its
+callers, ``cli``'s ``simulate`` formatter and ``deform`` RK4 blocks and
+``verify.run_all``'s criterion 8, do not know which.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import signal
 
 
@@ -19,29 +21,33 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _receive(pipe, name) -> bytes:
-    """The next message the worker sent: an 8-byte length, then the bytes."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    if len(head) < 8 or len(data) < size:
-        raise OSError("%s closed its pipe early" % name)
-    return data
+def _received(pipe, name):
+    """Each result the worker sent, in order: an 8-byte length, then the
+    pickle, which is read whole before it is unpickled.  It does not end:
+    a read past the worker's last result is a pipe closed early."""
+    while True:
+        head = pipe.read(8)
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(head) < 8 or len(data) < size:
+            raise OSError("%s closed its pipe early" % name)
+        yield pickle.loads(data)
 
 
-def _send(send, items, wfd):
-    """The worker: send ``send(item)`` for each of ``items`` down the pipe
-    end ``wfd`` in order, then leave through ``os._exit``, so that no
-    ``finally`` block or atexit handler of the caller runs here.  It first
-    closes every other descriptor, so that a reader of the caller's output
-    that closes its end, in the caller's process too, leaves it closed."""
+def _send(produce, items, wfd):
+    """The worker: send ``produce(item)``, pickled, for each of ``items``
+    down the pipe end ``wfd`` in order, then leave through ``os._exit``,
+    so that no ``finally`` block, atexit handler or buffer flush of the
+    caller runs here.  It first closes every other descriptor, so that a
+    reader of the caller's output that closes its end, in the caller's
+    process too, leaves it closed."""
     status = 1
     try:
         os.closerange(0, wfd)
         os.closerange(wfd + 1, os.sysconf("SC_OPEN_MAX"))
         with os.fdopen(wfd, "wb") as pipe:
             for item in items:
-                data = send(item)
+                data = pickle.dumps(produce(item))
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
                 pipe.flush()
@@ -51,32 +57,32 @@ def _send(send, items, wfd):
 
 
 @contextlib.contextmanager
-def forked(name, send, items):
-    """Fork one worker, called ``name`` in errors, that sends the bytes
-    ``send(item)`` for each of ``items`` in order, and yield the function
-    that returns the next of them; yield None where nothing is forked: no
-    items, no ``os.fork``, one usable CPU, or a fork the system refuses.
-    The worker is killed if the caller leaves early and reaped on every
-    path; a message cut short or a non-zero exit status raises
-    ``OSError``."""
+def forked(name, produce, items):
+    """Yield an iterator over ``produce(item)`` for each of ``items``, in
+    order.  Where it can, fork one worker, called ``name`` in errors, that
+    computes them all and sends each back as soon as it has it.  Where
+    nothing is forked (no items, no ``os.fork``, one usable CPU, or a fork
+    the system refuses) the iterator is ``map(produce, items)``: each
+    result is computed here when it is asked for.  The worker is killed if
+    the caller leaves early and reaped on every path; a result cut short
+    or a non-zero exit status raises ``OSError``."""
     if not items or not hasattr(os, "fork") or _usable_cpus() < 2:
-        yield None
+        yield map(produce, items)
         return
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
     except OSError:                     # no process to spare: the caller does the work
-        pid = None
-    if pid == 0:
-        _send(send, items, wfd)
-    os.close(wfd)
-    if pid is None:
         os.close(rfd)
-        yield None
+        os.close(wfd)
+        yield map(produce, items)
         return
+    if pid == 0:
+        _send(produce, items, wfd)
+    os.close(wfd)
     pipe = os.fdopen(rfd, "rb")
     try:
-        yield lambda: _receive(pipe, name)
+        yield _received(pipe, name)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise

@@ -97,6 +97,20 @@ class TestSpectrumCommand:
         assert out == ""
         assert_one_error_line(err, "out of float64 range")
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_non_finite_value_is_refused_not_printed(self, capsys, tmp_path, to_file):
+        # at w^2 = 2.5e4 + 1.01e-6 j, n = 34, the id1_second terms pass the
+        # float64 range, so the first check's residual is inf - inf = nan:
+        # strict JSON cannot hold it, and an --out target is left untouched
+        omegas = np.sqrt(2.5e4 + 1.01e-6 * np.arange(34)).tolist()
+        path = tmp_path / "spec.json"
+        path.write_text("kept\n")
+        out_args = ["--out", str(path)] if to_file else []
+        code, out, err = run(["spectrum", "--omegas", *map(repr, omegas), *out_args], capsys)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err, "outside the float64 range")
+        assert path.read_text() == "kept\n"
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         code, out, _ = run(["spectrum", "--omegas", "1", "--out", str(path)], capsys)
