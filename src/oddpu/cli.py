@@ -15,14 +15,14 @@ any other key is refused.  Each command is declared once, in
 ``COMMANDS``; ``verify``'s defaults live in ``verify.run_all``.
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input (an argument
-error or a refused config key or value included; one ``error:`` line on
-stderr), 3 degenerate structure requested where nondegeneracy is needed,
-4 a trajectory turned non-finite: an RK4 state or slope, checked per
-step, or a value of a printed table, checked in one place,
-``dynamics.require_finite``: a modal state of ``simulate``, or a column
-of ``simulate`` or ``deform``, whose Htot can overflow where Hcal and U
-do not (the error line gives t; a ``simulate`` column is a run constant,
-reported at the first grid time).
+error or a refused config key or value included) or memory exhausted
+(one ``error:`` line on stderr), 3 degenerate structure requested where
+nondegeneracy is needed, 4 a trajectory turned non-finite: an RK4 state
+or slope, checked per step, or a value of a printed table, checked in
+one place, ``dynamics.require_finite``: a modal state of ``simulate``,
+or a column of ``simulate`` or ``deform``, whose Htot can overflow where
+Hcal and U do not (the error line gives t; a ``simulate`` column is a
+run constant, reported at the first grid time).
 A reader that closes stdout early (``oddpu simulate ... | head -1``)
 ends the command with exit 0 and no ``error:`` line; the rest of the
 output is dropped.
@@ -30,19 +30,20 @@ output is dropped.
 CSV tables are written in blocks of ``CSV_BLOCK_ROWS`` rows.  Three
 commands hand independent work to ``worker.forked``, which runs it in a
 second process where this one may use two CPUs and hands back the
-results in order either way; no option selects this, and the bytes do
-not change.  It formats the odd blocks of a long ``simulate`` table,
-while this process formats the even ones; it integrates a long
-``deform`` table's RK4 blocks, while this process evaluates and formats
-the block before, and writes the table once every block is checked; and
-it runs ``verify``'s criterion 8 (``verify.run_all``).  A worker that
-fails ends the command with exit 2 and one ``error:`` line.
+results, or raises the exception that stopped them, as this process
+would; no option selects this.  It formats the odd blocks of a long
+``simulate`` table, while this process formats the even ones; it
+integrates a long ``deform`` table's RK4 blocks after the first, while
+this process evaluates and formats the block before, and writes the
+table once every block is checked; and it runs ``verify``'s criterion 8
+(``verify.run_all``).  A worker that dies or exits non-zero is exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import re
@@ -111,9 +112,8 @@ def _emit_csv(header, columns, out_path, constants=()):
     length; only one block of them is stacked at a time.
 
     Floats are written in shortest round-trip form (``repr``), so the
-    output is deterministic.  The odd blocks come through
-    ``worker.forked`` (module docstring), with the bytes of this process
-    formatting them; a formatter that fails raises ``OSError``.
+    output is deterministic.  The odd blocks come through ``worker.forked``
+    (module docstring), with the bytes of this process formatting them.
     """
     suffix = "".join("," + repr(float(v)) for v in constants) + "\n"
     starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
@@ -278,18 +278,9 @@ def cmd_simulate(cfg, out_path) -> int:
     return EXIT_OK
 
 
-def _sent_blocks(blocks):
-    """Each block of ``blocks``, then the IntegrationError that ends them
-    early, if one does, as a value that travels like a block."""
-    try:
-        yield from blocks
-    except IntegrationError as exc:
-        yield exc
-
-
 def cmd_deform(cfg, out_path) -> int:
-    """The RK4 blocks come through ``worker.forked`` (module docstring);
-    a table of one block forks nothing."""
+    """Block 0 is integrated here, the rest through ``worker.forked``
+    (module docstring), so a table of one block forks nothing."""
     spec = _spectrum_from(cfg)
     gamma = _gamma_from(cfg, spec)
     if poisson.gamma_is_degenerate(spec, gamma):
@@ -301,14 +292,12 @@ def cmd_deform(cfg, out_path) -> int:
         potential = deformation.PotentialSpec.from_json_dict(cfg["potential"])
     field, v1, v2 = deformation.deformed_field(spec, gamma, potential)
     energy = deformation.deformed_energy(spec, gamma, potential, v1, v2)
-    blocks = _sent_blocks(dynamics.RK4Flow(field, state).grid_blocks(grid, CSV_BLOCK_ROWS))
+    blocks = dynamics.RK4Flow(field, state).grid_blocks(grid, CSV_BLOCK_ROWS)
+    first = next(blocks)
     starts = range(0, grid.size, CSV_BLOCK_ROWS)
     energies, texts = [], []
-    with (worker.forked("RK4 worker", lambda states: states, blocks) if len(starts) > 1
-          else contextlib.nullcontext(blocks)) as received:
-        for start, states in zip(starts, received):
-            if isinstance(states, IntegrationError):
-                raise states
+    with worker.forked("RK4 worker", lambda start: next(blocks), starts[1:]) as rest:
+        for start, states in zip(starts, itertools.chain([first], rest)):
             columns = energy(states)
             energies.append(np.column_stack(tuple(columns.values())))
             texts.append(_csv_block((grid[start:], states, energies[-1]), 0, "\n"))
@@ -388,8 +377,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, KeyError, TypeError, OSError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

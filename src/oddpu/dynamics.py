@@ -230,8 +230,8 @@ class RK4Flow:
     [0, h].
 
     The steps advance on raw arrays, building no PhaseState per step.
-    ``cli.cmd_deform`` runs ``grid_blocks`` in a forked worker and
-    formats each block while the next is integrated.
+    ``cli.cmd_deform`` integrates block 0 itself and the rest in a forked
+    worker, and formats each block while the next is integrated.
     """
 
     def __init__(self, field, state: PhaseState):

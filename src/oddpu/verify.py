@@ -278,8 +278,7 @@ def run_all(n_max=6, trials=20, seed=42) -> dict:
     """Run every suite, each at its cap on n_max and trials, and summarize.
     These are the defaults ``oddpu verify`` runs at; the checks have none.
     Criterion 8 comes through ``worker.forked``: run in its worker while
-    this process runs the rest, or here after them where nothing is
-    forked.  A worker that fails raises ``OSError``."""
+    this process runs the rest, or here after them where nothing is forked."""
     if n_max < 1 or trials < 1:
         raise ValueError("n_max and trials must be >= 1")
     if seed < 0:

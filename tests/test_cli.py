@@ -590,7 +590,7 @@ class TestFormatterHygiene:
 
         def failing(*args):
             if os.getpid() != caller:
-                raise MemoryError("injected into the formatter")
+                os._exit(0)             # the formatter dies before it sends a block
             return csv_block(*args)
 
         monkeypatch.setattr(cli, "_csv_block", failing)
@@ -664,7 +664,7 @@ class TestVerifyWorker:
 
         def failing(*args):
             assert os.getpid() != caller, "criterion 8 ran in the caller"
-            raise MemoryError("injected into the worker")
+            os._exit(0)                 # the worker dies before it sends its result
 
         monkeypatch.setattr(verify, "check_deformation", failing)
         code, out, err = run(["verify", "--n-max", "2", "--trials", "2"], capsys)
@@ -780,7 +780,7 @@ class TestDeformWorker:
 
         def failing(field, t, u, h):
             if os.getpid() != caller and t > 15:
-                raise MemoryError("injected into the worker")
+                os._exit(0)             # the worker dies in block 1, its first
             return update(field, t, u, h)
 
         monkeypatch.setattr(dynamics, "_rk4_update", failing)
@@ -812,6 +812,65 @@ class TestDeformWorker:
         with pytest.raises(KeyboardInterrupt):
             main(self.argv(10 * CSV_BLOCK_ROWS))
         assert len(forks) == 1
+        assert_no_child_left()
+
+
+class TestWorkerErrors:
+    """An exception raised where a fork site's worker runs ends the command
+    as it does on one CPU and after a refused fork: the same exit code,
+    stdout and ``error:`` line.  A bare MemoryError is one line too."""
+
+    @pytest.fixture(params=TestVerifyWorker.MODES)
+    def mode(self, request, monkeypatch):
+        TestVerifyWorker.use(monkeypatch, request.param)
+        return request.param
+
+    @pytest.fixture(params=[(ValueError("injected"), "error: injected\n"),
+                            (MemoryError(), "error: MemoryError\n")], ids=["value", "memory"])
+    def error(self, request):
+        return request.param
+
+    def test_simulate_formatter(self, capsys, monkeypatch, forks, watchdog, mode, error):
+        # block 3 is odd, so the formatter formats it where one is forked;
+        # blocks 0-2 are written before it fails
+        raised, line = error
+        csv_block = cli._csv_block
+
+        def failing(columns, start, suffix):
+            if start == 3 * CSV_BLOCK_ROWS:
+                raise raised
+            return csv_block(columns, start, suffix)
+
+        monkeypatch.setattr(cli, "_csv_block", failing)
+        code, out, err = run(TestFormatterHygiene.ARGS, capsys)
+        assert (code, err, len(out.splitlines())) == (2, line, 1 + 3 * CSV_BLOCK_ROWS)
+        assert len(forks) == (mode == "worker")
+        assert_no_child_left()
+
+    def test_deform_rk4_worker(self, capsys, monkeypatch, forks, watchdog, mode, error):
+        # t > 15 is in block 1, the worker's first where one is forked
+        raised, line = error
+        update = dynamics._rk4_update
+
+        def failing(field, t, u, h):
+            if t > 15:
+                raise raised
+            return update(field, t, u, h)
+
+        monkeypatch.setattr(dynamics, "_rk4_update", failing)
+        code, out, err = run(TestDeformWorker.argv(3 * CSV_BLOCK_ROWS + 5), capsys)
+        assert (code, out, err, len(forks)) == (2, "", line, mode == "worker")
+        assert_no_child_left()
+
+    def test_verify_criterion_8(self, capsys, monkeypatch, forks, watchdog, mode, error):
+        raised, line = error
+
+        def failing(*args):
+            raise raised
+
+        monkeypatch.setattr(verify, "check_deformation", failing)
+        code, out, err = run(["verify", "--n-max", "2", "--trials", "2"], capsys)
+        assert (code, out, err, len(forks)) == (2, "", line, mode == "worker")
         assert_no_child_left()
 
 

@@ -1,6 +1,7 @@
 """``worker.forked`` yields an iterator over ``produce(item)`` for each of
-its items, in order, whether a worker computes them (two usable CPUs),
-this process does (one), or this process does after a refused fork."""
+its items, in order, or raises the exception that stopped one, whether a
+worker computes them (two usable CPUs), this process does (one), or this
+process does after a refused fork."""
 
 import os
 import time
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from oddpu import worker
+from oddpu.dynamics import IntegrationError
 
 from conftest import assert_no_child_left
 
@@ -36,6 +38,37 @@ def test_results_in_order(mode, forks, watchdog, kind):
     with worker.forked("test worker", produce, kind(ITEMS)) as results:
         received = [next(results) for _ in ITEMS]
     assert received == [produce(item) for item in ITEMS]
+    assert len(forks) == (mode == "worker")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["produce", "items"])
+@pytest.mark.parametrize("error", [ValueError("bad item", 5),
+                                   IntegrationError("non-finite state near t=2.5", t=2.5),
+                                   MemoryError()], ids=["value", "integration", "memory"])
+def test_exception_is_raised_in_place_of_its_result(mode, forks, watchdog, where, error):
+    # item 5, the fourth, raises where ``produce`` fails; where the items
+    # iterator fails, it raises when the fourth is asked for
+    def failing(item):
+        if item == ITEMS[3]:
+            raise error
+        return produce(item)
+
+    def items():
+        yield from ITEMS[:3]
+        if where == "items":
+            raise error
+        yield from ITEMS[3:]
+
+    # caught in the body, so the worker is not killed: it must exit 0
+    with worker.forked("test worker", failing, items()) as results:
+        received = [next(results) for _ in range(3)]
+        with pytest.raises(type(error)) as raised:
+            next(results)
+    assert received == [produce(item) for item in ITEMS[:3]]
+    assert type(raised.value) is type(error)
+    assert raised.value.args == error.args
+    assert getattr(raised.value, "t", None) == getattr(error, "t", None)
     assert len(forks) == (mode == "worker")
     assert_no_child_left()
 
@@ -102,7 +135,7 @@ def test_worker_ending_early_raises_with_its_name(mode, forks, watchdog):
 
     def failing(item):
         if item == 2 and os.getpid() != caller:
-            raise MemoryError("injected into the worker")
+            os._exit(0)                 # the worker dies before it sends item 2
         return produce(item)
 
     with pytest.raises(OSError, match="^test worker closed its pipe early$"):
@@ -123,5 +156,21 @@ def test_worker_exit_status_is_checked(mode, forks, watchdog, monkeypatch):
         with worker.forked("test worker", produce, ITEMS) as results:
             received.extend(next(results) for _ in ITEMS)
     assert received == [produce(item) for item in ITEMS]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("mode", ["worker"], indirect=True)
+def test_interrupt_in_the_worker_is_not_sent(mode, forks, watchdog):
+    # only an Exception is sent: a KeyboardInterrupt ends the worker, exit 1
+    def interrupted(item):
+        if item == 2:
+            raise KeyboardInterrupt
+        return produce(item)
+
+    with pytest.raises(OSError, match="^test worker closed its pipe early$"):
+        with worker.forked("test worker", interrupted, ITEMS) as results:
+            assert [next(results), next(results)] == [produce(0), produce(1)]
+            next(results)
     assert len(forks) == 1
     assert_no_child_left()
