@@ -116,15 +116,16 @@ def scaled_canonical_map(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray
     return _read_only(d[:, None] * canonical_map(spec))
 
 
-def structure_rank(spec: FrequencySpectrum, omega: np.ndarray) -> int:
-    """Rank of Omega read off its canonical block form B = T Omega T^T
+def structure_rank(spec: FrequencySpectrum, omega: np.ndarray):
+    """Rank of Omega (an int), or of each Omega of a (batch, dim, dim) stack
+    (a list), read off its canonical block form B = T Omega T^T
     (T = ``canonical_map``, invertible): the numerical rank of B at
     tolerance 1e-8 * max(max |B|, 1).  B's z-block s (w_0...w_{n-1})^2 J2
     vanishes exactly when the structure degenerates."""
     T = canonical_map(spec)
     B = T @ omega @ T.T
-    scale = max(np.abs(B).max(), 1.0)
-    return int(np.linalg.matrix_rank(B, tol=1e-8 * scale))
+    scale = np.maximum(np.abs(B).max(axis=(-2, -1)), 1.0)
+    return np.linalg.matrix_rank(B, tol=1e-8 * scale).tolist()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -47,12 +47,12 @@ J2.setflags(write=False)
 
 
 def block_view(A: np.ndarray) -> np.ndarray:
-    """Writable (d, d, 2, 2) view of a C-contiguous (2d, 2d) array.  On the
-    jet layout block [s, m] holds the entries at (2s + i - 1, 2m + j - 1),
-    a_{sm} delta_ij or d_{sm} eps_ij in every rotation-covariant matrix of
-    the model."""
-    d = len(A) // 2
-    return A.reshape(d, 2, d, 2).swapaxes(1, 2)
+    """Writable (..., d, d, 2, 2) view of a C-contiguous (..., 2d, 2d) array,
+    one matrix or a stack.  On the jet layout block [s, m] holds the entries
+    at (2s + i - 1, 2m + j - 1), a_{sm} delta_ij or d_{sm} eps_ij in every
+    rotation-covariant matrix of the model."""
+    d = A.shape[-1] // 2
+    return A.reshape(A.shape[:-2] + (d, 2, d, 2)).swapaxes(-3, -2)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,13 @@ A structure is its constant antisymmetric matrix Omega, a plain
   nonzero constants gamma_{k,i}, which renders the positive-definite
   Hamiltonians canonical.
 
+Each is built for a batch of spectra that share one n, as a
+(batch, 4n+2, 4n+2) stack, by ``dirac_structures`` and ``alt_structures``;
+the single builders are their batches of one.  The blocks are placed from
+(s, m) index grids, every weighted moment is one row-by-column product,
+and an eps block is its coefficient times ``J2``, so each matrix has the
+bits of the block-at-a-time loop, -0.0 entries included, in any batch.
+
 A quadratic observable u.A.u/2 generates the linear flow
 du/dt = Omega A u, so its Hamiltonian vector field is the plain product
 ``Omega @ A``; the conserved quadratics are weight vectors over the
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import J2, block_view
-from .spectrum import FrequencySpectrum
+from .spectrum import FrequencySpectrum, batch_n
 
 GAMMA_FLOOR = 1e-9
 
@@ -88,18 +95,54 @@ def dirac_equivalent_gamma(n: int) -> GammaWeights:
     return GammaWeights(tuple(((-1.0) ** k, (-1.0) ** (k + 1)) for k in range(n)))
 
 
+def _block_grid(n: int, parity: int):
+    """The (s, m) of the blocks with s + m of ``parity``, in row order."""
+    s, m = np.indices((2 * n + 1, 2 * n + 1)).reshape(2, -1)
+    kept = (s + m) % 2 == parity
+    return s[kept], m[kept]
+
+
+def dirac_structures(specs) -> np.ndarray:
+    """``dirac_structure`` of each spectrum in ``specs``, a batch that shares
+    one n (a ValueError otherwise), as a (batch, 4n+2, 4n+2) stack."""
+    n = batch_n(specs)
+    s, m = _block_grid(n, 0)
+    k = (s + m) // 2 - n
+    P = np.array([spec.table.P[:n + 1] for spec in specs])
+    coef = (-1.0) ** ((s - m) // 2 + n + 1) * np.where(k >= 0, P[:, np.maximum(k, 0)], 0.0)
+    omega = np.zeros((len(specs), 4 * n + 2, 4 * n + 2))
+    block_view(omega)[:, s, m] = coef[..., None, None] * J2
+    return omega
+
+
 def dirac_structure(spec: FrequencySpectrum) -> np.ndarray:
     """Structure with {x_i^{(s)}, x_j^{(m)}} = 0 for s+m odd and
     (-1)^{(s-m)/2 + n + 1} P_{s+m-2n} eps_{ij} for s+m even."""
-    n = spec.n
-    P = spec.table.P
-    omega = np.zeros((spec.jet_dim, spec.jet_dim))
+    return dirac_structures([spec])[0]
+
+
+def alt_structures(specs, gammas) -> np.ndarray:
+    """``alt_structure`` of each spectrum in ``specs``, a batch that shares
+    one n (a ValueError otherwise), at its weights in ``gammas``, as a
+    (batch, 4n+2, 4n+2) stack."""
+    n = batch_n(specs)
+    for spec, g in zip(specs, gammas, strict=True):
+        _require_sizes_match(spec, g)
+    # an entry depends on (s, m) through its sign and the weighted moments
+    # (sum_k rho_k w_k^e alpha_k^+, sum_k rho_k w_k^e alpha_k^-) at e = s+m-2,
+    # each sum one (1, n) @ (n, 1) product
+    rhos = np.array([spec.table.rho for spec in specs])
+    w = np.array([spec.omegas for spec in specs])
+    alphas = np.array([(g.alpha_plus, g.alpha_minus) for g in gammas])
+    moments = np.stack([rhos * w ** e for e in range(-1, 4 * n - 1)], axis=1)
+    sums = (moments[:, :, None, None, :] @ alphas[:, None, :, :, None])[..., 0, 0]
+    omega = np.zeros((len(specs), 4 * n + 2, 4 * n + 2))
     blocks = block_view(omega)
-    for s in range(2 * n + 1):
-        for m in range(s % 2, 2 * n + 1, 2):
-            k = (s + m - 2 * n) // 2
-            coef = (-1.0) ** ((s - m) // 2 + n + 1) * (P[k] if k >= 0 else 0.0)
-            blocks[s, m] = coef * J2
+    s, m = _block_grid(n, 1)
+    blocks[:, s, m, 0, 0] = blocks[:, s, m, 1, 1] = (
+        (-1.0) ** ((s - m + 1) // 2) * sums[:, s + m - 1, 0])
+    s, m = (grid[1:] for grid in _block_grid(n, 0))    # (0, 0), first, stays zero
+    blocks[:, s, m] = ((-1.0) ** ((s - m) // 2) * sums[:, s + m - 1, 1])[..., None, None] * J2
     return omega
 
 
@@ -114,30 +157,7 @@ def alt_structure(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:
     The matrix is constructed even when the family is degenerate; only
     flows that need invertibility reject degenerate weights.
     """
-    _require_sizes_match(spec, g)
-    n = spec.n
-    # an entry depends on (s, m) through its sign and the weighted moments
-    # (sum_k rho_k w_k^e alpha_k^+, sum_k rho_k w_k^e alpha_k^-) at e = s+m-2
-    rhos = np.array(spec.table.rho)
-    w = np.array(spec.omegas)
-    ap, am = g.alpha_plus, g.alpha_minus
-    sums = {}
-    for e in range(-1, 4 * n - 1):
-        moments = rhos * w ** e
-        sums[e] = (float(moments @ ap), float(moments @ am))
-    omega = np.zeros((spec.jet_dim, spec.jet_dim))
-    blocks = block_view(omega)
-    for s in range(2 * n + 1):
-        for m in range(2 * n + 1):
-            if s == 0 and m == 0:
-                continue
-            plus, minus = sums[s + m - 2]
-            if (s + m) % 2 == 1:
-                coef = (-1.0) ** ((s - m + 1) // 2) * plus
-                blocks[s, m, 0, 0] = blocks[s, m, 1, 1] = coef
-            else:
-                blocks[s, m] = (-1.0) ** ((s - m) // 2) * minus * J2
-    return omega
+    return alt_structures([spec], [g])[0]
 
 
 def _degeneracy_terms(spec: FrequencySpectrum, g: GammaWeights) -> np.ndarray:

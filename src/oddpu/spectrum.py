@@ -262,6 +262,13 @@ def _worst(checks, axis, locate) -> list:
             for b, i in enumerate(np.argmax(ranked, axis=1).tolist())]
 
 
+def batch_n(specs) -> int:
+    """The n that every spectrum of the batch ``specs`` shares; a ValueError if they differ."""
+    if len({spec.n for spec in specs}) != 1:
+        raise ValueError("a batch of spectra needs one n")
+    return specs[0].n
+
+
 def identity_reports(specs) -> list:
     """Numerically check the symmetric-polynomial identities of each
     spectrum in ``specs``, a batch that shares one n (a ValueError
@@ -284,12 +291,11 @@ def identity_reports(specs) -> list:
     array pass over the batch with the IEEE operations of checking one
     index combination at a time, in order: Python ``**`` powers, products
     in operand order, sums left to right, Python ``max``'s rules for
-    scales and the worst check.  No BLAS call enters, and each s of
-    ``id1_first`` and ``id1_second`` forms one (batch, n, n) array.
+    scales and the worst check.  No BLAS call enters, each s of
+    ``id1_first`` and ``id1_second`` forms one (batch, n, n) array, and
+    each s of ``power_diff`` one (batch, n(n-1)) array.
     """
-    if len({spec.n for spec in specs}) != 1:
-        raise ValueError("a batch of spectra needs one n")
-    n, B, w2 = specs[0].n, len(specs), np.array([spec.omega_sq for spec in specs])
+    n, B, w2 = batch_n(specs), len(specs), np.array([spec.omega_sq for spec in specs])
     rho, sigma, red, P = (np.array([getattr(spec.table, f) for spec in specs])
                           for f in ("rho", "sigma", "reduced", "P"))
     # W[:, p, j] = w_p^(2j) for j <= n + 5, V[:, k, s] = (-w_k^2)^s for s <= n
@@ -312,21 +318,27 @@ def identity_reports(specs) -> list:
             [_sum_check((-1.0) ** (n - 1) * sgn * W.transpose(0, 2, 1) * rho[:, None, :],
                         np.concatenate([np.zeros((B, n - 1)), P[:, :P_TABLE_DEGREE + 1]], 1))],
             1, lambda i: (i - n + 1,))
-        # one P pass per pair serves every s; n = 1 samples fixed second arguments
+        # one P pass per pair serves every s, each s one (batch, pairs)
+        # array; n = 1 samples fixed second arguments
         if n > 1:
             a, b = np.nonzero(eye == 0.0)
-            x, y, px, py = w2[:, a], w2[:, b], W[:, a, 1:7], W[:, b, 1:7]
+            x, y = w2[:, a], w2[:, b]
+            powers = lambda s: (W[:, a, s], W[:, b, s])
             locate = lambda i: (int(a[i // 6]), int(b[i // 6]), i % 6 + 1)
         else:
             x, y = np.repeat(w2, 2, axis=1), np.broadcast_to([0.25, 2.0], (B, 2))
-            px = np.array([[[spec.omega_sq[0] ** s for s in range(1, 7)]] * 2 for spec in specs])
-            py = np.array([[v ** s for s in range(1, 7)] for v in (0.25, 2.0)])
+            powers = lambda s: (np.array([[spec.omega_sq[0] ** s] * 2 for spec in specs]),
+                                np.array([v ** s for v in (0.25, 2.0)]))
             locate = lambda i: ((0.25, 2.0)[i // 6], i % 6 + 1)
-        h = np.stack(np.broadcast_arrays(*_complete_homogeneous_pass([x, y], 5)), -1)
-        lhs, rhs = px - py, (x - y)[..., None] * h
-        sizes = (px, py) if n > 1 else (lhs,)
-        report["power_diff"] = _worst([(lhs - rhs, _max_first(*map(abs, sizes + (rhs,)), 1.0))],
-                                      1, locate)
+        h, diff = _complete_homogeneous_pass([x, y], 5), x - y
+
+        def power_diff(s):
+            px, py = powers(s)
+            lhs, rhs = px - py, diff * h[s - 1]
+            sizes = (px, py) if n > 1 else (lhs,)
+            return lhs - rhs, _max_first(*map(abs, sizes + (rhs,)), 1.0)
+
+        report["power_diff"] = _worst([power_diff(s) for s in range(1, 7)], 2, locate)
         # over sampled argument subsets, padded so n = 1 still exercises it;
         # each pair (a, b) of the pool adds its first two other entries
         pool = np.concatenate([w2, np.broadcast_to([0.3, 1.7], (B, 2))], axis=1)

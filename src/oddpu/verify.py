@@ -1,11 +1,13 @@
 """Seeded property suites over random spectra and weights.
 
 Each check draws gap-respecting spectra and nondegenerate gamma sets from
-a seeded generator, measures worst-case residuals (criterion 1 over one
-batch of spectra per n), and reports them with a pass flag at the pinned
-tolerance.  ``run_all`` drives every suite and is what the CLI's verify
-command executes.  No check reads another's generator or state, so
-criterion 8 may run in another process.
+a seeded generator, measures worst-case residuals, and reports them with a
+pass flag at the pinned tolerance.  Criteria 1-4 and 6 draw one n's
+spectra, weights and states in the order of one draw at a time, then pass
+them as one batch to the builders and to stacked products.  ``run_all``
+drives every suite and is what the CLI's verify command executes.  No
+check reads another's generator or state, so criterion 8's RK4 half may
+run in another process.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ def random_gamma(rng, spec: spectrum.FrequencySpectrum) -> poisson.GammaWeights:
         mags = rng.uniform(GAMMA_LO, GAMMA_HI, size=(spec.n, 2))
         signs = rng.choice([-1.0, 1.0], size=(spec.n, 2))
         g = poisson.GammaWeights(tuple(map(tuple, mags * signs)))
-        if abs(poisson.degeneracy_scalar(spec, g)) > 0.05 * poisson.degeneracy_scale(spec, g):
+        terms = poisson._degeneracy_terms(spec, g)
+        if abs(np.sum(terms)) > 0.05 * np.sum(np.abs(terms)):
             return g
 
 
@@ -51,6 +54,20 @@ def _draws(seed, n_max, trials):
             yield rng, random_spectrum(rng, n)
 
 
+def _batches(seed, n_max, trials, draw=lambda rng, spec: ()):
+    """For each n = 1..n_max, its ``trials`` draws as columns: the spectra,
+    then each value of ``draw(rng, spec)``, drawn right after its spectrum,
+    so the generator is read in the order of one draw at a time."""
+    for _, group in itertools.groupby(_draws(seed, n_max, trials), lambda d: d[1].n):
+        yield [list(column) for column in zip(*((spec, *draw(rng, spec)) for rng, spec in group))]
+
+
+def _worst(worst, *residuals):
+    """Python's running ``max`` from ``worst`` over each residual array in
+    turn, as the draw-at-a-time checks kept it: a NaN never replaces it."""
+    return max([worst] + [r for rs in residuals for r in np.ravel(rs).tolist()])
+
+
 def _result(name, worst, tol):
     return {name: {"worst_residual": float(worst), "tolerance": tol, "pass": bool(worst <= tol)}}
 
@@ -58,9 +75,9 @@ def _result(name, worst, tol):
 def check_identities(n_max, trials, seed) -> dict:
     """Criterion 1: identity suite, relative residuals <= 1e-8.  Each n's
     ``trials`` spectra go to ``spectrum.identity_reports`` as one batch."""
-    worst, specs = 0.0, (spec for _, spec in _draws(seed, n_max, trials))
-    for _, batch in itertools.groupby(specs, lambda spec: spec.n):
-        for report in spectrum.identity_reports(list(batch)):
+    worst = 0.0
+    for specs, in _batches(seed, n_max, trials):
+        for report in spectrum.identity_reports(specs):
             worst = max(worst, max(r["max_residual"] for r in report.values()))
     return _result("identities", worst, 1e-8)
 
@@ -69,16 +86,16 @@ def check_hamilton_closure(n_max, trials, seed) -> dict:
     """Criterion 2: Omega A_H reproduces the companion matrix, both
     structures, relative 1e-9."""
     worst = 0.0
-    for rng, spec in _draws(seed, n_max, trials):
-        M = dynamics.companion_matrix(spec)
-        scale = np.abs(M).max()
-        field = poisson.dirac_structure(spec) @ canonical.quadratic_form(
-            spec, canonical.energy_observable(spec))
-        worst = max(worst, np.abs(field - M).max() / scale)
-        g = random_gamma(rng, spec)
-        field = poisson.alt_structure(spec, g) @ canonical.quadratic_form(
-            spec, canonical.alt_hamiltonian_observable(spec, g))
-        worst = max(worst, np.abs(field - M).max() / scale)
+    for specs, gs in _batches(seed, n_max, trials, lambda rng, spec: (random_gamma(rng, spec),)):
+        M = np.array([dynamics.companion_matrix(spec) for spec in specs])
+        scale = np.abs(M).max(axis=(1, 2))
+        energy = [canonical.quadratic_form(spec, canonical.energy_observable(spec))
+                  for spec in specs]
+        alt = [canonical.quadratic_form(spec, canonical.alt_hamiltonian_observable(spec, g))
+               for spec, g in zip(specs, gs)]
+        fields = (poisson.dirac_structures(specs) @ np.array(energy),
+                  poisson.alt_structures(specs, gs) @ np.array(alt))
+        worst = _worst(worst, *(np.abs(field - M).max(axis=(1, 2)) / scale for field in fields))
     return _result("hamilton_closure", worst, 1e-9)
 
 
@@ -86,10 +103,12 @@ def check_dirac_recovery(n_max, trials, seed) -> dict:
     """Criterion 3: the alternative family at the alternating unit weights
     equals the Dirac structure entrywise, relative 1e-9."""
     worst = 0.0
-    for _, spec in _draws(seed, n_max, trials):
-        dirac = poisson.dirac_structure(spec)
-        alt = poisson.alt_structure(spec, poisson.dirac_equivalent_gamma(spec.n))
-        worst = max(worst, np.abs(alt - dirac).max() / np.abs(dirac).max())
+    for specs, in _batches(seed, n_max, trials):
+        dirac = poisson.dirac_structures(specs)
+        gamma = poisson.dirac_equivalent_gamma(specs[0].n)
+        alt = poisson.alt_structures(specs, [gamma] * len(specs))
+        worst = _worst(worst, np.abs(alt - dirac).max(axis=(1, 2))
+                       / np.abs(dirac).max(axis=(1, 2)))
     return _result("dirac_recovery", worst, 1e-9)
 
 
@@ -101,26 +120,31 @@ def check_canonical_form(n_max, trials, seed) -> dict:
     relative)."""
     worst_block = 0.0
     worst_energy = 0.0
-    for rng, spec in _draws(seed, n_max, trials):
-        n = spec.n
+
+    def draw(rng, spec):
+        return random_gamma(rng, spec), rng.uniform(-1, 1, size=(100 // trials + 1, spec.jet_dim))
+
+    for specs, gs, states in _batches(seed, n_max, trials, draw):
+        n = specs[0].n
         J = np.kron(np.eye(2 * n + 1), dynamics.J2)   # (q, p) pairs, then (z, pi)
-        g = random_gamma(rng, spec)
-        T = canonical.scaled_canonical_map(spec, g)
-        Om = poisson.alt_structure(spec, g)
-        worst_block = max(worst_block, np.abs(T @ Om @ T.T - J).max())
-        # Dirac structure under the unscaled map, same block target
-        Tc = canonical.canonical_map(spec)
-        Omd = poisson.dirac_structure(spec)
-        worst_block = max(worst_block, np.abs(Tc @ Omd @ Tc.T - J).max())
-        osc = canonical.oscillator_map(spec)
-        states = rng.uniform(-1, 1, size=(100 // trials + 1, spec.jet_dim))
-        energies = canonical.oscillator_sums(spec, canonical.energy_observable(spec), states)
-        for u, energy in zip(states, energies.tolist()):
-            # the independent side: the jet-space Noether form
-            x = (osc @ u).reshape(n, 3, 2)      # x[k, order, i - 1]
-            noether = sum((-1.0) ** (k + 1) * (x[k, 1, 0] * x[k, 2, 1]
-                                               - x[k, 1, 1] * x[k, 2, 0]) for k in range(n))
-            worst_energy = max(worst_energy, abs(energy - noether) / max(1.0, abs(noether)))
+        T = np.array([canonical.scaled_canonical_map(spec, g) for spec, g in zip(specs, gs)])
+        # the Dirac structure under the unscaled map, same block target
+        Tc = np.array([canonical.canonical_map(spec) for spec in specs])
+        blocks = (T @ poisson.alt_structures(specs, gs) @ T.transpose(0, 2, 1),
+                  Tc @ poisson.dirac_structures(specs) @ Tc.transpose(0, 2, 1))
+        worst_block = _worst(worst_block, *(np.abs(B - J).max(axis=(1, 2)) for B in blocks))
+        energies = [canonical.oscillator_sums(spec, canonical.energy_observable(spec), u)
+                    for spec, u in zip(specs, states)]
+        # the independent side: the jet-space Noether form, one state's
+        # coordinates a row-by-matrix product, summed over k left to right
+        osc = np.array([canonical.oscillator_map(spec) for spec in specs])
+        x = (osc[:, None] @ np.array(states)[..., None]).reshape(len(specs), -1, n, 3, 2)
+        noether = 0.0
+        for k in range(n):                  # x[..., k, order, i - 1]
+            noether = noether + (-1.0) ** (k + 1) * (x[..., k, 1, 0] * x[..., k, 2, 1]
+                                                     - x[..., k, 1, 1] * x[..., k, 2, 0])
+        worst_energy = _worst(worst_energy, np.abs(np.array(energies) - noether)
+                              / np.fmax(1.0, np.abs(noether)))
     out = _result("canonical_block_form", worst_block, 1e-9)
     out.update(_result("energy_oscillator_sum", worst_energy, 1e-10))
     return out
@@ -149,15 +173,11 @@ def check_degeneracy_rank(n_max, trials, seed) -> dict:
     failures = []
     for rng, spec in _draws(seed, n_max, 1):
         n = spec.n
-        flat = poisson.GammaWeights(tuple((1.0, 1.0) for _ in range(n)))
-        r = canonical.structure_rank(spec, poisson.alt_structure(spec, flat))
-        if r != 4 * n:
-            failures.append(("degenerate", n, r))
-        for _ in range(trials):
-            g = random_gamma(rng, spec)
-            r = canonical.structure_rank(spec, poisson.alt_structure(spec, g))
-            if r != 4 * n + 2:
-                failures.append(("nondegenerate", n, r))
+        gs = [poisson.GammaWeights(tuple((1.0, 1.0) for _ in range(n)))]
+        gs += [random_gamma(rng, spec) for _ in range(trials)]
+        ranks = canonical.structure_rank(spec, poisson.alt_structures([spec] * len(gs), gs))
+        failures += [("degenerate", n, r) for r in ranks[:1] if r != 4 * n]
+        failures += [("nondegenerate", n, r) for r in ranks[1:] if r != 4 * n + 2]
     return {"degeneracy_rank": {"failures": failures, "pass": not failures}}
 
 
@@ -191,12 +211,11 @@ def _subspace_gap(B1: np.ndarray, B2: np.ndarray) -> float:
     return float(np.abs(q1 @ q1.T - q2 @ q2.T).max())
 
 
-def check_deformation(n_max, trials, seed) -> dict:
-    """Criterion 8: constraint rank/null dimensions, the closed-form
-    invariant directions deform runs (residual max|C v_a| / max|C| <=
-    1e-12, subspace gap to the pivoted null space <= 1e-9), the n = 1
-    closed-form null space, and order-4 conservation of the deformed
-    flow.
+def check_null_spaces(n_max, trials, seed) -> dict:
+    """Criterion 8's algebraic half: constraint rank/null dimensions, the
+    closed-form invariant directions deform runs (residual
+    max|C v_a| / max|C| <= 1e-12, subspace gap to the pivoted null space
+    <= 1e-9) and the n = 1 closed-form null space.
 
     The gap bound is the one the n = 1 closed form is held to: against a
     50-digit null space of C the invariant directions are good to 1.4e-15
@@ -221,7 +240,16 @@ def check_deformation(n_max, trials, seed) -> dict:
             closed = np.array([deformation.closed_form_direction_n1(spec, g, i)
                                for i in (1, 2)])
             worst_angle = max(worst_angle, _subspace_gap(basis, closed))
-    # order-4 signature of the conserved total energy
+    out = {"deformation_rank_null": {"failures": failures, "pass": not failures}}
+    out.update(_result("deformation_closed_form_n1", worst_angle, 1e-9))
+    return out
+
+
+def check_rk4_order() -> dict:
+    """Criterion 8's RK4 half: the order-4 signature of the conserved total
+    energy along the quartic deformed flow at n = 1, from its drift over
+    t in [0, 10] at three step sizes.  It draws nothing, so it reads no
+    seed or cap."""
     spec1 = spectrum.FrequencySpectrum((1.0,))
     g1 = poisson.GammaWeights(((1.0, -1.0),))
     # modest amplitude: the total energy is indefinite here, so large
@@ -236,11 +264,16 @@ def check_deformation(n_max, trials, seed) -> dict:
         energy = total(dynamics.RK4Flow(field, state0).grid_states(grid))["Htot"]
         drifts.append(float(np.abs(energy[1:] - energy[0]).max()))
     orders = [float(np.log2(drifts[i] / drifts[i + 1])) for i in range(2)]
-    out = {"deformation_rank_null": {"failures": failures, "pass": not failures}}
-    out.update(_result("deformation_closed_form_n1", worst_angle, 1e-9))
-    out["deformation_rk4_order"] = {
+    return {"deformation_rk4_order": {
         "drifts": [float(d) for d in drifts], "orders": orders,
-        "pass": bool(min(orders) >= 3.8)}
+        "pass": bool(min(orders) >= 3.8)}}
+
+
+def check_deformation(n_max, trials, seed) -> dict:
+    """Criterion 8 whole: ``check_null_spaces``, then ``check_rk4_order``.
+    ``run_all`` runs the two halves apart, the second in its worker."""
+    out = check_null_spaces(n_max, trials, seed)
+    out.update(check_rk4_order())
     return out
 
 
@@ -277,16 +310,17 @@ def check_eom_fidelity(n_max, trials, seed) -> dict:
 def run_all(n_max=6, trials=20, seed=42) -> dict:
     """Run every suite, each at its cap on n_max and trials, and summarize.
     These are the defaults ``oddpu verify`` runs at; the checks have none.
-    Criterion 8 comes through ``worker.forked``: run in its worker while
-    this process runs the rest, or here after them where nothing is forked."""
+    Criterion 8's RK4 half (``check_rk4_order``) comes through
+    ``worker.forked``: run in its worker while this process runs the eight
+    other checks and criterion 8's algebraic half (``check_null_spaces``),
+    or here after them where nothing is forked.  The summary lists the
+    checks in criterion order either way."""
     if n_max < 1 or trials < 1:
         raise ValueError("n_max and trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    deformation_args = (min(3, n_max), min(10, trials), seed)
     checks = {}
-    with worker.forked("verify worker", lambda args: check_deformation(*args),
-                       [deformation_args]) as criterion_8:
+    with worker.forked("verify worker", lambda _: check_rk4_order(), [None]) as rk4_order:
         checks.update(check_identities(min(6, n_max), min(20, trials), seed))
         checks.update(check_hamilton_closure(min(4, n_max), min(20, trials), seed))
         checks.update(check_dirac_recovery(min(5, n_max), min(20, trials), seed))
@@ -294,8 +328,9 @@ def run_all(n_max=6, trials=20, seed=42) -> dict:
         checks.update(check_conservation(min(4, n_max), min(3, trials), seed))
         checks.update(check_degeneracy_rank(min(4, n_max), min(10, trials), seed))
         checks.update(check_uniqueness())
+        checks.update(check_null_spaces(min(3, n_max), min(10, trials), seed))
         eom = check_eom_fidelity(min(4, n_max), min(10, trials), seed)
-        checks.update(next(criterion_8))
+        checks.update(next(rk4_order))
         checks.update(eom)
     return {"seed": seed, "n_max": n_max, "trials": trials,
             "checks": checks,

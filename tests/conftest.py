@@ -12,6 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oddpu import verify
+from oddpu.canonical import (alt_hamiltonian_observable, canonical_map, energy_observable,
+                             oscillator_map, oscillator_sums, quadratic_form,
+                             scaled_canonical_map, structure_rank)
+from oddpu.dynamics import J2, block_view, companion_matrix
+from oddpu.poisson import GammaWeights, dirac_equivalent_gamma
 from oddpu.spectrum import (P_TABLE_DEGREE, _complete_homogeneous_pass, complete_homog,
                             passes_tolerance)
 
@@ -166,6 +172,117 @@ def identity_report_oracle(spec) -> dict:
 
     return {check.__name__: _oracle_worst(check())
             for check in (id1_first, id1_second, id2, power_diff, p_diff)}
+
+
+def loop_dirac_structure(spec):
+    """``poisson.dirac_structure`` one 2x2 block at a time: the loop the
+    batch builder replaced, kept as its bit-for-bit oracle."""
+    n = spec.n
+    P = spec.table.P
+    omega = np.zeros((spec.jet_dim, spec.jet_dim))
+    blocks = block_view(omega)
+    for s in range(2 * n + 1):
+        for m in range(s % 2, 2 * n + 1, 2):
+            k = (s + m - 2 * n) // 2
+            coef = (-1.0) ** ((s - m) // 2 + n + 1) * (P[k] if k >= 0 else 0.0)
+            blocks[s, m] = coef * J2
+    return omega
+
+
+def loop_alt_structure(spec, g):
+    """``poisson.alt_structure`` one moment sum and one 2x2 block at a
+    time: the loop the batch builder replaced, kept as its bit-for-bit
+    oracle."""
+    n = spec.n
+    rhos = np.array(spec.table.rho)
+    w = np.array(spec.omegas)
+    ap, am = g.alpha_plus, g.alpha_minus
+    sums = {}
+    for e in range(-1, 4 * n - 1):
+        moments = rhos * w ** e
+        sums[e] = (float(moments @ ap), float(moments @ am))
+    omega = np.zeros((spec.jet_dim, spec.jet_dim))
+    blocks = block_view(omega)
+    for s in range(2 * n + 1):
+        for m in range(2 * n + 1):
+            if s == 0 and m == 0:
+                continue
+            plus, minus = sums[s + m - 2]
+            if (s + m) % 2 == 1:
+                coef = (-1.0) ** ((s - m + 1) // 2) * plus
+                blocks[s, m, 0, 0] = blocks[s, m, 1, 1] = coef
+            else:
+                blocks[s, m] = (-1.0) ** ((s - m) // 2) * minus * J2
+    return omega
+
+
+# Criteria 2, 3, 4 and 6 one draw at a time, on the loop builders: the
+# bodies ``verify`` replaced with batched passes per n, kept as their
+# oracles.  Each check's ``json.dumps`` must be equal.
+
+def hamilton_closure_oracle(n_max, trials, seed) -> dict:
+    worst = 0.0
+    for rng, spec in verify._draws(seed, n_max, trials):
+        M = companion_matrix(spec)
+        scale = np.abs(M).max()
+        field = loop_dirac_structure(spec) @ quadratic_form(spec, energy_observable(spec))
+        worst = max(worst, np.abs(field - M).max() / scale)
+        g = verify.random_gamma(rng, spec)
+        field = loop_alt_structure(spec, g) @ quadratic_form(
+            spec, alt_hamiltonian_observable(spec, g))
+        worst = max(worst, np.abs(field - M).max() / scale)
+    return verify._result("hamilton_closure", worst, 1e-9)
+
+
+def dirac_recovery_oracle(n_max, trials, seed) -> dict:
+    worst = 0.0
+    for _, spec in verify._draws(seed, n_max, trials):
+        dirac = loop_dirac_structure(spec)
+        alt = loop_alt_structure(spec, dirac_equivalent_gamma(spec.n))
+        worst = max(worst, np.abs(alt - dirac).max() / np.abs(dirac).max())
+    return verify._result("dirac_recovery", worst, 1e-9)
+
+
+def canonical_form_oracle(n_max, trials, seed) -> dict:
+    worst_block = 0.0
+    worst_energy = 0.0
+    for rng, spec in verify._draws(seed, n_max, trials):
+        n = spec.n
+        J = np.kron(np.eye(2 * n + 1), J2)
+        g = verify.random_gamma(rng, spec)
+        T = scaled_canonical_map(spec, g)
+        Om = loop_alt_structure(spec, g)
+        worst_block = max(worst_block, np.abs(T @ Om @ T.T - J).max())
+        Tc = canonical_map(spec)
+        Omd = loop_dirac_structure(spec)
+        worst_block = max(worst_block, np.abs(Tc @ Omd @ Tc.T - J).max())
+        osc = oscillator_map(spec)
+        states = rng.uniform(-1, 1, size=(100 // trials + 1, spec.jet_dim))
+        energies = oscillator_sums(spec, energy_observable(spec), states)
+        for u, energy in zip(states, energies.tolist()):
+            x = (osc @ u).reshape(n, 3, 2)
+            noether = sum((-1.0) ** (k + 1) * (x[k, 1, 0] * x[k, 2, 1]
+                                               - x[k, 1, 1] * x[k, 2, 0]) for k in range(n))
+            worst_energy = max(worst_energy, abs(energy - noether) / max(1.0, abs(noether)))
+    out = verify._result("canonical_block_form", worst_block, 1e-9)
+    out.update(verify._result("energy_oscillator_sum", worst_energy, 1e-10))
+    return out
+
+
+def degeneracy_rank_oracle(n_max, trials, seed) -> dict:
+    failures = []
+    for rng, spec in verify._draws(seed, n_max, 1):
+        n = spec.n
+        flat = GammaWeights(tuple((1.0, 1.0) for _ in range(n)))
+        r = structure_rank(spec, loop_alt_structure(spec, flat))
+        if r != 4 * n:
+            failures.append(("degenerate", n, r))
+        for _ in range(trials):
+            g = verify.random_gamma(rng, spec)
+            r = structure_rank(spec, loop_alt_structure(spec, g))
+            if r != 4 * n + 2:
+                failures.append(("nondegenerate", n, r))
+    return {"degeneracy_rank": {"failures": failures, "pass": not failures}}
 
 
 def jet_index(s, i):

@@ -6,11 +6,15 @@ Runtime budget: criteria 1 and 2 each within 5 s, the whole suite within
 failure log is self-explanatory.
 """
 
+import json
 import time
 
 import pytest
 
 from oddpu import verify
+
+from conftest import (canonical_form_oracle, degeneracy_rank_oracle, dirac_recovery_oracle,
+                      hamilton_closure_oracle)
 
 
 def _report(name, payload):
@@ -107,3 +111,26 @@ class TestAcceptance:
         # every check caps trials at or below the default 20, so asking for
         # more reruns the default suite: same draws, same residuals
         assert verify.run_all(trials=400)["checks"] == verify.run_all()["checks"]
+
+
+class TestBatchedChecks:
+    """Criteria 2, 3, 4 and 6 as batched passes per n give the JSON of
+    their draw-at-a-time bodies (``conftest``'s oracles)."""
+
+    @pytest.mark.parametrize("check, oracle, caps", [
+        (verify.check_hamilton_closure, hamilton_closure_oracle, (4, 4)),
+        (verify.check_dirac_recovery, dirac_recovery_oracle, (5, 4)),
+        (verify.check_canonical_form, canonical_form_oracle, (4, 4)),
+        (verify.check_degeneracy_rank, degeneracy_rank_oracle, (4, 3)),
+    ], ids=["hamilton_closure", "dirac_recovery", "canonical_form", "degeneracy_rank"])
+    def test_equal_to_the_draw_at_a_time_body(self, check, oracle, caps):
+        for seed in range(20):
+            assert json.dumps(check(*caps, seed)) == json.dumps(oracle(*caps, seed)), seed
+
+    def test_criterion_8_is_its_two_halves(self):
+        whole = verify.check_deformation(n_max=2, trials=3, seed=5)
+        halves = verify.check_null_spaces(2, 3, 5)
+        halves.update(verify.check_rk4_order())
+        assert json.dumps(whole) == json.dumps(halves)
+        assert list(whole) == ["deformation_rank_null", "deformation_closed_form_n1",
+                               "deformation_rk4_order"]

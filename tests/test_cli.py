@@ -666,7 +666,7 @@ class TestVerifyWorker:
             assert os.getpid() != caller, "criterion 8 ran in the caller"
             os._exit(0)                 # the worker dies before it sends its result
 
-        monkeypatch.setattr(verify, "check_deformation", failing)
+        monkeypatch.setattr(verify, "check_rk4_order", failing)
         code, out, err = run(["verify", "--n-max", "2", "--trials", "2"], capsys)
         assert (code, out, len(forks)) == (2, "", 1)
         assert_one_error_line(err, "verify worker closed its pipe early")
@@ -680,7 +680,7 @@ class TestVerifyWorker:
         def failing(*args):
             raise error
 
-        monkeypatch.setattr(verify, "check_deformation", lambda *args: time.sleep(60))
+        monkeypatch.setattr(verify, "check_rk4_order", lambda *args: time.sleep(60))
         monkeypatch.setattr(verify, "check_identities", failing)
         with pytest.raises(ZeroDivisionError) as raised:
             verify.run_all(n_max=2, trials=2)
@@ -868,7 +868,7 @@ class TestWorkerErrors:
         def failing(*args):
             raise raised
 
-        monkeypatch.setattr(verify, "check_deformation", failing)
+        monkeypatch.setattr(verify, "check_rk4_order", failing)
         code, out, err = run(["verify", "--n-max", "2", "--trials", "2"], capsys)
         assert (code, out, err, len(forks)) == (2, "", line, mode == "worker")
         assert_no_child_left()

@@ -11,10 +11,10 @@ from oddpu.canonical import (_antisymmetric_basis, alt_hamiltonian_observable,
                              energy_observable, oscillator_sums, quadratic_ansatz_observable,
                              quadratic_form)
 from oddpu.dynamics import J2
-from oddpu.poisson import DegeneracyError
+from oddpu.poisson import DegeneracyError, alt_structures, dirac_structures
 from oddpu.verify import random_gamma, random_spectrum
 
-from conftest import jet_index
+from conftest import jet_index, loop_alt_structure, loop_dirac_structure
 
 S1 = FrequencySpectrum((1.0,))
 
@@ -124,6 +124,43 @@ class TestAltStructure:
     def test_gamma_size_mismatch(self):
         with pytest.raises(ValueError):
             alt_structure(S1, GammaWeights(((1.0, 1.0), (1.0, 1.0))))
+
+
+class TestBatchBuilders:
+    """The batch builders give each structure the bytes of the loop
+    builders they replaced (``conftest``), -0.0 entries included, in a
+    batch of one (the single builders) and in batches of many."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_for_bit_with_the_loop_builders(self, n):
+        rng = np.random.default_rng(900 + n)
+        specs = [random_spectrum(rng, n) for _ in range(12)]
+        weights = [verify.random_gamma(rng, spec) for spec in specs[:4]]
+        weights += [GammaWeights(tuple(map(tuple, rng.uniform(-3.0, 3.0, size=(n, 2)))))
+                    for _ in range(4)]
+        weights += [dirac_equivalent_gamma(n), dirac_equivalent_gamma(n),
+                    GammaWeights(((1.0, 1.0),) * n), GammaWeights(((1.0, 1.0),) * n)]
+        alt = alt_structures(specs, weights)
+        dirac = dirac_structures(specs)
+        assert alt.shape == dirac.shape == (12, 4 * n + 2, 4 * n + 2)
+        for b, (spec, g) in enumerate(zip(specs, weights)):
+            want = loop_alt_structure(spec, g).tobytes()
+            assert alt[b].tobytes() == alt_structure(spec, g).tobytes() == want
+            want = loop_dirac_structure(spec).tobytes()
+            assert dirac[b].tobytes() == dirac_structure(spec).tobytes() == want
+        assert np.signbit(dirac[dirac == 0.0]).any()     # the -0.0 entries are there
+
+    def test_batches_need_one_n_and_matching_weights(self):
+        rng = np.random.default_rng(5)
+        specs = [random_spectrum(rng, 1), random_spectrum(rng, 2)]
+        with pytest.raises(ValueError, match="one n"):
+            dirac_structures(specs)
+        with pytest.raises(ValueError, match="one n"):
+            alt_structures(specs, [dirac_equivalent_gamma(1), dirac_equivalent_gamma(2)])
+        with pytest.raises(ValueError, match="sized for n=2"):
+            alt_structures(specs[:1] * 2, [dirac_equivalent_gamma(1), dirac_equivalent_gamma(2)])
+        with pytest.raises(ValueError):
+            alt_structures(specs[:1] * 2, [dirac_equivalent_gamma(1)])
 
 
 class TestDegeneracy:
